@@ -15,8 +15,7 @@ Config files are UTF-8 ``key = value`` lines (``#`` comments); dotted keys
 address sections, e.g. ``detection.shots = 2000000``.  Missing keys take
 the documented defaults; unknown keys are rejected.  Exit codes: 0 ok,
 1 simulate-under-born rejected the null at 5 sigma, 2 config file missing,
-3 schema violation or domain error.  The env var SORKIN_LAB_THREADS caps
-batch parallelism.
+3 schema violation or domain error.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .born import ProbabilityRule, parse_rule
@@ -277,17 +276,6 @@ def parse_config(path: str) -> ExperimentConfig:
     )
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("SORKIN_LAB_THREADS")
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SORKIN_LAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def _payload(command: str, config: ExperimentConfig) -> dict:
     return {
         "schema": SUMMARY_JSON_SCHEMA,
@@ -335,7 +323,6 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
         config.detection,
         config.batches,
         config.master_seed,
-        max_workers=_max_workers(),
     )
     est = estimate_kappa(reports, seed=config.master_seed)
     rejected = born_null_rejected(est) if config.rule.kind == "born" else False
@@ -400,8 +387,6 @@ def cmd_rwa_check(config: ExperimentConfig, out_dir: str) -> int:
     for i, sched in enumerate(schedules, start=1):
         for seg in sched:
             pulses.append((f"psi{i}", seg))
-    from .dynamics import PulseSegment
-
     pulses.append(("measurement", PulseSegment("MW2", config.measurement.theta2)))
     pulses.append(("measurement", PulseSegment("MW1", config.measurement.theta1)))
     rows = []
@@ -435,7 +420,6 @@ def cmd_sensitivity(config: ExperimentConfig, out_dir: str) -> int:
         config.detection,
         config.batches,
         config.master_seed,
-        max_workers=_max_workers(),
     )
     lines = ["eps,kappa_mean,kappa_std,detected"]
     print("eps      kappa_mean    kappa_std     detected")
@@ -503,9 +487,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
-            config = _replace_config(config, master_seed=args.seed)
+            config = replace(config, master_seed=args.seed)
         if args.measurement is not None:
-            config = _replace_config(
+            config = replace(
                 config,
                 measurement=_MEASUREMENT_PRESETS[args.measurement],
                 measurement_preset=args.measurement,
@@ -515,12 +499,6 @@ def main(argv=None) -> int:
     except SorkinLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-
-def _replace_config(config: ExperimentConfig, **updates) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(config, **updates)
 
 
 if __name__ == "__main__":

@@ -19,14 +19,13 @@ cancels from kappa exactly.
 Seeding is splittable and documented: the RNG stream for experiment k of
 batch b under master seed s is numpy's SeedSequence([s, b, k]); the shared
 batch reference uses k = 7 and the bootstrap resampler k = 8.  Batches are
-therefore independent of execution order and thread count.
+therefore independent of execution order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +46,9 @@ from .protocol import (
 
 REFERENCE_STREAM = 7
 BOOTSTRAP_STREAM = 8
+
+# Least expected reference count per estimate: P(zero reference) = e^-50.
+MIN_REFERENCE_PHOTONS = 50.0
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
 SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/1"
@@ -81,6 +83,13 @@ class DetectionParams:
         if int(self.shots) < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
         object.__setattr__(self, "shots", int(self.shots))
+        rate = self.mu_bright + self.mu_bg
+        if self.shots * rate < MIN_REFERENCE_PHOTONS:
+            raise ValueError(
+                f"shots = {self.shots} gives {self.shots * rate:.6g} expected "
+                f"reference photons, fewer than {MIN_REFERENCE_PHOTONS:g}; "
+                f"these rates need shots >= {math.ceil(MIN_REFERENCE_PHOTONS / rate)}"
+            )
 
     @property
     def mu_dark(self) -> float:
@@ -124,11 +133,7 @@ def _sample_signal(p_true: float, det: DetectionParams, rng) -> int:
 
 
 def _sample_reference(det: DetectionParams, rng) -> int:
-    lam = det.shots * (det.mu_bright + det.mu_bg)
-    while True:
-        r = int(rng.poisson(lam))
-        if r > 0:  # zero reference is astronomically unlikely at N >= 1e3
-            return r
+    return int(rng.poisson(det.shots * (det.mu_bright + det.mu_bg)))
 
 
 def simulate_probability_estimate(p_true: float, det: DetectionParams, seed) -> float:
@@ -138,24 +143,22 @@ def simulate_probability_estimate(p_true: float, det: DetectionParams, seed) -> 
     return s / _sample_reference(det, rng)
 
 
-def run_protocol_batch(
-    t: TargetAmplitudes,
-    spec: MeasurementSpec,
-    rule: ProbabilityRule,
-    det: DetectionParams | None,
-    seed,
-) -> SorkinReport:
-    """One seven-experiment batch; det=None runs on exact probabilities.
-
-    In simulated mode each experiment's photon counts come from its own
-    seed stream and the batch's seven estimates share one reference draw.
-    """
+def _exact_probabilities(
+    t: TargetAmplitudes, spec: MeasurementSpec, rule: ProbabilityRule
+) -> tuple[float, ...]:
+    """The seven rule probabilities; every batch of a run samples from these."""
     m = measurement_ket(spec)
-    states = prepare_states(t)
-    p_true = [probability(rule, m, psi) for psi in states]
-    prefix = _entropy(seed)
+    return tuple(probability(rule, m, psi) for psi in prepare_states(t))
+
+
+def _batch(
+    t: TargetAmplitudes,
+    p_true: tuple[float, ...],
+    det: DetectionParams | None,
+    prefix: list[int],
+) -> SorkinReport:
     if det is None:
-        p = tuple(p_true)
+        p = p_true
         prov = Provenance("exact")
     else:
         signals = [
@@ -183,6 +186,21 @@ def run_protocol_batch(
     )
 
 
+def run_protocol_batch(
+    t: TargetAmplitudes,
+    spec: MeasurementSpec,
+    rule: ProbabilityRule,
+    det: DetectionParams | None,
+    seed,
+) -> SorkinReport:
+    """One seven-experiment batch; det=None runs on exact probabilities.
+
+    In simulated mode each experiment's photon counts come from its own
+    seed stream and the batch's seven estimates share one reference draw.
+    """
+    return _batch(t, _exact_probabilities(t, spec, rule), det, _entropy(seed))
+
+
 def run_batches(
     t: TargetAmplitudes,
     spec: MeasurementSpec,
@@ -190,22 +208,15 @@ def run_batches(
     det: DetectionParams | None,
     n_batches: int,
     master_seed,
-    max_workers: int | None = None,
 ) -> list[SorkinReport]:
     """n_batches independent batches, ordered by batch index.
 
-    Batch b uses seed prefix [*master_seed, b]; results are bit-identical
-    for a given (config, master_seed) regardless of worker count.
+    Batch b equals run_protocol_batch(..., (*master_seed, b)); the exact
+    probabilities are computed once for the whole run.
     """
+    p_true = _exact_probabilities(t, spec, rule)
     prefix = _entropy(master_seed)
-
-    def one(b: int) -> SorkinReport:
-        return run_protocol_batch(t, spec, rule, det, (*prefix, b))
-
-    if max_workers is not None and max_workers > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, range(n_batches)))
-    return [one(b) for b in range(n_batches)]
+    return [_batch(t, p_true, det, [*prefix, b]) for b in range(n_batches)]
 
 
 def estimate_kappa(
@@ -253,6 +264,14 @@ _RULE_FAMILIES = {
 }
 
 
+def _grid_kappas(t, spec, runs, n_batches, master_seed):
+    """Batch kappas per grid row; row j runs its (rule, det) under [*master_seed, j]."""
+    prefix = _entropy(master_seed)
+    for j, (rule, det) in enumerate(runs):
+        reports = run_batches(t, spec, rule, det, n_batches, (*prefix, j))
+        yield np.array([r.kappa for r in reports], dtype=float)
+
+
 def sensitivity_scan(
     t: TargetAmplitudes,
     spec: MeasurementSpec,
@@ -261,7 +280,6 @@ def sensitivity_scan(
     det: DetectionParams | None,
     n_batches: int,
     master_seed,
-    max_workers: int | None = None,
 ) -> SensitivityScan:
     """kappa statistics per deformation strength, with a 3-sigma detection flag.
 
@@ -273,22 +291,21 @@ def sensitivity_scan(
             f"rule_family must be one of {sorted(_RULE_FAMILIES)}, got {rule_family!r}"
         )
     make_rule = _RULE_FAMILIES[rule_family]
-    prefix = _entropy(master_seed)
+    eps_grid = [float(eps) for eps in eps_grid]
+    runs = (
+        (ProbabilityRule.born() if eps == 0 else make_rule(eps), det)
+        for eps in eps_grid
+    )
     rows = []
     smallest = None
-    for j, eps in enumerate(eps_grid):
-        rule = ProbabilityRule.born() if eps == 0 else make_rule(eps)
-        reports = run_batches(
-            t, spec, rule, det, n_batches, (*prefix, j), max_workers=max_workers
-        )
-        k = np.array([r.kappa for r in reports], dtype=float)
+    for eps, k in zip(eps_grid, _grid_kappas(t, spec, runs, n_batches, master_seed)):
         k_mean = float(k.mean())
         k_std = float(k.std(ddof=1)) if k.size > 1 else 0.0
         threshold = max(3.0 * k_std / math.sqrt(k.size), 1e-12)
         detected = abs(k_mean) > threshold
-        rows.append(SensitivityRow(float(eps), k_mean, k_std, detected))
+        rows.append(SensitivityRow(eps, k_mean, k_std, detected))
         if detected and smallest is None:
-            smallest = float(eps)
+            smallest = eps
     return SensitivityScan(tuple(rows), smallest)
 
 
@@ -299,28 +316,18 @@ def scaling_check(
     shots_list,
     n_batches: int,
     master_seed,
-    max_workers: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Empirical kappa std per shot count N, for shot-noise scaling checks."""
+    """Empirical kappa std per shot count N, for shot-noise scaling checks.
+
+    Grid row j draws from seed prefix [*master_seed, j].
+    """
     shots_list = [int(n) for n in shots_list]
     if shots_list != sorted(shots_list):
         raise ValueError("shots_list must be ascending")
-    prefix = _entropy(master_seed)
-    rows = []
-    for j, n in enumerate(shots_list):
-        det_n = None if det is None else replace(det, shots=n)
-        reports = run_batches(
-            t,
-            spec,
-            ProbabilityRule.born(),
-            det_n,
-            n_batches,
-            (*prefix, j),
-            max_workers=max_workers,
-        )
-        k = np.array([r.kappa for r in reports], dtype=float)
-        rows.append((n, float(k.std(ddof=1))))
-    return rows
+    born = ProbabilityRule.born()
+    runs = ((born, None if det is None else replace(det, shots=n)) for n in shots_list)
+    kappas = _grid_kappas(t, spec, runs, n_batches, master_seed)
+    return [(n, float(k.std(ddof=1))) for n, k in zip(shots_list, kappas)]
 
 
 def batch_csv_text(reports) -> str:

@@ -177,17 +177,6 @@ def test_rwa_check_command(tmp_path):
     assert "measurement" in labels and "psi1" in labels
 
 
-def test_thread_cap_env_var_keeps_results_identical(tmp_path, monkeypatch):
-    path = _write(tmp_path, "batches = 8\ndetection.shots = 50000\n")
-    out_a, out_b = tmp_path / "serial", tmp_path / "threaded"
-    main(["simulate", "--config", path, "--out", str(out_a), "--seed", "3"])
-    monkeypatch.setenv("SORKIN_LAB_THREADS", "4")
-    main(["simulate", "--config", path, "--out", str(out_b), "--seed", "3"])
-    assert (out_a / "simulate_batches.csv").read_bytes() == (
-        out_b / "simulate_batches.csv"
-    ).read_bytes()
-
-
 def test_born_null_decision():
     est = KappaEstimate((0.0,) * 4, 0.001, 0.01, 0.0001, (0.0, 0.002))
     assert born_null_rejected(est)
@@ -226,3 +215,23 @@ def test_detection_keys_validated_in_exact_mode(tmp_path):
         parse_config(path)
     rc = main(["ideal", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "detection.mu_bg = 0\ndetection.mu_bright = 1e-9\ndetection.shots = 1\n",
+        "detection.shots = 10\n",
+    ],
+)
+def test_too_few_reference_photons_rejected_at_parse_time(tmp_path, monkeypatch, text):
+    def no_batches(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr("sorkin_lab.cli.run_batches", no_batches)
+    path = _write(tmp_path, "batches = 2\n" + text)
+    with pytest.raises(ConfigError, match="shots >="):
+        parse_config(path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()

@@ -13,6 +13,7 @@ from sorkin_lab import (
     TargetAmplitudes,
     UnphysicalParameterError,
     estimate_kappa,
+    measurement_ket,
     run_batches,
     run_protocol_batch,
     scaling_check,
@@ -50,6 +51,15 @@ def test_detection_params_validation():
         DetectionParams(shots=0)
     with pytest.raises(ValueError):
         DetectionParams(mu_bg=-1.0)
+
+
+def test_detection_params_need_an_expected_reference():
+    # one Poisson reference draw per batch; a near-zero mean must be refused
+    with pytest.raises(ValueError, match="reference photons"):
+        DetectionParams(mu_bg=0.0, mu_bright=1e-9, shots=1)
+    with pytest.raises(ValueError, match="shots >= 412"):
+        DetectionParams(shots=411)
+    assert DetectionParams(shots=412).shots == 412
 
 
 def test_estimate_replay_is_bit_identical():
@@ -105,11 +115,40 @@ def test_simulated_batch_determinism_and_provenance():
     assert "simulated" in r1.provenance.label()
 
 
-def test_run_batches_thread_invariance():
+@pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
+def test_run_batches_follow_the_batch_stream_layout(det):
+    reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 6, 5)
+    for b, r in enumerate(reports):
+        assert r == run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (5, b))
+
+
+def test_grid_row_j_runs_batches_under_seed_prefix_j():
     det = DetectionParams(shots=50_000)
-    serial = run_batches(_target(), MEASUREMENT_M1, BORN, det, 8, 5)
-    threaded = run_batches(_target(), MEASUREMENT_M1, BORN, det, 8, 5, max_workers=4)
-    assert [r.kappa for r in serial] == [r.kappa for r in threaded]
+    grid = [0.0, 0.1]
+    scan = sensitivity_scan(_target(), MEASUREMENT_M1, "triple", grid, det, 4, 7)
+    for j, (eps, row) in enumerate(zip(grid, scan.rows)):
+        rule = BORN if eps == 0 else ProbabilityRule.additive_triple(eps)
+        k = [r.kappa for r in run_batches(_target(), MEASUREMENT_M1, rule, det, 4, (7, j))]
+        assert row.kappa_mean == float(np.mean(k))
+        assert row.kappa_std == float(np.std(k, ddof=1))
+    ladder = [20_000, 50_000]
+    rows = scaling_check(_target(), MEASUREMENT_M1, det, ladder, 4, 7)
+    for j, (n, std) in enumerate(rows):
+        det_n = replace(det, shots=n)
+        k = [r.kappa for r in run_batches(_target(), MEASUREMENT_M1, BORN, det_n, 4, (7, j))]
+        assert (n, std) == (ladder[j], float(np.std(k, ddof=1)))
+
+
+def test_run_batches_builds_the_measurement_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return measurement_ket(spec)
+
+    monkeypatch.setattr("sorkin_lab.detection.measurement_ket", counted)
+    run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(shots=50_000), 5, 0)
+    assert calls == [MEASUREMENT_M1]
 
 
 def test_estimate_kappa_exact_batches():
