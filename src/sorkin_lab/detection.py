@@ -51,7 +51,7 @@ BOOTSTRAP_STREAM = 8
 MIN_REFERENCE_PHOTONS = 50.0
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/1"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/2"
 
 _CSV_COLUMNS = (
     "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"

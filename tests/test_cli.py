@@ -167,12 +167,12 @@ def test_sensitivity_command(tmp_path):
 
 
 def test_rwa_check_command(tmp_path):
-    # keep runtime low: coarse drive (high omega1) shortens pulses
-    path = _write(tmp_path, "hamiltonian.omega1_hz = 20e6\n")
+    path = _write(tmp_path, "")
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert all(0.9 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
+    assert payload["schema"] == "sorkin-lab.summary/2"
+    assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels
 

@@ -17,6 +17,8 @@ from sorkin_lab import (
     rwa_fidelity,
     sample_detuning,
 )
+from sorkin_lab.dynamics import _cf4_span
+from sorkin_lab.qutrit import spin1_matrices
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -135,9 +137,52 @@ def test_rwa_fidelity_improves_with_drive_ratio():
     fids = []
     for ratio in (1e-4, 1e-3, 1e-2):
         p = HamiltonianParams(omega1_hz=ratio * base.omega_mw1_hz)
-        fids.append(rwa_fidelity(p, seg, steps_per_drive_period=64))
+        fids.append(rwa_fidelity(p, seg))
     assert fids[0] >= 1 - 1e-6
     assert fids[0] >= fids[1] >= fids[2]
+
+
+def test_period_power_equals_stepping_every_period():
+    # U(T)**N by repeated squaring against the ordered product of all N*steps
+    # CF4 steps on the same time grid: only the periodicity identity differs
+    p = HamiltonianParams()
+    steps = 200
+    omega_d = 2 * math.pi * p.omega_mw2_hz
+    period = 2 * math.pi / omega_d
+    n_periods = int(PulseSegment("MW2", math.pi).duration_s(p.omega1_hz) // period)
+    assert n_periods > 400
+    split = p.gamma_e_hz_per_G * p.B_G
+    h0 = 2 * math.pi * np.array([p.D_hz + split, 0.0, p.D_hz - split])
+    drive = math.sqrt(2) * 2 * math.pi * p.omega1_hz * spin1_matrices()[1]
+    one_period = _cf4_span(h0, drive, omega_d, period, steps)
+    powered = np.linalg.matrix_power(one_period, n_periods)
+    stepped = _cf4_span(h0, drive, omega_d, n_periods * period, n_periods * steps)
+    assert np.max(np.abs(powered - stepped)) < 1e-12
+
+
+def test_period_power_error_stays_small_at_large_period_count():
+    # a weak drive stretches the MW2 pi pulse to about 21,500 drive periods
+    p = HamiltonianParams(omega1_hz=1e5)
+    seg = PulseSegment("MW2", math.pi)
+    assert seg.duration_s(p.omega1_hz) * p.omega_mw2_hz > 21_000
+    u1 = lab_frame_propagator(p, seg, 200).matrix
+    u2 = lab_frame_propagator(p, seg, 400).matrix
+    assert np.max(np.abs(u1 - u2)) < 1e-6
+    assert rwa_fidelity(p, seg) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"duration_s": math.nan},
+        {"duration_s": math.inf},
+        {"detuning_hz": math.nan},
+        {"detuning_hz": -math.inf},
+    ],
+)
+def test_propagator_rejects_non_finite_inputs(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        lab_frame_propagator(HamiltonianParams(), PulseSegment("MW1", math.pi), **kwargs)
 
 
 def test_rwa_fidelity_covers_mw2_channel():
