@@ -59,11 +59,9 @@ from .protocol import (
     third_order_term,
 )
 from .qutrit import (
-    Projector,
     QutritState,
     Unitary3,
     apply_unitary,
-    compose,
     inner_product,
     spin1_matrices,
 )

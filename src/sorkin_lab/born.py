@@ -20,6 +20,7 @@ own calibration choices and are labeled as such in every output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import UnphysicalParameterError
@@ -38,6 +39,8 @@ class ProbabilityRule:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"rule kind must be one of {_KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"deformation must be finite, got {self.epsilon!r}")
         if self.kind == "born" and self.epsilon != 0.0:
             raise ValueError("the born rule takes no deformation parameter")
         if self.kind == "exponent" and self.epsilon <= -2.0:

@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .born import ProbabilityRule, parse_rule
@@ -61,34 +61,35 @@ _MEASUREMENT_PRESETS = {
     "M2": MEASUREMENT_M2,
 }
 
-# key -> (type tag, default); "floats" is a comma-separated float list
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "hamiltonian.D_hz": ("float", 2.87e9),
-    "hamiltonian.gamma_e_hz_per_G": ("float", 2.80e6),
-    "hamiltonian.B_G": ("float", 510.0),
-    "hamiltonian.omega1_hz": ("float", 5.0e6),
-    "hamiltonian.T2star_s": ("float", 1.5e-6),
-    "amplitudes.a": ("float", 1.0 / _SQRT3),
-    "amplitudes.b": ("float", -1.0 / _SQRT3),
-    "amplitudes.c": ("float", -1.0 / _SQRT3),
-    "measurement.theta1": ("float", math.pi / 2),
-    "measurement.theta2": ("float", math.pi / 2),
-    "measurement.preset": ("str", None),
-    "rule": ("str", "born"),
-    "detection.mode": ("str", "simulated"),
-    "detection.mu_bright": ("float", 0.12),
-    "detection.contrast": ("float", 0.30),
-    "detection.mu_bg": ("float", 0.0015),
-    "detection.shots": ("int", 2_000_000),
-    "detection.readout_window_s": ("float", 300e-9),
-    "batches": ("int", 50),
-    "master_seed": ("int", 42),
-    "sensitivity.rule_family": ("str", "triple"),
-    "sensitivity.eps_grid": (
-        "floats",
-        tuple(round(0.01 * i, 10) for i in range(13)),
-    ),
+# Each dataclass section's keys and defaults are its default object's fields.
+_SECTIONS = {
+    "hamiltonian": HamiltonianParams(),
+    "amplitudes": TargetAmplitudes(1.0 / _SQRT3, -1.0 / _SQRT3, -1.0 / _SQRT3),
+    "measurement": MEASUREMENT_M1,
+    "detection": DetectionParams(),
 }
+
+_DEFAULTS: dict[str, object] = {
+    f"{section}.{f.name}": getattr(default, f.name)
+    for section, default in _SECTIONS.items()
+    for f in fields(default)
+} | {
+    "measurement.preset": None,
+    "detection.mode": "simulated",
+    "rule": "born",
+    "batches": 50,
+    "master_seed": 42,
+    "sensitivity.rule_family": "triple",
+    "sensitivity.eps_grid": tuple(round(0.01 * i, 10) for i in range(13)),
+}
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(",") if x.strip())
+
+
+# A key parses as the type of its default, except these.
+_PARSERS = {type(None): str, tuple: _float_list}
 
 
 @dataclass(frozen=True)
@@ -112,34 +113,15 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Fully resolved configuration, embedded in every report."""
-        det = self.detection_params
         return {
-            "hamiltonian": {
-                "D_hz": self.hamiltonian.D_hz,
-                "gamma_e_hz_per_G": self.hamiltonian.gamma_e_hz_per_G,
-                "B_G": self.hamiltonian.B_G,
-                "omega1_hz": self.hamiltonian.omega1_hz,
-                "T2star_s": self.hamiltonian.T2star_s,
-            },
-            "amplitudes": {
-                "a": self.amplitudes.a,
-                "b": self.amplitudes.b,
-                "c": self.amplitudes.c,
-            },
+            "hamiltonian": asdict(self.hamiltonian),
+            "amplitudes": asdict(self.amplitudes),
             "measurement": {
-                "theta1": self.measurement.theta1,
-                "theta2": self.measurement.theta2,
+                **asdict(self.measurement),
                 "preset": self.measurement_preset,
             },
             "rule": self.rule.label(),
-            "detection": {
-                "mode": self.detection_mode,
-                "mu_bright": det.mu_bright,
-                "contrast": det.contrast,
-                "mu_bg": det.mu_bg,
-                "shots": det.shots,
-                "readout_window_s": det.readout_window_s,
-            },
+            "detection": {"mode": self.detection_mode, **asdict(self.detection_params)},
             "batches": self.batches,
             "master_seed": self.master_seed,
             "sensitivity": {
@@ -147,20 +129,6 @@ class ExperimentConfig:
                 "eps_grid": list(self.eps_grid),
             },
         }
-
-
-def _parse_value(key: str, raw: str):
-    tag, _ = _SCHEMA[key]
-    try:
-        if tag == "float":
-            return float(raw)
-        if tag == "int":
-            return int(raw)
-        if tag == "floats":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        return raw
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {tag}", key=key) from None
 
 
 def _read_pairs(path: str) -> dict:
@@ -175,11 +143,17 @@ def _read_pairs(path: str) -> dict:
                     f"line {lineno}: expected 'key = value', got {line.rstrip()!r}"
                 )
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _SCHEMA:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}", key=key)
             if key in values:
                 raise ConfigError(f"duplicate config key {key!r}", key=key)
-            values[key] = _parse_value(key, raw)
+            kind = type(_DEFAULTS[key])
+            try:
+                values[key] = _PARSERS.get(kind, kind)(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"key {key!r}: cannot parse {raw!r} ({exc})", key=key
+                ) from None
     return values
 
 
@@ -187,12 +161,23 @@ def parse_config(path: str) -> ExperimentConfig:
     """Load a config file; missing keys take the documented defaults.
 
     The ``detection.*`` keys are validated in every mode, since the report
-    echoes them even when ``detection.mode = exact`` ignores them.
+    echoes them even when ``detection.mode = exact`` ignores them.  The
+    sensitivity grid is checked here too: it must be non-empty and every
+    strength must build a rule of the scan's family.
     """
     values = _read_pairs(path)
 
     def get(key: str):
-        return values.get(key, _SCHEMA[key][1])
+        return values.get(key, _DEFAULTS[key])
+
+    def build(section: str):
+        default = _SECTIONS[section]
+        given = {
+            f.name: values[key]
+            for f in fields(default)
+            if (key := f"{section}.{f.name}") in values
+        }
+        return replace(default, **given)
 
     preset = get("measurement.preset")
     if preset is not None:
@@ -206,11 +191,6 @@ def parse_config(path: str) -> ExperimentConfig:
                 f"measurement.preset must be M1 or M2, got {preset!r}",
                 key="measurement.preset",
             )
-        measurement = _MEASUREMENT_PRESETS[preset]
-    else:
-        measurement = MeasurementSpec(
-            get("measurement.theta1"), get("measurement.theta2")
-        )
 
     mode = get("detection.mode")
     if mode not in ("simulated", "exact"):
@@ -238,42 +218,30 @@ def parse_config(path: str) -> ExperimentConfig:
             f"sensitivity.rule_family must be 'triple' or 'exponent', got {family!r}",
             key="sensitivity.rule_family",
         )
+    eps_grid = get("sensitivity.eps_grid")
+    if not eps_grid:
+        raise ConfigError("sensitivity.eps_grid is empty", key="sensitivity.eps_grid")
 
     try:
-        hamiltonian = HamiltonianParams(
-            D_hz=get("hamiltonian.D_hz"),
-            gamma_e_hz_per_G=get("hamiltonian.gamma_e_hz_per_G"),
-            B_G=get("hamiltonian.B_G"),
-            omega1_hz=get("hamiltonian.omega1_hz"),
-            T2star_s=get("hamiltonian.T2star_s"),
-        )
-        amplitudes = TargetAmplitudes(
-            get("amplitudes.a"), get("amplitudes.b"), get("amplitudes.c")
-        )
-        rule = parse_rule(get("rule"))
-        detection_params = DetectionParams(
-            mu_bright=get("detection.mu_bright"),
-            contrast=get("detection.contrast"),
-            mu_bg=get("detection.mu_bg"),
-            shots=get("detection.shots"),
-            readout_window_s=get("detection.readout_window_s"),
+        for eps in eps_grid:
+            ProbabilityRule(family, eps)
+        return ExperimentConfig(
+            hamiltonian=build("hamiltonian"),
+            amplitudes=build("amplitudes"),
+            measurement=(
+                build("measurement") if preset is None else _MEASUREMENT_PRESETS[preset]
+            ),
+            measurement_preset=preset,
+            rule=parse_rule(get("rule")),
+            detection_mode=mode,
+            detection_params=build("detection"),
+            batches=batches,
+            master_seed=master_seed,
+            sensitivity_family=family,
+            eps_grid=eps_grid,
         )
     except (ValueError, SorkinLabError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    return ExperimentConfig(
-        hamiltonian=hamiltonian,
-        amplitudes=amplitudes,
-        measurement=measurement,
-        measurement_preset=preset,
-        rule=rule,
-        detection_mode=mode,
-        detection_params=detection_params,
-        batches=batches,
-        master_seed=master_seed,
-        sensitivity_family=family,
-        eps_grid=tuple(get("sensitivity.eps_grid")),
-    )
 
 
 def _payload(command: str, config: ExperimentConfig) -> dict:

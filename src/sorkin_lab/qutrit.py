@@ -99,9 +99,6 @@ class Unitary3:
     def matrix(self) -> np.ndarray:
         return self._m
 
-    def dagger(self) -> "Unitary3":
-        return Unitary3(self._m.conj().T)
-
     def __repr__(self):
         return f"Unitary3({np.array2string(self._m, precision=6)})"
 
@@ -115,27 +112,6 @@ def apply_unitary(unitary, state: QutritState) -> QutritState:
     if not isinstance(unitary, Unitary3):
         unitary = Unitary3(unitary)
     return QutritState.from_vector(unitary.matrix @ state.vector)
-
-
-def compose(u_later: Unitary3, u_earlier: Unitary3) -> Unitary3:
-    """Product with u_earlier acting first: returns u_later @ u_earlier."""
-    if not isinstance(u_later, Unitary3):
-        u_later = Unitary3(u_later)
-    if not isinstance(u_earlier, Unitary3):
-        u_earlier = Unitary3(u_earlier)
-    return Unitary3(u_later.matrix @ u_earlier.matrix, atol=2e-9)
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Rank-1 measurement operator |ket><ket|."""
-
-    ket: QutritState
-
-    @property
-    def matrix(self) -> np.ndarray:
-        v = self.ket.vector
-        return np.outer(v, v.conj())
 
 
 def _locked(array) -> np.ndarray:

@@ -131,6 +131,13 @@ def test_rule_construction_guards():
         ProbabilityRule.exponent_deformed(-2.5)
     with pytest.raises(ValueError):
         ProbabilityRule("gaussian", 0.0)
+    # a non-finite deformation would run to kappa = NaN instead of failing
+    for kind in ("exponent", "triple"):
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ProbabilityRule(kind, eps)
+            with pytest.raises(ValueError, match="finite"):
+                parse_rule(f"{kind}:{eps}")
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from sorkin_lab.cli import (
+    _DEFAULTS,
     EXIT_BAD_CONFIG,
     EXIT_MISSING_FILE,
     EXIT_OK,
@@ -66,6 +67,62 @@ def test_config_rejections(tmp_path):
         parse_config(_write(tmp_path, "rule = bogus:1\n", "g.cfg"))
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, "hamiltonian.B_G = -5\n", "h.cfg"))
+    angles = ["measurement.theta1 = nan\n", "measurement.theta2 = inf\n"]
+    for i, text in enumerate(angles):
+        path = _write(tmp_path, text, f"angle{i}.cfg")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(path)
+        out = tmp_path / f"angle{i}"
+        assert main(["ideal", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+
+
+def _flatten(echo):
+    flat = {}
+    for key, value in echo.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def test_echo_has_every_key_at_its_default(tmp_path):
+    flat = _flatten(parse_config(_write(tmp_path, "")).echo())
+    assert flat.keys() == _DEFAULTS.keys()
+    for key, default in _DEFAULTS.items():
+        expected = list(default) if isinstance(default, tuple) else default
+        assert flat[key] == expected, key
+
+
+def test_echo_round_trips_through_a_config_file(tmp_path):
+    text = (
+        "hamiltonian.D_hz = 2.88e9\nhamiltonian.gamma_e_hz_per_G = 2.81e6\n"
+        "hamiltonian.B_G = 500\nhamiltonian.omega1_hz = 2e7\n"
+        "hamiltonian.T2star_s = 3e-6\n"
+        "amplitudes.a = 0.6\namplitudes.b = -0.64\namplitudes.c = -0.48\n"
+        "measurement.theta1 = 1.1\nmeasurement.theta2 = 0.3\n"
+        "rule = triple:0.05\n"
+        "detection.mode = exact\ndetection.mu_bright = 0.2\n"
+        "detection.contrast = 0.25\ndetection.mu_bg = 0.002\n"
+        "detection.shots = 5000\ndetection.readout_window_s = 2e-7\n"
+        "batches = 3\nmaster_seed = 9\n"
+        "sensitivity.rule_family = exponent\nsensitivity.eps_grid = 0,0.2,-0.5\n"
+    )
+    echo = parse_config(_write(tmp_path, text)).echo()
+    flat = _flatten(echo)
+    lines = []
+    for key, value in flat.items():
+        if key == "measurement.preset":
+            assert value is None
+            continue
+        default = _DEFAULTS[key]
+        assert value != (list(default) if isinstance(default, tuple) else default), key
+        if isinstance(value, list):
+            value = ",".join(map(repr, value))
+        lines.append(f"{key} = {value}\n")
+    again = parse_config(_write(tmp_path, "".join(lines), "echo.cfg")).echo()
+    assert again == echo
 
 
 def test_missing_config_exit_code(tmp_path):
@@ -234,4 +291,32 @@ def test_too_few_reference_photons_rejected_at_parse_time(tmp_path, monkeypatch,
         parse_config(path)
     out = tmp_path / "o"
     assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("ideal", "rule = exponent:nan\n"),
+        ("ideal", "rule = triple:inf\n"),
+        ("sensitivity", "sensitivity.eps_grid =\n"),
+        ("sensitivity", "sensitivity.eps_grid = 0,nan\n"),
+        (
+            "sensitivity",
+            "sensitivity.rule_family = exponent\nsensitivity.eps_grid = 0,-2\n",
+        ),
+    ],
+    ids=["exponent-nan", "triple-inf", "empty-grid", "nan-in-grid", "exponent-eps-2"],
+)
+def test_bad_deformations_rejected_at_parse_time(tmp_path, monkeypatch, command, text):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    for name in ("run_protocol_batch", "sensitivity_scan"):
+        monkeypatch.setattr(f"sorkin_lab.cli.{name}", no_run)
+    path = _write(tmp_path, "detection.mode = exact\n" + text)
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
     assert not out.exists()

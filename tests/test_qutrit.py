@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from sorkin_lab import (
     NormalizationError,
-    Projector,
     QutritState,
     UnitarityError,
     Unitary3,
     apply_unitary,
-    compose,
     inner_product,
     rotation_r1,
     rotation_r2,
@@ -85,7 +83,7 @@ def test_apply_pi_pulse_sends_zero_to_minus():
 
 
 def test_apply_prepares_paper_superposition():
-    u = compose(rotation_r2(math.pi / 2), rotation_r1(math.acos(1 / 3)))
+    u = rotation_r2(math.pi / 2).matrix @ rotation_r1(math.acos(1 / 3)).matrix
     out = apply_unitary(u, KET_ZERO)
     assert np.allclose(out.vector, [-1 / SQRT3, 1 / SQRT3, -1 / SQRT3], atol=1e-15)
 
@@ -95,16 +93,10 @@ def test_apply_rejects_nonunitary():
         apply_unitary(np.eye(3) * 1.1, KET_ZERO)
 
 
-def test_compose_identity_and_inverse():
-    u = rotation_r1(0.7)
-    assert np.allclose(compose(Unitary3.identity(), u).matrix, u.matrix)
-    assert np.allclose(compose(u.dagger(), u).matrix, np.eye(3), atol=1e-12)
-
-
 def test_compose_matches_closed_form_column():
     # R2(t') R1(t) |0> = (-cos(t/2) sin(t'/2), cos(t/2) cos(t'/2), -sin(t/2))
     t, tp = math.acos(1 / 3), math.pi / 2
-    u = compose(rotation_r2(tp), rotation_r1(t))
+    u = rotation_r2(tp).matrix @ rotation_r1(t).matrix
     expected = np.array(
         [
             -math.cos(t / 2) * math.sin(tp / 2),
@@ -112,7 +104,7 @@ def test_compose_matches_closed_form_column():
             -math.sin(t / 2),
         ]
     )
-    assert np.allclose(u.matrix[:, 1], expected, atol=1e-15)
+    assert np.allclose(u[:, 1], expected, atol=1e-15)
 
 
 def test_spin1_matrices():
@@ -121,12 +113,6 @@ def test_spin1_matrices():
     assert np.allclose(sy, sy.conj().T)
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
     assert np.allclose(sz @ sy - sy @ sz, -1j * sx, atol=1e-15)
-
-
-def test_projector_idempotent():
-    proj = Projector(QutritState(0.5, 0.5, 1 / math.sqrt(2)))
-    m = proj.matrix
-    assert np.max(np.abs(m @ m - m)) < 1e-9
 
 
 def test_random_rotation_compositions_stay_unitary():
