@@ -16,7 +16,6 @@ from .detection import (
     run_protocol_batch,
     scaling_check,
     sensitivity_scan,
-    simulate_probability_estimate,
 )
 from .dynamics import (
     HamiltonianParams,
@@ -51,7 +50,6 @@ from .protocol import (
     apply_schedule,
     kappa,
     measurement_ket,
-    preparation_angle_table,
     prepare_states,
     second_order_terms,
     solve_schedule,

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from .errors import UnphysicalParameterError
 from .qutrit import QutritState, inner_product
 
-_KINDS = ("born", "exponent", "triple")
+# The deformation families, each "<kind>:<eps>" in configs and labels.
+DEFORMATIONS = ("exponent", "triple")
+_KINDS = ("born", *DEFORMATIONS)
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,10 @@ class ProbabilityRule:
         return cls("triple", float(epsilon))
 
     def label(self) -> str:
+        """The rule as parse_rule reads it; repr keeps epsilon exact."""
         if self.kind == "born":
             return "born"
-        return f"{self.kind}:{self.epsilon:g}"
+        return f"{self.kind}:{self.epsilon!r}"
 
 
 def parse_rule(text: str) -> ProbabilityRule:
@@ -72,15 +75,14 @@ def parse_rule(text: str) -> ProbabilityRule:
     if s == "born":
         return ProbabilityRule.born()
     kind, sep, arg = s.partition(":")
-    if sep and kind in ("exponent", "triple"):
+    if sep and kind in DEFORMATIONS:
         try:
             eps = float(arg)
         except ValueError:
             raise ValueError(f"bad deformation parameter in rule {text!r}") from None
         return ProbabilityRule(kind, eps)
-    raise ValueError(
-        f"unknown rule {text!r}; expected born, exponent:<eps> or triple:<eps>"
-    )
+    forms = ", ".join(f"{family}:<eps>" for family in DEFORMATIONS)
+    raise ValueError(f"unknown rule {text!r}; expected born, {forms}")
 
 
 def probability(rule: ProbabilityRule, m: QutritState, psi: QutritState) -> float:

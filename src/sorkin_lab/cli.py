@@ -27,7 +27,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
-from .born import ProbabilityRule, parse_rule
+from .born import DEFORMATIONS, ProbabilityRule, parse_rule
 from .detection import (
     BATCH_CSV_SCHEMA,
     SUMMARY_JSON_SCHEMA,
@@ -112,7 +112,11 @@ class ExperimentConfig:
         return None if self.detection_mode == "exact" else self.detection_params
 
     def echo(self) -> dict:
-        """Fully resolved configuration, embedded in every report."""
+        """Fully resolved configuration, embedded in every report.
+
+        Written back as ``key = value`` lines, it parses to this same
+        configuration, so a report's echo reproduces its run.
+        """
         return {
             "hamiltonian": asdict(self.hamiltonian),
             "amplitudes": asdict(self.amplitudes),
@@ -213,9 +217,9 @@ def parse_config(path: str) -> ExperimentConfig:
         )
 
     family = get("sensitivity.rule_family")
-    if family not in ("triple", "exponent"):
+    if family not in DEFORMATIONS:
         raise ConfigError(
-            f"sensitivity.rule_family must be 'triple' or 'exponent', got {family!r}",
+            f"sensitivity.rule_family must be one of {DEFORMATIONS}, got {family!r}",
             key="sensitivity.rule_family",
         )
     eps_grid = get("sensitivity.eps_grid")

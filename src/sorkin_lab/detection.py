@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .born import ProbabilityRule, probability
+from .born import DEFORMATIONS, ProbabilityRule, probability
 from .errors import InsufficientBatchesError, UnphysicalParameterError
 from .protocol import (
     MeasurementSpec,
@@ -51,7 +51,7 @@ BOOTSTRAP_STREAM = 8
 MIN_REFERENCE_PHOTONS = 50.0
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/2"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/3"
 
 _CSV_COLUMNS = (
     "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
@@ -63,15 +63,13 @@ class DetectionParams:
     """Photon-rate model for state-selective readout.
 
     mu_* are mean photons per shot per readout window; mu_dark is derived
-    from the bright/dark contrast.  readout_window_s is documentation of
-    the window the rates were integrated over.
+    from the bright/dark contrast.
     """
 
     mu_bright: float = 0.12
     contrast: float = 0.30
     mu_bg: float = 0.0015
     shots: int = 2_000_000
-    readout_window_s: float = 300e-9
 
     def __post_init__(self):
         if not (math.isfinite(self.mu_bright) and self.mu_bright > 0):
@@ -100,7 +98,6 @@ class DetectionParams:
 class KappaEstimate:
     """Mean, spread and bootstrap CI of kappa over a set of batches."""
 
-    per_batch_kappa: tuple[float, ...]
     mean: float
     std: float
     stderr: float
@@ -134,13 +131,6 @@ def _sample_signal(p_true: float, det: DetectionParams, rng) -> int:
 
 def _sample_reference(det: DetectionParams, rng) -> int:
     return int(rng.poisson(det.shots * (det.mu_bright + det.mu_bg)))
-
-
-def simulate_probability_estimate(p_true: float, det: DetectionParams, seed) -> float:
-    """One signal/reference count ratio for a single probability estimate."""
-    rng = _rng(*_entropy(seed))
-    s = _sample_signal(p_true, det, rng)
-    return s / _sample_reference(det, rng)
 
 
 def _exact_probabilities(
@@ -236,7 +226,6 @@ def estimate_kappa(
     boot_means = k[idx].mean(axis=1)
     lo, hi = np.percentile(boot_means, [2.5, 97.5])
     return KappaEstimate(
-        per_batch_kappa=tuple(k.tolist()),
         mean=mean,
         std=std,
         stderr=std / math.sqrt(m),
@@ -256,12 +245,6 @@ class SensitivityRow:
 class SensitivityScan:
     rows: tuple[SensitivityRow, ...]
     smallest_detected_eps: float | None
-
-
-_RULE_FAMILIES = {
-    "triple": ProbabilityRule.additive_triple,
-    "exponent": ProbabilityRule.exponent_deformed,
-}
 
 
 def _grid_kappas(t, spec, runs, n_batches, master_seed):
@@ -286,14 +269,14 @@ def sensitivity_scan(
     A grid point is detected when |mean kappa| exceeds 3 * std / sqrt(M).
     Grid row j draws from seed prefix [*master_seed, j].
     """
-    if rule_family not in _RULE_FAMILIES:
+    if rule_family not in DEFORMATIONS:
         raise ValueError(
-            f"rule_family must be one of {sorted(_RULE_FAMILIES)}, got {rule_family!r}"
+            f"rule_family must be one of {DEFORMATIONS}, got {rule_family!r}"
         )
-    make_rule = _RULE_FAMILIES[rule_family]
     eps_grid = [float(eps) for eps in eps_grid]
+    born = ProbabilityRule.born()
     runs = (
-        (ProbabilityRule.born() if eps == 0 else make_rule(eps), det)
+        (born if eps == 0 else ProbabilityRule(rule_family, eps), det)
         for eps in eps_grid
     )
     rows = []

@@ -218,7 +218,6 @@ def lab_frame_propagator(
     seg: PulseSegment,
     steps_per_drive_period: int = DEFAULT_STEPS_PER_PERIOD,
     *,
-    duration_s: float | None = None,
     detuning_hz: float = 0.0,
 ) -> Unitary3:
     """Full lab-frame propagator for one pulse, in the interaction picture.
@@ -232,25 +231,20 @@ def lab_frame_propagator(
     the remainder tau.  The cost is at most two periods of steps plus
     log2(N) matrix products, whatever the pulse length.  The result is
     left-multiplied by exp(+i H0 duration) so it is directly comparable
-    with rotation_r1 / rotation_r2.  The pulse duration defaults to
-    seg.angle / omega_1; passing duration_s decouples duration from angle
-    (e.g. to probe the zero-amplitude limit).  detuning_hz shifts the
-    driven level's diagonal entry, modelling a quasi-static dephasing
-    draw; a static shift keeps H periodic.
+    with rotation_r1 / rotation_r2.  The pulse lasts seg.angle / omega_1.
+    detuning_hz shifts the driven level's diagonal entry, modelling a
+    quasi-static dephasing draw; a static shift keeps H periodic.
     """
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
             f"steps_per_drive_period={steps_per_drive_period} is below the "
             f"minimum {MIN_STEPS_PER_PERIOD}; integration would be untrusted"
         )
-    for name, value in (("duration_s", duration_s), ("detuning_hz", detuning_hz)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(detuning_hz):
+        raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
     omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
     omega1 = TWO_PI * params.omega1_hz
-    duration = seg.angle / omega1 if duration_s is None else float(duration_s)
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    duration = seg.angle / omega1
 
     _, sy = spin1_matrices()
     h0 = np.array(

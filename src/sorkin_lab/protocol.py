@@ -94,21 +94,6 @@ class SorkinReport:
     provenance: Provenance
 
 
-def preparation_angle_table() -> tuple[tuple[float, float], ...]:
-    """Reference (phi1, phi2) rotation-angle pairs for the seven preparations
-    at the standard working point a = 1/sqrt(3), b = c = -1/sqrt(3)."""
-    pi = math.pi
-    return (
-        (math.acos(1.0 / 3.0), pi / 2),
-        (pi / 2, 0.0),
-        (0.0, pi / 2),
-        (pi / 2, pi),
-        (0.0, 0.0),
-        (0.0, pi),
-        (pi, 0.0),
-    )
-
-
 def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:
     ab = math.hypot(t.a, t.b)
     ac = math.hypot(t.a, t.c)

@@ -103,14 +103,8 @@ class Unitary3:
         return f"Unitary3({np.array2string(self._m, precision=6)})"
 
 
-def apply_unitary(unitary, state: QutritState) -> QutritState:
-    """Matrix-vector product U|state>.
-
-    Accepts a Unitary3 or a raw 3x3 array; raw arrays are unitarity-checked
-    first, so an invalid propagator is rejected rather than silently applied.
-    """
-    if not isinstance(unitary, Unitary3):
-        unitary = Unitary3(unitary)
+def apply_unitary(unitary: Unitary3, state: QutritState) -> QutritState:
+    """Matrix-vector product U|state>."""
     return QutritState.from_vector(unitary.matrix @ state.vector)
 
 

@@ -19,6 +19,18 @@ M2_VECTOR = np.array([-0.5, -0.5, 1.0 / math.sqrt(2.0)])
 
 I2_EXPECTED = (1.0 + 2.0 * math.sqrt(2.0)) / 6.0
 
+# Reference (phi1, phi2) rotation-angle pairs for the seven preparations at
+# the paper point, in the paper's state labelling.
+PREPARATION_ANGLES = (
+    (math.acos(1.0 / 3.0), math.pi / 2),
+    (math.pi / 2, 0.0),
+    (0.0, math.pi / 2),
+    (math.pi / 2, math.pi),
+    (0.0, 0.0),
+    (0.0, math.pi),
+    (math.pi, 0.0),
+)
+
 
 def oracle_state_vectors(a, b, c):
     """Seven protocol state vectors, built directly from the definitions."""

@@ -24,7 +24,6 @@ from sorkin_lab import (
     inner_product,
     kappa,
     measurement_ket,
-    preparation_angle_table,
     prepare_states,
     probability,
     run_batches,
@@ -42,6 +41,7 @@ from conftest import (
     M1_VECTOR,
     M2_VECTOR,
     PAPER_ABC,
+    PREPARATION_ANGLES,
     oracle_born_probabilities,
     oracle_state_vectors,
     oracle_third_order,
@@ -228,7 +228,7 @@ def test_criterion_8_schedule_round_trip():
     ok_random = worst >= 1 - 1e-9
 
     pairs = [s.angle_pair() for s in solve_schedule(TargetAmplitudes(*PAPER_ABC), 5e6)]
-    table = list(preparation_angle_table())
+    table = list(PREPARATION_ANGLES)
     table[1], table[2] = table[2], table[1]  # documented psi2/psi3 label swap
     ok_table = all(
         abs(g[0] - w[0]) < 1e-12 and abs(g[1] - w[1]) < 1e-12

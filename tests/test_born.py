@@ -146,7 +146,7 @@ def test_parse_rule_round_trip(eps):
         rule = parse_rule(f"{kind}:{eps!r}")
         assert rule.kind == kind
         assert rule.epsilon == pytest.approx(eps)
-        assert parse_rule(rule.label()).epsilon == pytest.approx(eps, abs=1e-6)
+        assert parse_rule(rule.label()) == rule
 
 
 def test_parse_rule_errors():

@@ -57,6 +57,9 @@ def test_measurement_preset(tmp_path):
 def test_config_rejections(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(_write(tmp_path, "bogus = 1\n"))
+    # removed in sorkin-lab.summary/3: it changed nothing but its own echo
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config(_write(tmp_path, "detection.readout_window_s = 3e-7\n", "w.cfg"))
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(_write(tmp_path, "batches = 2\nbatches = 3\n", "d.cfg"))
     with pytest.raises(ConfigError, match="cannot parse"):
@@ -87,6 +90,21 @@ def _flatten(echo):
     return flat
 
 
+def _echo_config_text(echo):
+    """A report's config echo written back as ``key = value`` lines."""
+    flat = _flatten(echo)
+    preset = flat.pop("measurement.preset")
+    if preset is not None:
+        del flat["measurement.theta1"], flat["measurement.theta2"]
+        flat["measurement.preset"] = preset
+    lines = []
+    for key, value in flat.items():
+        if isinstance(value, list):
+            value = ",".join(map(repr, value))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
 def test_echo_has_every_key_at_its_default(tmp_path):
     flat = _flatten(parse_config(_write(tmp_path, "")).echo())
     assert flat.keys() == _DEFAULTS.keys()
@@ -102,27 +120,48 @@ def test_echo_round_trips_through_a_config_file(tmp_path):
         "hamiltonian.T2star_s = 3e-6\n"
         "amplitudes.a = 0.6\namplitudes.b = -0.64\namplitudes.c = -0.48\n"
         "measurement.theta1 = 1.1\nmeasurement.theta2 = 0.3\n"
-        "rule = triple:0.05\n"
+        "rule = triple:0.123456789\n"
         "detection.mode = exact\ndetection.mu_bright = 0.2\n"
         "detection.contrast = 0.25\ndetection.mu_bg = 0.002\n"
-        "detection.shots = 5000\ndetection.readout_window_s = 2e-7\n"
+        "detection.shots = 5000\n"
         "batches = 3\nmaster_seed = 9\n"
         "sensitivity.rule_family = exponent\nsensitivity.eps_grid = 0,0.2,-0.5\n"
     )
     echo = parse_config(_write(tmp_path, text)).echo()
-    flat = _flatten(echo)
-    lines = []
-    for key, value in flat.items():
-        if key == "measurement.preset":
-            assert value is None
-            continue
+    for key, value in _flatten(echo).items():
         default = _DEFAULTS[key]
-        assert value != (list(default) if isinstance(default, tuple) else default), key
-        if isinstance(value, list):
-            value = ",".join(map(repr, value))
-        lines.append(f"{key} = {value}\n")
-    again = parse_config(_write(tmp_path, "".join(lines), "echo.cfg")).echo()
+        if key != "measurement.preset":
+            assert value != (list(default) if isinstance(default, tuple) else default), key
+    again = parse_config(_write(tmp_path, _echo_config_text(echo), "echo.cfg")).echo()
     assert again == echo
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "rule = triple:0.123456789\nmeasurement.preset = M2\n"
+        "batches = 5\ndetection.shots = 412\n",
+        "detection.mode = exact\nsensitivity.rule_family = exponent\nbatches = 3\n"
+        "hamiltonian.omega1_hz = 2e7\n"
+        "amplitudes.a = 0.6\namplitudes.b = -0.64\namplitudes.c = -0.48\n"
+        "measurement.theta1 = 1.1\n",
+    ],
+    ids=["defaults", "triple-M2", "exact-exponent"],
+)
+def test_every_artifact_reruns_byte_identically_from_its_echo(tmp_path, text):
+    path = _write(tmp_path, text)
+    for command in ("ideal", "simulate", "rwa-check", "schedule", "sensitivity"):
+        first, again = tmp_path / command, tmp_path / f"{command}-echo"
+        assert main([command, "--config", path, "--out", str(first), "--seed", "1"]) == EXIT_OK
+        (report,) = first.glob("*.json")  # each command writes one JSON report
+        echo = json.loads(report.read_text(encoding="utf-8"))["config"]
+        echo_path = _write(tmp_path, _echo_config_text(echo), f"{command}-echo.cfg")
+        assert main([command, "--config", echo_path, "--out", str(again)]) == EXIT_OK
+        names = sorted(f.name for f in first.iterdir())
+        assert names == sorted(f.name for f in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_missing_config_exit_code(tmp_path):
@@ -228,18 +267,18 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/2"
+    assert payload["schema"] == "sorkin-lab.summary/3"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels
 
 
 def test_born_null_decision():
-    est = KappaEstimate((0.0,) * 4, 0.001, 0.01, 0.0001, (0.0, 0.002))
+    est = KappaEstimate(0.001, 0.01, 0.0001, (0.0, 0.002))
     assert born_null_rejected(est)
-    est2 = KappaEstimate((0.0,) * 4, 0.0004, 0.01, 0.0001, (0.0, 0.002))
+    est2 = KappaEstimate(0.0004, 0.01, 0.0001, (0.0, 0.002))
     assert not born_null_rejected(est2)
-    exact = KappaEstimate((0.0,) * 4, 0.0, 0.0, 0.0, (0.0, 0.0))
+    exact = KappaEstimate(0.0, 0.0, 0.0, (0.0, 0.0))
     assert not born_null_rejected(exact)
 
 

@@ -18,7 +18,6 @@ from sorkin_lab import (
     run_protocol_batch,
     scaling_check,
     sensitivity_scan,
-    simulate_probability_estimate,
 )
 from sorkin_lab.detection import batch_csv_text
 from conftest import I2_EXPECTED, M1_VECTOR, PAPER_ABC, oracle_born_probabilities
@@ -62,32 +61,32 @@ def test_detection_params_need_an_expected_reference():
     assert DetectionParams(shots=412).shots == 412
 
 
-def test_estimate_replay_is_bit_identical():
-    det = DetectionParams()
-    a = simulate_probability_estimate(0.4, det, 123)
-    b = simulate_probability_estimate(0.4, det, 123)
-    assert a == b
+def _paper_probabilities():
+    return oracle_born_probabilities(M1_VECTOR, *PAPER_ABC)
 
 
 def test_estimate_consistency_perfect_contrast():
+    # every simulated p[k] is one signal/reference ratio, unbiased here
     det = DetectionParams(contrast=1.0, mu_bg=0.0, shots=10_000_000)
-    p = 0.5
-    est = simulate_probability_estimate(p, det, 17)
-    _, var = _ratio_moments(p, det)
-    assert abs(est - p) < 5 * math.sqrt(var)
+    report = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, 17)
+    for est, p in zip(report.p, _paper_probabilities()):
+        _, var = _ratio_moments(p, det)
+        assert abs(est - p) <= 5 * math.sqrt(var)  # p2 = 0 reads exactly 0
 
 
 def test_estimate_matches_affine_expectation_at_defaults():
     det = DetectionParams()
-    p = 0.5
-    est = simulate_probability_estimate(p, det, 31)
-    mean, var = _ratio_moments(p, det)
-    assert abs(est - mean) < 5 * math.sqrt(var)
+    report = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, 31)
+    for est, p in zip(report.p, _paper_probabilities()):
+        mean, var = _ratio_moments(p, det)
+        assert abs(est - mean) < 5 * math.sqrt(var)
 
 
 def test_estimate_rejects_bad_probability():
-    with pytest.raises(UnphysicalParameterError):
-        simulate_probability_estimate(1.5, DetectionParams(), 0)
+    # the deformed full-superposition probability is about 3.6 at M1
+    rule = ProbabilityRule.additive_triple(50.0)
+    with pytest.raises(UnphysicalParameterError, match=r"outside \[0, 1\]"):
+        run_protocol_batch(_target(), MEASUREMENT_M1, rule, DetectionParams(), 0)
 
 
 def test_exact_batch_matches_oracle():

@@ -92,9 +92,8 @@ def test_propagator_zero_amplitude_limit_is_identity():
     # vanishing drive, fixed short duration: interaction picture undoes H0
     p = HamiltonianParams(omega1_hz=1e-3)
     duration = 20.0 / p.omega_mw1_hz
-    u = lab_frame_propagator(
-        p, PulseSegment("MW1", math.pi), duration_s=duration
-    )
+    angle = 2 * math.pi * p.omega1_hz * duration
+    u = lab_frame_propagator(p, PulseSegment("MW1", angle))
     assert np.max(np.abs(u.matrix - np.eye(3))) < 1e-6
 
 
@@ -174,8 +173,6 @@ def test_period_power_error_stays_small_at_large_period_count():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"duration_s": math.nan},
-        {"duration_s": math.inf},
         {"detuning_hz": math.nan},
         {"detuning_hz": -math.inf},
     ],

@@ -18,7 +18,6 @@ from sorkin_lab import (
     inner_product,
     kappa,
     measurement_ket,
-    preparation_angle_table,
     prepare_states,
     probability,
     ProbabilityRule,
@@ -32,6 +31,7 @@ from conftest import (
     M1_VECTOR,
     M2_VECTOR,
     PAPER_ABC,
+    PREPARATION_ANGLES,
     oracle_born_probabilities,
     oracle_second_order,
     oracle_state_vectors,
@@ -47,14 +47,6 @@ SQRT3 = math.sqrt(3.0)
 def _born_p(m: QutritState, states) -> list:
     rule = ProbabilityRule.born()
     return [probability(rule, m, s) for s in states]
-
-
-def test_angle_table_entries():
-    table = preparation_angle_table()
-    assert len(table) == 7
-    assert table[0] == pytest.approx((math.acos(1 / 3), math.pi / 2))
-    assert table[4] == (0.0, 0.0)
-    assert table[6] == pytest.approx((math.pi, 0.0))
 
 
 def test_prepare_states_paper_configuration(paper_target):
@@ -214,7 +206,7 @@ def test_m1_m2_swap_structure(paper_target):
 
 def test_solve_schedule_paper_angles(paper_target):
     pairs = [s.angle_pair() for s in solve_schedule(paper_target, 5e6)]
-    table = list(preparation_angle_table())
+    table = list(PREPARATION_ANGLES)
     table[1], table[2] = table[2], table[1]  # documented psi2/psi3 label swap
     for got, want in zip(pairs, table):
         assert got == pytest.approx(want, abs=1e-12)

@@ -84,13 +84,13 @@ def test_apply_pi_pulse_sends_zero_to_minus():
 
 def test_apply_prepares_paper_superposition():
     u = rotation_r2(math.pi / 2).matrix @ rotation_r1(math.acos(1 / 3)).matrix
-    out = apply_unitary(u, KET_ZERO)
+    out = apply_unitary(Unitary3(u), KET_ZERO)
     assert np.allclose(out.vector, [-1 / SQRT3, 1 / SQRT3, -1 / SQRT3], atol=1e-15)
 
 
 def test_apply_rejects_nonunitary():
     with pytest.raises(UnitarityError):
-        apply_unitary(np.eye(3) * 1.1, KET_ZERO)
+        Unitary3(np.eye(3) * 1.1)
 
 
 def test_compose_matches_closed_form_column():
