@@ -173,6 +173,8 @@ def test_period_power_error_stays_small_at_large_period_count():
 @pytest.mark.parametrize(
     "kwargs",
     [
+        {"detuning_hz": math.inf},
+        {"detuning_hz": np.float64("nan")},
         {"detuning_hz": math.nan},
         {"detuning_hz": -math.inf},
     ],
