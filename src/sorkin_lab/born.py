@@ -54,14 +54,6 @@ class ProbabilityRule:
     def born(cls) -> "ProbabilityRule":
         return cls("born", 0.0)
 
-    @classmethod
-    def exponent_deformed(cls, epsilon: float) -> "ProbabilityRule":
-        return cls("exponent", float(epsilon))
-
-    @classmethod
-    def additive_triple(cls, epsilon: float) -> "ProbabilityRule":
-        return cls("triple", float(epsilon))
-
     def label(self) -> str:
         """The rule as parse_rule reads it; repr keeps epsilon exact."""
         if self.kind == "born":

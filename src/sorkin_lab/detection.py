@@ -17,9 +17,14 @@ normalization is one bright reference trace), so common reference noise
 cancels from kappa exactly.
 
 Seeding is splittable and documented: the RNG stream for experiment k of
-batch b under master seed s is numpy's SeedSequence([s, b, k]); the shared
-batch reference uses k = 7 and the bootstrap resampler k = 8.  Batches are
-therefore independent of execution order.
+batch b under master seed s is numpy's SeedSequence([s, b, k]), and the
+shared batch reference uses k = 7.  Batches are therefore independent of
+execution order.  The bootstrap resampler of estimate_kappa draws from
+SeedSequence([s, 8]), with no batch index.  SeedSequence pads its entropy
+with zeros up to four words, so that is the very stream of experiment 0 of
+batch 8, SeedSequence([s, 8, 0]), in any run of more than eight batches.
+Separating the two changes simulate_summary.json, so it waits for the next
+summary schema.
 """
 
 from __future__ import annotations

@@ -158,14 +158,14 @@ def rotation_r1(theta: float) -> Unitary3:
     """Rotating-frame rotation on the (|0>, |-1>) pair by angle theta."""
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    return Unitary3([[1, 0, 0], [0, c, s], [0, -s, c]])
+    return Unitary3._plane_rotation([[1, 0, 0], [0, c, s], [0, -s, c]], c, s)
 
 
 def rotation_r2(theta: float) -> Unitary3:
     """Rotating-frame rotation on the (|+1>, |0>) pair by angle theta."""
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    return Unitary3([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    return Unitary3._plane_rotation([[c, -s, 0], [s, c, 0], [0, 0, 1]], c, s)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

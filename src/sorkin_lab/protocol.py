@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .dynamics import PulseSchedule, PulseSegment, rotation_r1, rotation_r2
 from .errors import DegenerateProtocolError, QuantumRegimeError, UnreachableStateError
-from .qutrit import QutritState, apply_unitary
+from .qutrit import _KET_ZERO, QutritState, apply_unitary
 
 # Below this, second-order interference is treated as absent and kappa is
 # refused (the ratio would not probe a quantum-mechanical regime).
@@ -131,9 +131,9 @@ def measurement_ket(spec: MeasurementSpec) -> QutritState:
     m = (
         rotation_r2(spec.theta2).matrix.conj().T
         @ rotation_r1(spec.theta1).matrix.conj().T
-        @ QutritState.ket_zero().vector
+        @ _KET_ZERO
     )
-    return QutritState.from_vector(m)
+    return QutritState(*m.tolist())
 
 
 def second_order_terms(p, t: TargetAmplitudes) -> tuple[float, float, float]:

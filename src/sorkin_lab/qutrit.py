@@ -4,6 +4,20 @@ Basis ordering is fixed to (|+1>, |0>, |-1>): index 0 carries the |+1>
 amplitude, index 1 the |0> amplitude, index 2 the |-1> amplitude.  All
 objects are immutable and all operations are pure, so everything here is
 safe to share across threads.
+
+Every object is checked once, where it is built, in the cheapest form
+that still covers it:
+
+  * ``QutritState(...)`` checks that its amplitudes are finite and
+    normalized within NORM_ATOL, on every construction, including the
+    states ``from_vector``, ``apply_unitary`` and the protocol build;
+  * ``Unitary3(matrix)`` checks shape, finiteness and max|U^dag U - I|
+    within UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product;
+  * the rotating-frame rotations of ``dynamics`` check the closed form
+    |c^2 + s^2 - 1| <= UNITARY_ATOL, which is the only entry of
+    U^dag U - I a plane rotation can move (``Unitary3._plane_rotation``);
+  * ``dynamics.lab_frame_propagator``, a numerical result, takes the full
+    ``Unitary3`` check at atol = 1e-8.
 """
 
 from __future__ import annotations
@@ -20,10 +34,8 @@ from .errors import NormalizationError, UnitarityError
 NORM_ATOL = 1e-9
 UNITARY_ATOL = 1e-9
 
-_KET_ZERO = np.array([0.0, 1.0, 0.0], dtype=complex)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QutritState:
     """Normalized pure state; amplitudes ordered (|+1>, |0>, |-1>)."""
 
@@ -31,36 +43,37 @@ class QutritState:
     c_zero: complex
     c_minus: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "c_plus", complex(self.c_plus))
-        object.__setattr__(self, "c_zero", complex(self.c_zero))
-        object.__setattr__(self, "c_minus", complex(self.c_minus))
-        n2 = (
-            abs(self.c_plus) ** 2
-            + abs(self.c_zero) ** 2
-            + abs(self.c_minus) ** 2
-        )
+    def __init__(self, c_plus, c_zero, c_minus):
+        c_plus, c_zero, c_minus = complex(c_plus), complex(c_zero), complex(c_minus)
+        n2 = abs(c_plus) ** 2 + abs(c_zero) ** 2 + abs(c_minus) ** 2
         if not math.isfinite(n2):
             raise NormalizationError("state amplitudes must be finite")
         if abs(n2 - 1.0) > NORM_ATOL:
             raise NormalizationError(
                 f"squared amplitudes sum to {n2!r}, expected 1 within {NORM_ATOL}"
             )
+        object.__setattr__(self, "c_plus", c_plus)
+        object.__setattr__(self, "c_zero", c_zero)
+        object.__setattr__(self, "c_minus", c_minus)
 
     @classmethod
     def from_vector(cls, vec) -> "QutritState":
         v = np.asarray(vec, dtype=complex)
         if v.shape != (3,):
             raise ValueError(f"expected a length-3 vector, got shape {v.shape}")
-        return cls(v[0], v[1], v[2])
+        return cls(*v.tolist())
 
     @classmethod
     def ket_zero(cls) -> "QutritState":
-        return cls(0.0, 1.0, 0.0)
+        """|0>, one shared instance: states are immutable."""
+        return _STATE_ZERO
 
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.c_plus, self.c_zero, self.c_minus])
+
+
+_STATE_ZERO = QutritState(0.0, 1.0, 0.0)
 
 
 def inner_product(bra: QutritState, ket: QutritState) -> complex:
@@ -92,6 +105,26 @@ class Unitary3:
         self._m = m
 
     @classmethod
+    def _plane_rotation(cls, rows, c: float, s: float) -> "Unitary3":
+        """The rotation `rows`: the identity with one 2x2 block [[c, s], [-s, c]]
+        or [[c, -s], [s, c]] on two levels, the third level fixed.
+
+        For such a matrix U^dag U - I is zero except c^2 + s^2 - 1 on the
+        block's diagonal, so that one number is the whole unitarity check;
+        a non-finite c or s fails it too.
+        """
+        err = abs(c * c + s * s - 1.0)
+        if not err <= UNITARY_ATOL:
+            raise UnitarityError(
+                f"U^dag U deviates from identity by {err:.3e} (atol {UNITARY_ATOL:g})"
+            )
+        m = np.array(rows, dtype=complex)
+        m.setflags(write=False)
+        u = cls.__new__(cls)
+        u._m = m
+        return u
+
+    @classmethod
     def identity(cls) -> "Unitary3":
         return cls(np.eye(3, dtype=complex))
 
@@ -105,7 +138,7 @@ class Unitary3:
 
 def apply_unitary(unitary: Unitary3, state: QutritState) -> QutritState:
     """Matrix-vector product U|state>."""
-    return QutritState.from_vector(unitary.matrix @ state.vector)
+    return QutritState(*(unitary.matrix @ state.vector).tolist())
 
 
 def _locked(array) -> np.ndarray:
@@ -113,6 +146,8 @@ def _locked(array) -> np.ndarray:
     a.setflags(write=False)
     return a
 
+
+_KET_ZERO = _locked([0.0, 1.0, 0.0])
 
 # Spin-1 operators in the (|+1>, |0>, |-1>) basis, hbar = 1.
 _SZ = _locked(np.diag([1.0, 0.0, -1.0]))

@@ -107,7 +107,7 @@ def test_criterion_3_affine_invariance():
     t = TargetAmplitudes(*PAPER_ABC)
     m = measurement_ket(MEASUREMENT_M1)
     worst = 0.0
-    for rule in (ProbabilityRule.born(), ProbabilityRule.additive_triple(0.1)):
+    for rule in (ProbabilityRule.born(), ProbabilityRule("triple", 0.1)):
         p = np.array([probability(rule, m, s) for s in prepare_states(t)])
         k0 = kappa(third_order_term(p, t), second_order_terms(p, t))
         for scale in (0.5, 2.0):
@@ -171,7 +171,7 @@ def test_criterion_6_violation_sensitivity():
     ok_slope = abs(slope - 0.106636) <= 1e-6 and abs(slope - TRIPLE_SLOPE) < 1e-12
 
     # (b) exponent-deformed third-order value against the direct oracle
-    rule = ProbabilityRule.exponent_deformed(0.1)
+    rule = ProbabilityRule("exponent", 0.1)
     p = [probability(rule, m, s) for s in prepare_states(t)]
     i3 = third_order_term(p, t)
     a, b, c = PAPER_ABC

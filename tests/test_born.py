@@ -39,8 +39,8 @@ def test_born_paper_probability():
 def test_zero_deformation_matches_born():
     rng = np.random.default_rng(8)
     rules = (
-        ProbabilityRule.exponent_deformed(0.0),
-        ProbabilityRule.additive_triple(0.0),
+        ProbabilityRule("exponent", 0.0),
+        ProbabilityRule("triple", 0.0),
     )
     for _ in range(200):
         m = QutritState.from_vector(random_complex_unit(rng))
@@ -52,7 +52,7 @@ def test_zero_deformation_matches_born():
 
 def test_additive_triple_paper_value():
     m, states, _ = _paper_pair()
-    p = probability(ProbabilityRule.additive_triple(0.1), m, states[0])
+    p = probability(ProbabilityRule("triple", 0.1), m, states[0])
     a, b, c = PAPER_ABC
     w = (0.5 * a, 0.5 * b, c / math.sqrt(2))
     expected = 1 / 6 + 0.1 * 2 * w[0] * w[1] * w[2]
@@ -63,7 +63,7 @@ def test_additive_triple_paper_value():
 def test_additive_triple_only_moves_full_superposition():
     m, states, t = _paper_pair()
     born = ProbabilityRule.born()
-    deformed = ProbabilityRule.additive_triple(0.15)
+    deformed = ProbabilityRule("triple", 0.15)
     for psi in states[1:]:
         assert probability(deformed, m, psi) == probability(born, m, psi)
     assert probability(deformed, m, states[0]) != probability(born, m, states[0])
@@ -72,7 +72,7 @@ def test_additive_triple_only_moves_full_superposition():
 def test_additive_triple_injects_pure_third_order():
     m, states, t = _paper_pair()
     eps = 0.07
-    p = [probability(ProbabilityRule.additive_triple(eps), m, s) for s in states]
+    p = [probability(ProbabilityRule("triple", eps), m, s) for s in states]
     a, b, c = PAPER_ABC
     w = (0.5 * a, 0.5 * b, c / math.sqrt(2))
     assert third_order_term(p, t) == pytest.approx(
@@ -89,7 +89,7 @@ def test_kappa_linear_in_triple_epsilon():
     m, states, t = _paper_pair()
     slopes = []
     for eps in (0.05, 0.1, 0.2):
-        p = [probability(ProbabilityRule.additive_triple(eps), m, s) for s in states]
+        p = [probability(ProbabilityRule("triple", eps), m, s) for s in states]
         slopes.append(kappa(third_order_term(p, t), second_order_terms(p, t)) / eps)
     assert slopes == pytest.approx([TRIPLE_SLOPE] * 3, abs=1e-12)
     assert slopes[0] == pytest.approx(0.106636, abs=1e-6)
@@ -100,7 +100,7 @@ def test_exponent_kappa_monotone_on_grid():
     kappas = []
     for eps in np.linspace(0.0, 0.2, 9):
         p = [
-            probability(ProbabilityRule.exponent_deformed(float(eps)), m, s)
+            probability(ProbabilityRule("exponent", float(eps)), m, s)
             for s in states
         ]
         kappas.append(kappa(third_order_term(p, t), second_order_terms(p, t)))
@@ -121,14 +121,14 @@ def test_born_phase_invariance():
 def test_additive_triple_rejects_unphysical_epsilon():
     m, states, _ = _paper_pair()
     with pytest.raises(UnphysicalParameterError):
-        probability(ProbabilityRule.additive_triple(-3.0), m, states[0])
+        probability(ProbabilityRule("triple", -3.0), m, states[0])
 
 
 def test_rule_construction_guards():
     with pytest.raises(ValueError):
         ProbabilityRule("born", 0.5)
     with pytest.raises(UnphysicalParameterError):
-        ProbabilityRule.exponent_deformed(-2.5)
+        ProbabilityRule("exponent", -2.5)
     with pytest.raises(ValueError):
         ProbabilityRule("gaussian", 0.0)
     # a non-finite deformation would run to kappa = NaN instead of failing

@@ -127,7 +127,7 @@ def test_third_order_vanishes_on_random_configurations():
 
 
 def test_third_order_exponent_deformation(paper_target):
-    rule = ProbabilityRule.exponent_deformed(0.1)
+    rule = ProbabilityRule("exponent", 0.1)
     m = measurement_ket(MEASUREMENT_M1)
     p = [probability(rule, m, s) for s in prepare_states(paper_target)]
     i3 = third_order_term(p, paper_target)
@@ -162,7 +162,7 @@ def test_kappa_arithmetic_and_floor():
 def test_kappa_affine_invariance(scale, offset):
     a, b, c = PAPER_ABC
     t = TargetAmplitudes(a, b, c)
-    rule = ProbabilityRule.additive_triple(0.1)
+    rule = ProbabilityRule("triple", 0.1)
     m = measurement_ket(MEASUREMENT_M1)
     p = np.array([probability(rule, m, s) for s in prepare_states(t)])
     k0 = kappa(third_order_term(p, t), second_order_terms(p, t))
