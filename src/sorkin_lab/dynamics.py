@@ -17,14 +17,18 @@ approximation actually is.
 The lab-frame Hamiltonian H0 + cos(omega_d t) * drive is exactly periodic
 in T = 2*pi/omega_d, so a pulse of N whole periods plus a remainder tau
 has the propagator U(tau) @ U(T)**N (Shirley, Phys. Rev. 138, B979, 1965).
-One period and the remainder are integrated with a fourth-order
+The period and the remainder are integrated with a fourth-order
 commutator-free Magnus scheme (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 151, 2009), and the power is taken by repeated squaring, so the cost of a
-pulse no longer grows with its length.
+pulse does not grow with its length.  U(T) depends on the parameters, the
+channel, the step count and the detuning, but not on the pulse angle: it
+is integrated once per process for each such tuple and shared by every
+pulse, which then integrates only its own remainder.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,6 +63,10 @@ _CF4_W_SMALL = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_W_BIG = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 _CHUNK = 65536
+
+# One 3x3 complex period propagator is 144 bytes of data; 64 of them cover
+# both channels at 32 (params, steps, detuning) tuples.
+_PERIOD_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -111,8 +119,9 @@ class HamiltonianParams:
 class PulseSegment:
     """One resonant pulse: channel plus rotation angle theta = omega_1 * t.
 
-    The angle is canonicalized into [0, 2*pi); the physical duration at a
-    given Rabi frequency is angle / (2*pi*omega1_hz).
+    The angle is canonicalized into [0, 2*pi): a tiny negative angle, whose
+    float remainder rounds up to 2*pi itself, maps to 0.0.  The physical
+    duration at a given Rabi frequency is angle / (2*pi*omega1_hz).
     """
 
     channel: str
@@ -123,7 +132,8 @@ class PulseSegment:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
+        angle = float(self.angle) % TWO_PI
+        object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
 
     def duration_s(self, omega1_hz: float) -> float:
         return self.angle / (TWO_PI * omega1_hz)
@@ -213,6 +223,42 @@ def _cf4_span(
     return total
 
 
+def _drive_terms(
+    params: HamiltonianParams, channel: str, detuning_hz: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(diagonal of H0 with the detuning, drive operator, omega_d) of a channel."""
+    _, sy = spin1_matrices()
+    h0 = np.array(
+        [
+            TWO_PI * (params.D_hz + params.gamma_e_hz_per_G * params.B_G),
+            0.0,
+            TWO_PI * (params.D_hz - params.gamma_e_hz_per_G * params.B_G),
+        ]
+    )
+    h0[_DRIVEN_LEVEL[channel]] += TWO_PI * detuning_hz
+    drive_op = _DRIVE_SIGN[channel] * math.sqrt(2.0) * (TWO_PI * params.omega1_hz) * sy
+    return h0, drive_op, TWO_PI * params.drive_frequency_hz(channel)
+
+
+@functools.lru_cache(maxsize=_PERIOD_MEMO_SIZE)
+def _period_propagator(
+    params: HamiltonianParams, channel: str, steps_per_drive_period: int, detuning_hz: float
+) -> np.ndarray:
+    """Read-only polar factor of the CF4 propagator over one drive period.
+
+    A pure function of its four hashable arguments, memoised per process.
+    The nearest unitary is kept because it is raised to the N-th power:
+    the period's roundoff departure from unitarity, about 1e-13, would
+    grow N-fold.
+    """
+    h0, drive_op, omega_d = _drive_terms(params, channel, detuning_hz)
+    one_period = _cf4_span(h0, drive_op, omega_d, TWO_PI / omega_d, steps_per_drive_period)
+    w, _, vh = np.linalg.svd(one_period)
+    polar = w @ vh
+    polar.setflags(write=False)
+    return polar
+
+
 def lab_frame_propagator(
     params: HamiltonianParams,
     seg: PulseSegment,
@@ -225,15 +271,18 @@ def lab_frame_propagator(
     Solves i dU/dt = (H0 + Hdrive(t)) U with Hdrive(t) proportional to
     cos(omega_drive * t) * Sy.  H is periodic in T = 2*pi/omega_drive, so
     for a duration N*T + tau the propagator is U(tau) @ U(T)**N (Shirley,
-    Phys. Rev. 138, B979, 1965): one drive period is integrated with the
-    CF4 scheme at steps_per_drive_period steps, raised to the N-th power
-    by repeated squaring, and left-multiplied by the CF4 propagator over
-    the remainder tau.  The cost is at most two periods of steps plus
-    log2(N) matrix products, whatever the pulse length.  The result is
+    Phys. Rev. 138, B979, 1965).  U(T) is the polar factor of one period
+    integrated with the CF4 scheme at steps_per_drive_period steps; it is
+    integrated once per (params, channel, steps, detuning) per process and
+    shared by every pulse.  Each pulse raises it to the N-th power by
+    repeated squaring and left-multiplies the CF4 propagator over its own
+    remainder tau, so it integrates at most one period of steps plus
+    log2(N) matrix products, whatever its length.  The result is
     left-multiplied by exp(+i H0 duration) so it is directly comparable
-    with rotation_r1 / rotation_r2.  The pulse lasts seg.angle / omega_1.
-    detuning_hz shifts the driven level's diagonal entry, modelling a
-    quasi-static dephasing draw; a static shift keeps H periodic.
+    with rotation_r1 / rotation_r2, and takes the full Unitary3 check.
+    The pulse lasts seg.angle / omega_1.  detuning_hz shifts the driven
+    level's diagonal entry, modelling a quasi-static dephasing draw; a
+    static shift keeps H periodic.
     """
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
@@ -242,33 +291,19 @@ def lab_frame_propagator(
         )
     if not math.isfinite(detuning_hz):
         raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
-    omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
-    omega1 = TWO_PI * params.omega1_hz
-    duration = seg.angle / omega1
-
-    _, sy = spin1_matrices()
-    h0 = np.array(
-        [
-            TWO_PI * (params.D_hz + params.gamma_e_hz_per_G * params.B_G),
-            0.0,
-            TWO_PI * (params.D_hz - params.gamma_e_hz_per_G * params.B_G),
-        ]
-    )
-    h0[_DRIVEN_LEVEL[seg.channel]] += TWO_PI * detuning_hz
-
+    duration = seg.angle / (TWO_PI * params.omega1_hz)
     if duration == 0.0:
         return Unitary3.identity()
 
-    drive_op = _DRIVE_SIGN[seg.channel] * math.sqrt(2.0) * omega1 * sy
+    h0, drive_op, omega_d = _drive_terms(params, seg.channel, detuning_hz)
     period = TWO_PI / omega_d
     n_periods, tau = divmod(duration, period)
     total = np.eye(3, dtype=complex)
     if n_periods:
-        one_period = _cf4_span(h0, drive_op, omega_d, period, steps_per_drive_period)
-        # power the nearest unitary (polar factor): the period's roundoff
-        # departure from unitarity, about 1e-13, would grow N-fold
-        w, _, vh = np.linalg.svd(one_period)
-        total = np.linalg.matrix_power(w @ vh, int(n_periods))
+        one_period = _period_propagator(
+            params, seg.channel, steps_per_drive_period, detuning_hz
+        )
+        total = np.linalg.matrix_power(one_period, int(n_periods))
     if tau > 0.0:
         n_tail = math.ceil(tau / period * steps_per_drive_period)
         total = _cf4_span(h0, drive_op, omega_d, tau, n_tail) @ total

@@ -9,10 +9,12 @@ from sorkin_lab.cli import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     born_null_rejected,
+    cmd_rwa_check,
     main,
     parse_config,
 )
 from sorkin_lab.detection import KappaEstimate
+from sorkin_lab.dynamics import _period_propagator
 from sorkin_lab.errors import ConfigError
 
 
@@ -271,6 +273,27 @@ def test_rwa_check_command(tmp_path):
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels
+
+
+def test_rwa_check_integrates_one_period_per_channel(tmp_path):
+    _period_propagator.cache_clear()
+    assert cmd_rwa_check(parse_config(_write(tmp_path, "")), str(tmp_path)) == EXIT_OK
+    pulses = json.loads((tmp_path / "rwa_check.json").read_text())["pulses"]
+    info = _period_propagator.cache_info()
+    assert len(pulses) == 10
+    assert (info.misses, info.hits) == (2, 8)
+
+
+def test_rwa_check_skips_a_tiny_negative_measurement_angle(tmp_path, capsys):
+    listed = {}
+    for name, theta1 in (("zero", "0"), ("tiny", "-1e-17")):
+        path = _write(tmp_path, f"measurement.theta1 = {theta1}\n", f"{name}.cfg")
+        out = tmp_path / name
+        assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
+        pulses = json.loads((out / "rwa_check.json").read_text())["pulses"]
+        listed[name] = (pulses, capsys.readouterr().out)
+    assert listed["tiny"] == listed["zero"]
+    assert ("measurement", "MW1") not in {(r["pulse"], r["channel"]) for r in listed["tiny"][0]}
 
 
 def test_born_null_decision():

@@ -17,7 +17,7 @@ from sorkin_lab import (
     rwa_fidelity,
     sample_detuning,
 )
-from sorkin_lab.dynamics import _cf4_span
+from sorkin_lab.dynamics import CHANNELS, TWO_PI, _cf4_span, _period_propagator
 from sorkin_lab.qutrit import spin1_matrices
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -62,6 +62,19 @@ def test_pulse_segment_canonicalizes_angle():
     assert PulseSegment("MW2", 2 * math.pi).angle == 0.0
     with pytest.raises(ValueError):
         PulseSegment("MW3", 1.0)
+
+
+@pytest.mark.parametrize("angle", [-1e-17, -5e-324, -0.0])
+def test_pulse_segment_maps_tiny_negative_angles_to_zero(angle):
+    # for the two nonzero angles, float(angle) % 2*pi rounds up to 2*pi itself
+    seg = PulseSegment("MW1", angle)
+    assert seg.angle == 0.0 and math.copysign(1.0, seg.angle) == 1.0
+    assert seg.duration_s(5e6) == 0.0
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_pulse_segment_angle_stays_in_half_open_range(angle):
+    assert 0.0 <= PulseSegment("MW2", angle).angle < TWO_PI
 
 
 def test_pulse_durations():
@@ -168,6 +181,50 @@ def test_period_power_error_stays_small_at_large_period_count():
     u2 = lab_frame_propagator(p, seg, 400).matrix
     assert np.max(np.abs(u1 - u2)) < 1e-6
     assert rwa_fidelity(p, seg) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("omega1_hz", [5e6, 2e7])
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("detuning_hz", [0.0, 1e6])
+@pytest.mark.parametrize("steps", [200, 400])
+def test_shared_period_is_bit_equal_cold_and_warm(omega1_hz, channel, detuning_hz, steps):
+    # each pulse on a cold memo against the same pulse reusing the period
+    # another pulse integrated, in both call orders
+    p = HamiltonianParams(omega1_hz=omega1_hz)
+    first, second = PulseSegment(channel, math.pi), PulseSegment(channel, 2.0)
+
+    def propagate(seg):
+        return lab_frame_propagator(p, seg, steps, detuning_hz=detuning_hz).matrix.tobytes()
+
+    _period_propagator.cache_clear()
+    cold_first, warm_second = propagate(first), propagate(second)
+    _period_propagator.cache_clear()
+    cold_second, warm_first = propagate(second), propagate(first)
+    info = _period_propagator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold_first == warm_first
+    assert cold_second == warm_second
+
+
+def test_memoised_period_is_read_only():
+    period = _period_propagator(HamiltonianParams(), "MW1", 200, 0.0)
+    assert not period.flags.writeable
+    with pytest.raises(ValueError):
+        period[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "steps, detuning_hz, error",
+    [(20, 0.0, StepResolutionError), (200, math.nan, ValueError)],
+)
+def test_rejected_propagator_call_adds_no_memo_entry(steps, detuning_hz, error):
+    _period_propagator.cache_clear()
+    with pytest.raises(error):
+        lab_frame_propagator(
+            HamiltonianParams(), PulseSegment("MW1", math.pi), steps, detuning_hz=detuning_hz
+        )
+    info = _period_propagator.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(
