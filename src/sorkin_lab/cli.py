@@ -27,7 +27,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
-from .born import DEFORMATIONS, ProbabilityRule, parse_rule
+from .born import DEFORMATIONS, ProbabilityRule, parse_rule, probability
 from .detection import (
     BATCH_CSV_SCHEMA,
     SUMMARY_JSON_SCHEMA,
@@ -40,12 +40,14 @@ from .detection import (
     write_json,
 )
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
-from .errors import ConfigError, SorkinLabError
+from .errors import ConfigError, SorkinLabError, UnphysicalParameterError
 from .protocol import (
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     MeasurementSpec,
     TargetAmplitudes,
+    measurement_ket,
+    prepare_states,
     solve_schedule,
 )
 
@@ -167,7 +169,9 @@ def parse_config(path: str) -> ExperimentConfig:
     The ``detection.*`` keys are validated in every mode, since the report
     echoes them even when ``detection.mode = exact`` ignores them.  The
     sensitivity grid is checked here too: it must be non-empty and every
-    strength must build a rule of the scan's family.
+    strength must build a rule of the scan's family.  The configured rule
+    and every grid rule must give seven physical probabilities for the
+    configured target and measurement (see _check_probabilities).
     """
     values = _read_pairs(path)
 
@@ -229,7 +233,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         for eps in eps_grid:
             ProbabilityRule(family, eps)
-        return ExperimentConfig(
+        config = ExperimentConfig(
             hamiltonian=build("hamiltonian"),
             amplitudes=build("amplitudes"),
             measurement=(
@@ -246,6 +250,29 @@ def parse_config(path: str) -> ExperimentConfig:
         )
     except (ValueError, SorkinLabError) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_probabilities(config)
+    return config
+
+
+def _check_probabilities(config: ExperimentConfig) -> None:
+    """Refuse a rule that drives one of the seven probabilities negative.
+
+    Evaluates the configured rule and every sensitivity-grid rule on the
+    configured target and measurement, so a run never fails on this after
+    its output directory exists.
+    """
+    m = measurement_ket(config.measurement)
+    states = prepare_states(config.amplitudes)
+    family = config.sensitivity_family
+    rules = [("rule", config.rule)] + [
+        ("sensitivity.eps_grid", ProbabilityRule(family, eps)) for eps in config.eps_grid
+    ]
+    for key, rule in rules:
+        try:
+            for psi in states:
+                probability(rule, m, psi)
+        except UnphysicalParameterError as exc:
+            raise ConfigError(f"{key}: {exc}", key=key) from exc
 
 
 def _payload(command: str, config: ExperimentConfig) -> dict:
@@ -466,6 +493,7 @@ def main(argv=None) -> int:
                 measurement=_MEASUREMENT_PRESETS[args.measurement],
                 measurement_preset=args.measurement,
             )
+            _check_probabilities(config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](config, args.out)
     except SorkinLabError as exc:

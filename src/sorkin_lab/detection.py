@@ -19,7 +19,13 @@ cancels from kappa exactly.
 Seeding is splittable and documented: the RNG stream for experiment k of
 batch b under master seed s is numpy's SeedSequence([s, b, k]), and the
 shared batch reference uses k = 7.  Batches are therefore independent of
-execution order.  The bootstrap resampler of estimate_kappa draws from
+execution order.  A run sets all its streams up in one pass: _seed_words
+runs SeedSequence's hash over the n_batches x 8 entropy rows at once, as
+uint32 array operations, and each stream is then PCG64 seeded with its
+precomputed words.  That is the very generator
+default_rng(SeedSequence([s, b, k])) builds, at about an eighth of its
+set-up cost.  A run_protocol_batch call is a run of one batch.  The
+bootstrap resampler of estimate_kappa draws from
 SeedSequence([s, 8]), with no batch index.  SeedSequence pads its entropy
 with zeros up to four words, so that is the very stream of experiment 0 of
 batch 8, SeedSequence([s, 8, 0]), in any run of more than eight batches.
@@ -119,6 +125,129 @@ def _rng(*entropy) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
+# numpy's SeedSequence: pool size and hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(entropy: list[int]) -> list[int]:
+    """The uint32 words SeedSequence assembles from a list of ints.
+
+    Each int contributes its 32-bit words, least significant first (0 gives
+    one word); the lists are concatenated.
+    """
+    words = []
+    for x in entropy:
+        if x < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {x!r}")
+        while True:
+            words.append(x & _MASK32)
+            x >>= 32
+            if not x:
+                break
+    return words
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i < n, as a uint32 column."""
+    out = [init]
+    while len(out) < n:
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for each entropy row.
+
+    entropy is an (n, L) uint32 array of assembled words; the result is
+    (n, 4) uint64.  This is numpy's algorithm with the stream axis last:
+    hash the first four words (zeros past L) into the pool, mix every pool
+    word into every other, fold in words beyond the fourth, then hash the
+    pool out twice.  The hash constants advance the same way for every row,
+    so each step is one array operation over all rows.
+    """
+    n, width = entropy.shape
+    size = _POOL_SIZE
+    extra = max(width - size, 0)
+    # hashmix call j xors a[j] and multiplies by a[j + 1]
+    a = _hash_constants(_INIT_A, _MULT_A, size * (size + extra) + 1)
+    words = np.zeros((size, n), dtype=np.uint32)
+    words[:width] = entropy[:, :size].T
+    pool = _hashmix(words, a[:size], a[1 : size + 1])
+    j = size
+    for src in range(size):
+        dst = [d for d in range(size) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j : j + size - 1], a[j + 1 : j + size]))
+        j += size - 1
+    for src in range(size, width):
+        pool = _mix(pool, _hashmix(entropy[:, src], a[j : j + size], a[j + 1 : j + size + 1]))
+        j += size
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * size + 1)
+    state = _hashmix(np.tile(pool, (2, 1)), b[:-1], b[1:])
+    # pairs of uint32 words read as little-endian uint64, as numpy does
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _stream_seeds(batch_words: np.ndarray) -> np.ndarray:
+    """PCG64 seeds of every stream of a set of batches, shape (n, 8, 4).
+
+    Row b of batch_words holds batch b's entropy words; its stream k is
+    SeedSequence([*row, k]) for k < 7 and the reference k = 7.
+    """
+    # numpy.random loads here, at a run's first draw, not on import
+    np.random.bit_generator.ISeedSequence.register(_HashedSeed)
+    n, width = batch_words.shape
+    entropy = np.empty((n, REFERENCE_STREAM + 1, width + 1), dtype=np.uint32)
+    entropy[:, :, :width] = batch_words[:, None, :]
+    entropy[:, :, width] = np.arange(REFERENCE_STREAM + 1)
+    return _seed_words(entropy.reshape(-1, width + 1)).reshape(n, REFERENCE_STREAM + 1, 4)
+
+
+def _run_seeds(prefix: list[int], n_batches: int) -> np.ndarray:
+    """Seeds of a run's streams: row (b, k) seeds SeedSequence([*prefix, b, k])."""
+    head = _words(prefix)
+    batch_words = np.empty((n_batches, len(head) + 1), dtype=np.uint32)
+    batch_words[:, :-1] = head
+    batch_words[:, -1] = np.arange(n_batches)
+    return _stream_seeds(batch_words)
+
+
+class _HashedSeed:
+    """One stream's precomputed SeedSequence output, for seeding PCG64.
+
+    PCG64 seeds itself from generate_state(4, np.uint64) and asks for
+    nothing else.  _stream_seeds registers this class as numpy's
+    ISeedSequence, which PCG64 requires of a seed it does not hash itself.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a pre-hashed stream holds exactly four uint64 words")
+        return self.state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """The generator default_rng builds from the SeedSequence whose output is state."""
+    return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+
+
 def _sample_signal(p_true: float, det: DetectionParams, rng) -> int:
     if not 0.0 <= p_true <= 1.0:
         raise UnphysicalParameterError(
@@ -151,15 +280,15 @@ def _batch(
     p_true: tuple[float, ...],
     det: DetectionParams | None,
     prefix: list[int],
+    seeds: np.ndarray | None,
 ) -> SorkinReport:
     if det is None:
         p = p_true
         prov = Provenance("exact")
     else:
-        signals = [
-            _sample_signal(p_true[k], det, _rng(*prefix, k)) for k in range(7)
-        ]
-        ref = _sample_reference(det, _rng(*prefix, REFERENCE_STREAM))
+        rng = [_generator(s) for s in seeds]
+        signals = [_sample_signal(p_true[k], det, rng[k]) for k in range(7)]
+        ref = _sample_reference(det, rng[REFERENCE_STREAM])
         p = tuple(s / ref for s in signals)
         prov = Provenance("simulated", seed=tuple(prefix), shots=det.shots)
     terms = second_order_terms(p, t)
@@ -193,7 +322,11 @@ def run_protocol_batch(
     In simulated mode each experiment's photon counts come from its own
     seed stream and the batch's seven estimates share one reference draw.
     """
-    return _batch(t, _exact_probabilities(t, spec, rule), det, _entropy(seed))
+    prefix = _entropy(seed)
+    seeds = None
+    if det is not None:
+        seeds = _stream_seeds(np.array([_words(prefix)], dtype=np.uint32))[0]
+    return _batch(t, _exact_probabilities(t, spec, rule), det, prefix, seeds)
 
 
 def run_batches(
@@ -207,11 +340,13 @@ def run_batches(
     """n_batches independent batches, ordered by batch index.
 
     Batch b equals run_protocol_batch(..., (*master_seed, b)); the exact
-    probabilities are computed once for the whole run.
+    probabilities are computed once for the whole run, and in simulated
+    mode so are the seeds of all its streams.
     """
     p_true = _exact_probabilities(t, spec, rule)
     prefix = _entropy(master_seed)
-    return [_batch(t, p_true, det, [*prefix, b]) for b in range(n_batches)]
+    seeds = [None] * n_batches if det is None else _run_seeds(prefix, n_batches)
+    return [_batch(t, p_true, det, [*prefix, b], seeds[b]) for b in range(n_batches)]
 
 
 def estimate_kappa(

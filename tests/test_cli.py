@@ -80,6 +80,32 @@ def test_config_rejections(tmp_path):
         out = tmp_path / f"angle{i}"
         assert main(["ideal", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert not out.exists()
+    # every rule of the run and of the sensitivity grid is evaluated at
+    # parse time; at this angle the measurement ket's |-1> amplitude is
+    # about 5e-18, and the grid's triple eps = 0.01 drives a probability of
+    # about -1e-20
+    path = _write(tmp_path, "measurement.theta1 = -1e-17\n", "tiny.cfg")
+    with pytest.raises(ConfigError, match="sensitivity.eps_grid: triple deformation"):
+        parse_config(path)
+    for command in ("sensitivity", "ideal"):
+        out = tmp_path / f"tiny-{command}"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+    path = _write(tmp_path, "rule = triple:-1e6\n", "negative.cfg")
+    with pytest.raises(ConfigError, match="rule: triple deformation"):
+        parse_config(path)
+    # a --measurement override is checked again: this rule is physical at
+    # M2 but drives a probability negative at M1
+    text = (
+        "amplitudes.a = 0.8\namplitudes.b = -0.36\namplitudes.c = -0.48\n"
+        "measurement.preset = M2\nrule = triple:-2\n"
+    )
+    path = _write(tmp_path, text, "override.cfg")
+    assert parse_config(path).rule.label() == "triple:-2.0"
+    out = tmp_path / "override"
+    args = ["ideal", "--config", path, "--out", str(out), "--measurement", "M1"]
+    assert main(args) == EXIT_BAD_CONFIG
+    assert not out.exists()
 
 
 def _flatten(echo):
@@ -286,8 +312,11 @@ def test_rwa_check_integrates_one_period_per_channel(tmp_path):
 
 def test_rwa_check_skips_a_tiny_negative_measurement_angle(tmp_path, capsys):
     listed = {}
+    # the default triple sensitivity family drives this measurement's
+    # near-zero |-1> probability negative, which parse_config refuses
     for name, theta1 in (("zero", "0"), ("tiny", "-1e-17")):
-        path = _write(tmp_path, f"measurement.theta1 = {theta1}\n", f"{name}.cfg")
+        text = f"measurement.theta1 = {theta1}\nsensitivity.rule_family = exponent\n"
+        path = _write(tmp_path, text, f"{name}.cfg")
         out = tmp_path / name
         assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
         pulses = json.loads((out / "rwa_check.json").read_text())["pulses"]

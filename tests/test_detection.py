@@ -151,6 +151,64 @@ def test_run_batches_builds_the_measurement_once(monkeypatch):
     assert calls == [MEASUREMENT_M1]
 
 
+# single-word seeds at both ends of the first word, two- and three-word
+# seeds, a five-word seed (SeedSequence folds words past its four-word pool
+# in a separate loop) and a tuple prefix
+ORACLE_PREFIXES = [(0,), (1,), (2**32 - 1,), (2**32,), (2**64 + 5,), (2**130 + 3,), (7, 3)]
+
+
+@pytest.mark.parametrize("prefix", ORACLE_PREFIXES, ids=str)
+def test_bulk_hashed_streams_equal_seed_sequence(prefix):
+    seeds = detection._run_seeds(list(prefix), 20)
+    assert seeds.shape == (20, 8, 4) and seeds.dtype == np.uint64
+    for b in range(20):
+        for k in range(8):
+            entropy = np.random.SeedSequence([*prefix, b, k])
+            assert np.array_equal(seeds[b, k], entropy.generate_state(4, np.uint64))
+            expected = np.random.default_rng(entropy).bit_generator.state
+            assert detection._generator(seeds[b, k]).bit_generator.state == expected
+
+
+def _per_stream_p(p_true, det, n_batches, prefix):
+    """Each batch's seven estimates, one SeedSequence([*prefix, b, k]) at a time."""
+    batches = []
+    for b in range(n_batches):
+        signals = []
+        for k in range(7):
+            rng = np.random.default_rng(np.random.SeedSequence([*prefix, b, k]))
+            bright = rng.binomial(det.shots, p_true[k])
+            lam = (
+                bright * det.mu_bright
+                + (det.shots - bright) * det.mu_dark
+                + det.shots * det.mu_bg
+            )
+            signals.append(int(rng.poisson(lam)))
+        rng = np.random.default_rng(np.random.SeedSequence([*prefix, b, 7]))
+        ref = int(rng.poisson(det.shots * (det.mu_bright + det.mu_bg)))
+        batches.append(tuple(s / ref for s in signals))
+    return batches
+
+
+@pytest.mark.parametrize("prefix", ORACLE_PREFIXES, ids=str)
+def test_run_batches_draw_what_per_stream_seeding_draws(prefix):
+    det = DetectionParams()
+    seed = prefix[0] if len(prefix) == 1 else prefix
+    p_true = detection._exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 30, seed)
+    assert [r.p for r in reports] == _per_stream_p(p_true, det, 30, prefix)
+    # a single batch is a run of one, with the batch index in its seed
+    last = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (*prefix, 29))
+    assert last == reports[29]
+
+
+def test_stream_set_up_refuses_bad_input():
+    state = detection._run_seeds([0], 1)[0, 0]
+    with pytest.raises(ValueError):
+        detection._HashedSeed(state).generate_state(8, np.uint32)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, -1)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="SeedSequence pads entropy with zeros to four words, so the "
@@ -159,24 +217,26 @@ def test_run_batches_builds_the_measurement_once(monkeypatch):
 )
 def test_bootstrap_stream_differs_from_every_batch_stream(monkeypatch):
     # the default simulate run: master seed 42, 50 batches
+    reports = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 50, 42)
     opened = []
     open_stream = detection._rng
 
     def recording(*entropy):
-        opened.append(entropy)
-        return open_stream(*entropy)
+        rng = open_stream(*entropy)
+        opened.append(rng.bit_generator.state)
+        return rng
 
     monkeypatch.setattr(detection, "_rng", recording)
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 50, 42)
-    n_batch_streams = len(opened)
     estimate_kappa(reports, seed=42)
-    assert n_batch_streams == 50 * 8 and len(opened) == n_batch_streams + 1
-
-    def state(entropy):
-        return open_stream(*entropy).bit_generator.state
-
-    bootstrap = state(opened[-1])
-    assert [e for e in opened[:n_batch_streams] if state(e) == bootstrap] == []
+    [bootstrap] = opened
+    seeds = detection._run_seeds([42], 50)
+    same = [
+        (42, b, k)
+        for b in range(50)
+        for k in range(8)
+        if detection._generator(seeds[b, k]).bit_generator.state == bootstrap
+    ]
+    assert same == []
 
 
 def test_estimate_kappa_exact_batches():
