@@ -53,7 +53,6 @@ from .protocol import (
     prepare_states,
     second_order_terms,
     solve_schedule,
-    sorkin_term,
     third_order_term,
 )
 from .qutrit import (

@@ -32,12 +32,14 @@ from .detection import (
     BATCH_CSV_SCHEMA,
     SUMMARY_JSON_SCHEMA,
     DetectionParams,
+    _check_sampleable,
+    batch_csv_text,
     estimate_kappa,
     run_batches,
     run_protocol_batch,
     sensitivity_scan,
-    write_batch_csv,
     write_json,
+    write_text,
 )
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
 from .errors import ConfigError, SorkinLabError, UnphysicalParameterError
@@ -164,16 +166,24 @@ def _read_pairs(path: str) -> dict:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Load a config file; missing keys take the documented defaults.
+    """Load a config file; missing keys take the documented defaults (see _resolve)."""
+    return _resolve(_read_pairs(path))
+
+
+def _resolve(values: dict) -> ExperimentConfig:
+    """Check parsed ``key: value`` pairs and build the run's configuration.
+
+    Every run input takes this one path: main puts the command-line
+    overrides into the pairs as config keys before calling it.
 
     The ``detection.*`` keys are validated in every mode, since the report
     echoes them even when ``detection.mode = exact`` ignores them.  The
     sensitivity grid is checked here too: it must be non-empty and every
     strength must build a rule of the scan's family.  The configured rule
-    and every grid rule must give seven physical probabilities for the
-    configured target and measurement (see _check_probabilities).
+    and every grid rule must give seven probabilities for the configured
+    target and measurement that are non-negative, and in simulated mode
+    sampleable (at most 1), so a run never fails on them after writing.
     """
-    values = _read_pairs(path)
 
     def get(key: str):
         return values.get(key, _DEFAULTS[key])
@@ -231,8 +241,7 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("sensitivity.eps_grid is empty", key="sensitivity.eps_grid")
 
     try:
-        for eps in eps_grid:
-            ProbabilityRule(family, eps)
+        grid_rules = [ProbabilityRule(family, eps) for eps in eps_grid]
         config = ExperimentConfig(
             hamiltonian=build("hamiltonian"),
             amplitudes=build("amplitudes"),
@@ -250,29 +259,19 @@ def parse_config(path: str) -> ExperimentConfig:
         )
     except (ValueError, SorkinLabError) as exc:
         raise ConfigError(str(exc)) from exc
-    _check_probabilities(config)
-    return config
 
-
-def _check_probabilities(config: ExperimentConfig) -> None:
-    """Refuse a rule that drives one of the seven probabilities negative.
-
-    Evaluates the configured rule and every sensitivity-grid rule on the
-    configured target and measurement, so a run never fails on this after
-    its output directory exists.
-    """
     m = measurement_ket(config.measurement)
     states = prepare_states(config.amplitudes)
-    family = config.sensitivity_family
-    rules = [("rule", config.rule)] + [
-        ("sensitivity.eps_grid", ProbabilityRule(family, eps)) for eps in config.eps_grid
-    ]
+    rules = [("rule", config.rule)] + [("sensitivity.eps_grid", r) for r in grid_rules]
     for key, rule in rules:
         try:
             for psi in states:
-                probability(rule, m, psi)
+                p = probability(rule, m, psi)
+                if mode == "simulated":
+                    _check_sampleable(p)
         except UnphysicalParameterError as exc:
             raise ConfigError(f"{key}: {exc}", key=key) from exc
+    return config
 
 
 def _payload(command: str, config: ExperimentConfig) -> dict:
@@ -325,7 +324,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
     )
     est = estimate_kappa(reports, seed=config.master_seed)
     rejected = born_null_rejected(est) if config.rule.kind == "born" else False
-    write_batch_csv(os.path.join(out_dir, "simulate_batches.csv"), reports)
+    write_text(os.path.join(out_dir, "simulate_batches.csv"), batch_csv_text(reports))
     payload = _payload("simulate", config)
     payload["csv_schema"] = BATCH_CSV_SCHEMA
     payload["kappa"] = {
@@ -431,8 +430,7 @@ def cmd_sensitivity(config: ExperimentConfig, out_dir: str) -> int:
             f"{row.epsilon!r},{row.kappa_mean!r},{row.kappa_std!r},"
             f"{str(row.detected).lower()}"
         )
-    with open(os.path.join(out_dir, "sensitivity.csv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(os.path.join(out_dir, "sensitivity.csv"), "\n".join(lines) + "\n")
     payload = _payload("sensitivity", config)
     payload["rows"] = [
         {
@@ -482,20 +480,13 @@ def main(argv=None) -> int:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return EXIT_MISSING_FILE
     try:
-        config = parse_config(args.config)
+        values = _read_pairs(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            config = replace(config, master_seed=args.seed)
+            values["master_seed"] = args.seed
         if args.measurement is not None:
-            config = replace(
-                config,
-                measurement=_MEASUREMENT_PRESETS[args.measurement],
-                measurement_preset=args.measurement,
-            )
-            _check_probabilities(config)
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](config, args.out)
+            values = {k: v for k, v in values.items() if not k.startswith("measurement.")}
+            values["measurement.preset"] = args.measurement
+        return _COMMANDS[args.command](_resolve(values), args.out)
     except SorkinLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

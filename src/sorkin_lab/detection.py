@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -248,12 +249,17 @@ def _generator(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
 
 
-def _sample_signal(p_true: float, det: DetectionParams, rng) -> int:
+def _check_sampleable(p_true: float) -> None:
+    """Refuse a probability the counting model cannot sample: outside [0, 1]."""
     if not 0.0 <= p_true <= 1.0:
         raise UnphysicalParameterError(
             f"true probability {p_true!r} is outside [0, 1]; "
             "the counting model cannot simulate it"
         )
+
+
+def _sample_signal(p_true: float, det: DetectionParams, rng) -> int:
+    _check_sampleable(p_true)
     bright = rng.binomial(det.shots, p_true)
     lam = (
         bright * det.mu_bright
@@ -467,12 +473,12 @@ def batch_csv_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_batch_csv(path, reports) -> None:
+def write_text(path, text: str) -> None:
+    """Write one artifact as UTF-8 with \\n line ends, creating its directory."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(batch_csv_text(reports))
+        f.write(text)
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -228,13 +228,7 @@ def _drive_terms(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(diagonal of H0 with the detuning, drive operator, omega_d) of a channel."""
     _, sy = spin1_matrices()
-    h0 = np.array(
-        [
-            TWO_PI * (params.D_hz + params.gamma_e_hz_per_G * params.B_G),
-            0.0,
-            TWO_PI * (params.D_hz - params.gamma_e_hz_per_G * params.B_G),
-        ]
-    )
+    h0 = np.array([TWO_PI * params.omega_mw2_hz, 0.0, TWO_PI * params.omega_mw1_hz])
     h0[_DRIVEN_LEVEL[channel]] += TWO_PI * detuning_hz
     drive_op = _DRIVE_SIGN[channel] * math.sqrt(2.0) * (TWO_PI * params.omega1_hz) * sy
     return h0, drive_op, TWO_PI * params.drive_frequency_hz(channel)

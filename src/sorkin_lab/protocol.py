@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .dynamics import PulseSchedule, PulseSegment, rotation_r1, rotation_r2
 from .errors import DegenerateProtocolError, QuantumRegimeError, UnreachableStateError
@@ -260,23 +259,3 @@ def apply_schedule(schedule: PulseSchedule) -> QutritState:
         state = apply_unitary(rot, state)
     return state
 
-
-def sorkin_term(k: int, path_weights) -> float:
-    """Order-k interference of per-path detection amplitudes.
-
-    Inclusion-exclusion over the first k paths: sum over subsets S of
-    (-1)^(k-|S|) |sum_{j in S} w_j|^2, with squared-modulus probabilities.
-    Order 2 reduces to the pairwise cross term 2 Re(w1 conj(w2)); all
-    orders >= 3 vanish identically under the squared-modulus rule.
-    """
-    weights = list(path_weights)
-    n = len(weights)
-    if not 2 <= k <= n:
-        raise ValueError(f"order k={k} must satisfy 2 <= k <= n={n}")
-    total = 0.0
-    for size in range(1, k + 1):
-        sign = (-1.0) ** (k - size)
-        for subset in combinations(range(k), size):
-            amp = sum(weights[j] for j in subset)
-            total += sign * abs(amp) ** 2
-    return total

@@ -6,6 +6,7 @@ an independent computation path.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ def oracle_second_order(p, a, b, c):
         (a2 + c2) * p[2] - a2 * p[4] - c2 * p[6],
         (b2 + c2) * p[3] - b2 * p[5] - c2 * p[6],
     )
+
+
+def sorkin_term(k, path_weights):
+    """Order-k interference of per-path detection amplitudes.
+
+    Inclusion-exclusion over the first k paths: sum over subsets S of
+    (-1)^(k-|S|) |sum_{j in S} w_j|^2, with squared-modulus probabilities.
+    Order 2 reduces to the pairwise cross term 2 Re(w1 conj(w2)); all
+    orders >= 3 vanish identically under the squared-modulus rule.
+    """
+    weights = list(path_weights)
+    n = len(weights)
+    if not 2 <= k <= n:
+        raise ValueError(f"order k={k} must satisfy 2 <= k <= n={n}")
+    total = 0.0
+    for size in range(1, k + 1):
+        sign = (-1.0) ** (k - size)
+        for subset in combinations(range(k), size):
+            amp = sum(weights[j] for j in subset)
+            total += sign * abs(amp) ** 2
+    return total
 
 
 def random_target_triple(rng, min_component=1e-3):

@@ -33,7 +33,6 @@ from sorkin_lab import (
     second_order_terms,
     sensitivity_scan,
     solve_schedule,
-    sorkin_term,
     third_order_term,
 )
 from conftest import (
@@ -47,6 +46,7 @@ from conftest import (
     oracle_third_order,
     random_complex_unit,
     random_target_triple,
+    sorkin_term,
 )
 
 MASTER_SEED = 20260810

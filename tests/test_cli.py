@@ -94,8 +94,8 @@ def test_config_rejections(tmp_path):
     path = _write(tmp_path, "rule = triple:-1e6\n", "negative.cfg")
     with pytest.raises(ConfigError, match="rule: triple deformation"):
         parse_config(path)
-    # a --measurement override is checked again: this rule is physical at
-    # M2 but drives a probability negative at M1
+    # a --measurement override is checked as the config key it sets: this
+    # rule is physical at M2 but drives a probability negative at M1
     text = (
         "amplitudes.a = 0.8\namplitudes.b = -0.36\namplitudes.c = -0.48\n"
         "measurement.preset = M2\nrule = triple:-2\n"
@@ -190,6 +190,72 @@ def test_every_artifact_reruns_byte_identically_from_its_echo(tmp_path, text):
         assert names == sorted(f.name for f in again.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+COMMANDS = ("ideal", "simulate", "rwa-check", "schedule", "sensitivity")
+
+
+def _run(tmp_path, capsys, name, command, path, *flags):
+    """(exit code, stdout, {artifact name: bytes}) of one CLI run."""
+    out = tmp_path / name
+    rc = main([command, "--config", path, "--out", str(out), *flags])
+    files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_overrides_are_byte_identical_to_config_keys(tmp_path, capsys, command):
+    base = "batches = 3\ndetection.shots = 50000\nsensitivity.eps_grid = 0,0.05\n"
+    # the overrides replace a given seed and drop the given angles
+    flagged = _write(tmp_path, base + "master_seed = 3\nmeasurement.theta1 = 1.1\n", "f.cfg")
+    keyed = _write(tmp_path, base + "master_seed = 7\nmeasurement.preset = M2\n", "k.cfg")
+    by_flags = _run(tmp_path, capsys, "flags", command, flagged, "--seed", "7", "--measurement", "M2")
+    by_keys = _run(tmp_path, capsys, "keys", command, keyed)
+    assert by_flags[0] == EXIT_OK
+    assert by_flags[2]
+    assert by_flags == by_keys
+
+
+def test_measurement_override_replaces_explicit_angles(tmp_path, capsys):
+    path = _write(tmp_path, "measurement.theta1 = 1.1\nmeasurement.theta2 = 0.3\n")
+    rc, _, files = _run(tmp_path, capsys, "o", "ideal", path, "--measurement", "M1")
+    assert rc == EXIT_OK
+    measurement = json.loads(files["ideal_report.json"])["config"]["measurement"]
+    assert measurement == {"preset": "M1", "theta1": math.pi / 2, "theta2": math.pi / 2}
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    path = _write(tmp_path, "")
+    out = tmp_path / "o"
+    assert main(["ideal", "--config", path, "--out", str(out), "--seed", "-1"]) == EXIT_BAD_CONFIG
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "rwa-check"])
+def test_unschedulable_target_creates_no_out(tmp_path, capsys, command):
+    path = _write(tmp_path, "amplitudes.a = 0\namplitudes.b = 0.6\namplitudes.c = -0.8\n")
+    assert _run(tmp_path, capsys, "o", command, path)[0] == EXIT_BAD_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [("rule = triple:50\n", "rule"), ("sensitivity.eps_grid = 0,50\n", "sensitivity.eps_grid")],
+    ids=["rule", "grid"],
+)
+def test_unsampleable_probability_rejected_in_simulated_mode(tmp_path, capsys, text, key):
+    # the counting model samples Binomial(N, p), so p above 1 cannot run
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"{key}: true probability .* outside \[0, 1\]"):
+        parse_config(path)
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+    # exact mode takes unnormalised probabilities as they are
+    exact = _write(tmp_path, "detection.mode = exact\n" + text, "exact.cfg")
+    assert main(["ideal", "--config", exact, "--out", str(tmp_path / "exact")]) == EXIT_OK
 
 
 def test_missing_config_exit_code(tmp_path):

@@ -23,7 +23,6 @@ from sorkin_lab import (
     ProbabilityRule,
     second_order_terms,
     solve_schedule,
-    sorkin_term,
     third_order_term,
 )
 from conftest import (
@@ -38,6 +37,7 @@ from conftest import (
     oracle_third_order,
     random_complex_unit,
     random_target_triple,
+    sorkin_term,
 )
 
 SQRT2 = math.sqrt(2.0)
