@@ -11,20 +11,27 @@ Subcommands:
     schedule     solved pulse schedules with durations at omega_1
     sensitivity  deformation-strength detection scan
 
+Each subcommand is a pure function of the resolved configuration that
+returns its artifact texts, stdout lines and exit code; main alone reads
+the config, writes the artifacts and prints.
+
 Config files are UTF-8 ``key = value`` lines (``#`` comments); dotted keys
 address sections, e.g. ``detection.shots = 2000000``.  Missing keys take
 the documented defaults; unknown keys are rejected.  Exit codes: 0 ok,
 1 simulate-under-born rejected the null at 5 sigma, 2 config file missing,
-3 schema violation or domain error.
+3 schema violation or domain error, 4 an artifact could not be written
+(none of the run's artifacts is left behind).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 
 from . import __version__
 from .born import DEFORMATIONS, ProbabilityRule, parse_rule, probability
@@ -38,25 +45,32 @@ from .detection import (
     run_batches,
     run_protocol_batch,
     sensitivity_scan,
-    write_json,
-    write_text,
 )
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
-from .errors import ConfigError, SorkinLabError, UnphysicalParameterError
+from .errors import (
+    ConfigError,
+    QuantumRegimeError,
+    SorkinLabError,
+    UnphysicalParameterError,
+)
 from .protocol import (
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     MeasurementSpec,
     TargetAmplitudes,
+    kappa,
     measurement_ket,
     prepare_states,
+    second_order_terms,
     solve_schedule,
+    third_order_term,
 )
 
 EXIT_OK = 0
 EXIT_NULL_REJECTED = 1
 EXIT_MISSING_FILE = 2
 EXIT_BAD_CONFIG = 3
+EXIT_UNWRITABLE = 4
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -101,42 +115,31 @@ class ExperimentConfig:
     hamiltonian: HamiltonianParams
     amplitudes: TargetAmplitudes
     measurement: MeasurementSpec
-    measurement_preset: str | None
     rule: ProbabilityRule
-    detection_mode: str
-    detection_params: DetectionParams
+    # what the batch runner consumes: None selects exact probabilities
+    detection: DetectionParams | None
     batches: int
     master_seed: int
     sensitivity_family: str
     eps_grid: tuple[float, ...]
-
-    @property
-    def detection(self) -> DetectionParams | None:
-        """What the batch runner consumes: None selects exact probabilities."""
-        return None if self.detection_mode == "exact" else self.detection_params
+    # the resolved value of every config key, as the echo reports it
+    resolved: dict
 
     def echo(self) -> dict:
         """Fully resolved configuration, embedded in every report.
 
-        Written back as ``key = value`` lines, it parses to this same
+        Every config key with its resolved value, nested on the key's first
+        dot.  Written back as ``key = value`` lines, it parses to this same
         configuration, so a report's echo reproduces its run.
         """
-        return {
-            "hamiltonian": asdict(self.hamiltonian),
-            "amplitudes": asdict(self.amplitudes),
-            "measurement": {
-                **asdict(self.measurement),
-                "preset": self.measurement_preset,
-            },
-            "rule": self.rule.label(),
-            "detection": {"mode": self.detection_mode, **asdict(self.detection_params)},
-            "batches": self.batches,
-            "master_seed": self.master_seed,
-            "sensitivity": {
-                "rule_family": self.sensitivity_family,
-                "eps_grid": list(self.eps_grid),
-            },
-        }
+        echo: dict = {}
+        for key, value in self.resolved.items():
+            section, dot, name = key.partition(".")
+            if dot:
+                echo.setdefault(section, {})[name] = value
+            else:
+                echo[key] = value
+        return echo
 
 
 def _read_pairs(path: str) -> dict:
@@ -182,22 +185,12 @@ def _resolve(values: dict) -> ExperimentConfig:
     strength must build a rule of the scan's family.  The configured rule
     and every grid rule must give seven probabilities for the configured
     target and measurement that are non-negative, and in simulated mode
-    sampleable (at most 1), so a run never fails on them after writing.
+    sampleable (at most 1), and whose second-order interference I2 lies
+    above the kappa floor, so a run never fails on them after writing.
     """
 
-    def get(key: str):
-        return values.get(key, _DEFAULTS[key])
-
-    def build(section: str):
-        default = _SECTIONS[section]
-        given = {
-            f.name: values[key]
-            for f in fields(default)
-            if (key := f"{section}.{f.name}") in values
-        }
-        return replace(default, **given)
-
-    preset = get("measurement.preset")
+    resolved = {key: values.get(key, default) for key, default in _DEFAULTS.items()}
+    preset = resolved["measurement.preset"]
     if preset is not None:
         if "measurement.theta1" in values or "measurement.theta2" in values:
             raise ConfigError(
@@ -209,18 +202,20 @@ def _resolve(values: dict) -> ExperimentConfig:
                 f"measurement.preset must be M1 or M2, got {preset!r}",
                 key="measurement.preset",
             )
+        angles = asdict(_MEASUREMENT_PRESETS[preset])
+        resolved |= {f"measurement.{name}": value for name, value in angles.items()}
 
-    mode = get("detection.mode")
+    mode = resolved["detection.mode"]
     if mode not in ("simulated", "exact"):
         raise ConfigError(
             f"detection.mode must be 'simulated' or 'exact', got {mode!r}",
             key="detection.mode",
         )
 
-    master_seed = get("master_seed")
+    master_seed = resolved["master_seed"]
     if master_seed < 0:
         raise ConfigError("master_seed must be a non-negative integer", key="master_seed")
-    batches = get("batches")
+    batches = resolved["batches"]
     # one noisy batch has no spread: kappa_std would read 0 and every
     # detection threshold would collapse to its float floor
     min_batches = 2 if mode == "simulated" else 1
@@ -230,58 +225,77 @@ def _resolve(values: dict) -> ExperimentConfig:
             key="batches",
         )
 
-    family = get("sensitivity.rule_family")
+    family = resolved["sensitivity.rule_family"]
     if family not in DEFORMATIONS:
         raise ConfigError(
             f"sensitivity.rule_family must be one of {DEFORMATIONS}, got {family!r}",
             key="sensitivity.rule_family",
         )
-    eps_grid = get("sensitivity.eps_grid")
+    eps_grid = resolved["sensitivity.eps_grid"]
     if not eps_grid:
         raise ConfigError("sensitivity.eps_grid is empty", key="sensitivity.eps_grid")
 
     try:
         grid_rules = [ProbabilityRule(family, eps) for eps in eps_grid]
-        config = ExperimentConfig(
-            hamiltonian=build("hamiltonian"),
-            amplitudes=build("amplitudes"),
-            measurement=(
-                build("measurement") if preset is None else _MEASUREMENT_PRESETS[preset]
-            ),
-            measurement_preset=preset,
-            rule=parse_rule(get("rule")),
-            detection_mode=mode,
-            detection_params=build("detection"),
-            batches=batches,
-            master_seed=master_seed,
-            sensitivity_family=family,
-            eps_grid=eps_grid,
-        )
+        built = {
+            section: type(default)(
+                **{f.name: resolved[f"{section}.{f.name}"] for f in fields(default)}
+            )
+            for section, default in _SECTIONS.items()
+        }
+        rule = parse_rule(resolved["rule"])
     except (ValueError, SorkinLabError) as exc:
         raise ConfigError(str(exc)) from exc
+    # the echo gives the rule in the repr form it parses back from
+    resolved |= {"rule": rule.label(), "sensitivity.eps_grid": list(eps_grid)}
+    config = ExperimentConfig(
+        hamiltonian=built["hamiltonian"],
+        amplitudes=built["amplitudes"],
+        measurement=built["measurement"],
+        rule=rule,
+        detection=None if mode == "exact" else built["detection"],
+        batches=batches,
+        master_seed=master_seed,
+        sensitivity_family=family,
+        eps_grid=eps_grid,
+        resolved=resolved,
+    )
 
+    t = config.amplitudes
     m = measurement_ket(config.measurement)
-    states = prepare_states(config.amplitudes)
+    states = prepare_states(t)
     rules = [("rule", config.rule)] + [("sensitivity.eps_grid", r) for r in grid_rules]
-    for key, rule in rules:
+    for key, r in rules:
         try:
-            for psi in states:
-                p = probability(rule, m, psi)
-                if mode == "simulated":
-                    _check_sampleable(p)
-        except UnphysicalParameterError as exc:
+            p = [probability(r, m, psi) for psi in states]
+            if mode == "simulated":
+                for x in p:
+                    _check_sampleable(x)
+            kappa(third_order_term(p, t), second_order_terms(p, t))
+        except (UnphysicalParameterError, QuantumRegimeError) as exc:
             raise ConfigError(f"{key}: {exc}", key=key) from exc
     return config
 
 
-def _payload(command: str, config: ExperimentConfig) -> dict:
-    return {
+@dataclass(frozen=True)
+class CommandResult:
+    """A subcommand's whole output, for main to write and print."""
+
+    artifacts: dict[str, str]  # file name -> text
+    stdout: list[str]
+    exit_code: int = EXIT_OK
+
+
+def _report_json(command: str, config: ExperimentConfig, **fields) -> str:
+    payload = {
         "schema": SUMMARY_JSON_SCHEMA,
         "version": __version__,
         "command": command,
         "config": config.echo(),
         "master_seed": config.master_seed,
+        **fields,
     }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _report_dict(report) -> dict:
@@ -300,20 +314,21 @@ def _report_dict(report) -> dict:
     }
 
 
-def cmd_ideal(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_ideal(config: ExperimentConfig) -> CommandResult:
     report = run_protocol_batch(
         config.amplitudes, config.measurement, config.rule, None, config.master_seed
     )
-    payload = _payload("ideal", config)
-    payload["report"] = _report_dict(report)
-    write_json(os.path.join(out_dir, "ideal_report.json"), payload)
-    print(f"kappa = {report.kappa!r}")
-    print(f"I2 = {report.I2!r}   I3 = {report.I3!r}")
-    print("p =", " ".join(f"{x:.9f}" for x in report.p))
-    return EXIT_OK
+    return CommandResult(
+        {"ideal_report.json": _report_json("ideal", config, report=_report_dict(report))},
+        [
+            f"kappa = {report.kappa!r}",
+            f"I2 = {report.I2!r}   I3 = {report.I3!r}",
+            "p = " + " ".join(f"{x:.9f}" for x in report.p),
+        ],
+    )
 
 
-def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     reports = run_batches(
         config.amplitudes,
         config.measurement,
@@ -323,26 +338,22 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
         config.master_seed,
     )
     est = estimate_kappa(reports, seed=config.master_seed)
-    rejected = born_null_rejected(est) if config.rule.kind == "born" else False
-    write_text(os.path.join(out_dir, "simulate_batches.csv"), batch_csv_text(reports))
-    payload = _payload("simulate", config)
-    payload["csv_schema"] = BATCH_CSV_SCHEMA
-    payload["kappa"] = {
-        "mean": est.mean,
-        "std": est.std,
-        "stderr": est.stderr,
-        "ci95": list(est.ci95),
-    }
-    payload["born_null_rejected_5sigma"] = rejected
-    write_json(os.path.join(out_dir, "simulate_summary.json"), payload)
-    print(
-        f"kappa = {est.mean:.6g} +/- {est.std:.3g} "
-        f"(stderr {est.stderr:.3g}, {config.batches} batches)"
+    rejected = config.rule.kind == "born" and born_null_rejected(est)
+    summary = _report_json(
+        "simulate",
+        config,
+        csv_schema=BATCH_CSV_SCHEMA,
+        kappa=asdict(est),
+        born_null_rejected_5sigma=rejected,
     )
-    if rejected:
-        print("born null REJECTED at 5 sigma", file=sys.stderr)
-        return EXIT_NULL_REJECTED
-    return EXIT_OK
+    return CommandResult(
+        {"simulate_batches.csv": batch_csv_text(reports), "simulate_summary.json": summary},
+        [
+            f"kappa = {est.mean:.6g} +/- {est.std:.3g} "
+            f"(stderr {est.stderr:.3g}, {config.batches} batches)"
+        ],
+        EXIT_NULL_REJECTED if rejected else EXIT_OK,
+    )
 
 
 def born_null_rejected(est) -> bool:
@@ -350,50 +361,42 @@ def born_null_rejected(est) -> bool:
     return abs(est.mean) > 5.0 * est.stderr + 1e-12
 
 
-def cmd_schedule(config: ExperimentConfig, out_dir: str) -> int:
-    schedules = solve_schedule(config.amplitudes, config.hamiltonian.omega1_hz)
+def cmd_schedule(config: ExperimentConfig) -> CommandResult:
+    omega1_hz = config.hamiltonian.omega1_hz
     rows = []
-    print("state  phi1(rad)   phi2(rad)   duration(ns)")
-    for i, sched in enumerate(schedules, start=1):
+    stdout = ["state  phi1(rad)   phi2(rad)   duration(ns)"]
+    for i, sched in enumerate(solve_schedule(config.amplitudes, omega1_hz), start=1):
         phi1, phi2 = sched.angle_pair()
-        dur_ns = sched.total_duration_s(config.hamiltonian.omega1_hz) * 1e9
-        print(f"psi{i}   {phi1:<11.8f} {phi2:<11.8f} {dur_ns:.3f}")
-        rows.append(
+        dur_ns = sched.total_duration_s(omega1_hz) * 1e9
+        stdout.append(f"psi{i}   {phi1:<11.8f} {phi2:<11.8f} {dur_ns:.3f}")
+        segments = [
             {
-                "state": f"psi{i}",
-                "phi1": phi1,
-                "phi2": phi2,
-                "segments": [
-                    {
-                        "channel": seg.channel,
-                        "angle_rad": seg.angle,
-                        "duration_ns": seg.duration_s(config.hamiltonian.omega1_hz) * 1e9,
-                    }
-                    for seg in sched
-                ],
+                "channel": seg.channel,
+                "angle_rad": seg.angle,
+                "duration_ns": seg.duration_s(omega1_hz) * 1e9,
             }
-        )
-    payload = _payload("schedule", config)
-    payload["schedules"] = rows
-    write_json(os.path.join(out_dir, "schedule.json"), payload)
-    return EXIT_OK
+            for seg in sched
+        ]
+        rows.append({"state": f"psi{i}", "phi1": phi1, "phi2": phi2, "segments": segments})
+    return CommandResult(
+        {"schedule.json": _report_json("schedule", config, schedules=rows)}, stdout
+    )
 
 
-def cmd_rwa_check(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_rwa_check(config: ExperimentConfig) -> CommandResult:
     schedules = solve_schedule(config.amplitudes, config.hamiltonian.omega1_hz)
-    pulses = []
-    for i, sched in enumerate(schedules, start=1):
-        for seg in sched:
-            pulses.append((f"psi{i}", seg))
+    pulses = [
+        (f"psi{i}", seg) for i, sched in enumerate(schedules, start=1) for seg in sched
+    ]
     pulses.append(("measurement", PulseSegment("MW2", config.measurement.theta2)))
     pulses.append(("measurement", PulseSegment("MW1", config.measurement.theta1)))
     rows = []
-    print("pulse          channel  angle(rad)  fidelity")
+    stdout = ["pulse          channel  angle(rad)  fidelity"]
     for label, seg in pulses:
         if seg.angle == 0.0:
             continue
         fid = rwa_fidelity(config.hamiltonian, seg)
-        print(f"{label:<14} {seg.channel:<8} {seg.angle:<11.8f} {fid:.9f}")
+        stdout.append(f"{label:<14} {seg.channel:<8} {seg.angle:<11.8f} {fid:.9f}")
         rows.append(
             {
                 "pulse": label,
@@ -403,13 +406,12 @@ def cmd_rwa_check(config: ExperimentConfig, out_dir: str) -> int:
                 "fidelity": fid,
             }
         )
-    payload = _payload("rwa-check", config)
-    payload["pulses"] = rows
-    write_json(os.path.join(out_dir, "rwa_check.json"), payload)
-    return EXIT_OK
+    return CommandResult(
+        {"rwa_check.json": _report_json("rwa-check", config, pulses=rows)}, stdout
+    )
 
 
-def cmd_sensitivity(config: ExperimentConfig, out_dir: str) -> int:
+def cmd_sensitivity(config: ExperimentConfig) -> CommandResult:
     scan = sensitivity_scan(
         config.amplitudes,
         config.measurement,
@@ -419,32 +421,25 @@ def cmd_sensitivity(config: ExperimentConfig, out_dir: str) -> int:
         config.batches,
         config.master_seed,
     )
-    lines = ["eps,kappa_mean,kappa_std,detected"]
-    print("eps      kappa_mean    kappa_std     detected")
-    for row in scan.rows:
-        print(
-            f"{row.epsilon:<8.4g} {row.kappa_mean:<13.6g} "
-            f"{row.kappa_std:<13.6g} {row.detected}"
+    columns = ("eps", "kappa_mean", "kappa_std", "detected")
+    csv = [",".join(columns)]
+    rows = []
+    stdout = ["eps      kappa_mean    kappa_std     detected"]
+    for r in scan.rows:
+        values = astuple(r)
+        rows.append(dict(zip(columns, values)))
+        # as JSON a float reads as its repr and a bool in lower case
+        csv.append(",".join(map(json.dumps, values)))
+        stdout.append(
+            f"{r.epsilon:<8.4g} {r.kappa_mean:<13.6g} {r.kappa_std:<13.6g} {r.detected}"
         )
-        lines.append(
-            f"{row.epsilon!r},{row.kappa_mean!r},{row.kappa_std!r},"
-            f"{str(row.detected).lower()}"
-        )
-    write_text(os.path.join(out_dir, "sensitivity.csv"), "\n".join(lines) + "\n")
-    payload = _payload("sensitivity", config)
-    payload["rows"] = [
-        {
-            "eps": r.epsilon,
-            "kappa_mean": r.kappa_mean,
-            "kappa_std": r.kappa_std,
-            "detected": r.detected,
-        }
-        for r in scan.rows
-    ]
-    payload["smallest_detected_eps"] = scan.smallest_detected_eps
-    write_json(os.path.join(out_dir, "sensitivity.json"), payload)
-    print(f"smallest detected eps: {scan.smallest_detected_eps}")
-    return EXIT_OK
+    stdout.append(f"smallest detected eps: {scan.smallest_detected_eps}")
+    summary = _report_json(
+        "sensitivity", config, rows=rows, smallest_detected_eps=scan.smallest_detected_eps
+    )
+    return CommandResult(
+        {"sensitivity.csv": "\n".join(csv) + "\n", "sensitivity.json": summary}, stdout
+    )
 
 
 _COMMANDS = {
@@ -454,6 +449,24 @@ _COMMANDS = {
     "schedule": cmd_schedule,
     "sensitivity": cmd_sensitivity,
 }
+
+
+def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> None:
+    """Write each artifact into out_dir (created) as UTF-8 with \\n line ends;
+    on an OSError, remove the files written so far and re-raise."""
+    written = []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in artifacts.items():
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                written.append(path)
+                f.write(text)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -486,10 +499,19 @@ def main(argv=None) -> int:
         if args.measurement is not None:
             values = {k: v for k, v in values.items() if not k.startswith("measurement.")}
             values["measurement.preset"] = args.measurement
-        return _COMMANDS[args.command](_resolve(values), args.out)
+        result = _COMMANDS[args.command](_resolve(values))
     except SorkinLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    try:
+        _write_artifacts(args.out, result.artifacts)
+    except OSError as exc:
+        print(f"error: cannot write the artifacts: {exc}", file=sys.stderr)
+        return EXIT_UNWRITABLE
+    print("\n".join(result.stdout))
+    if result.exit_code == EXIT_NULL_REJECTED:
+        print("born null REJECTED at 5 sigma", file=sys.stderr)
+    return result.exit_code
 
 
 if __name__ == "__main__":

@@ -35,9 +35,7 @@ summary schema.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,9 +56,13 @@ from .protocol import (
 
 REFERENCE_STREAM = 7
 BOOTSTRAP_STREAM = 8
+BOOTSTRAP_RESAMPLES = 10_000
 
 # Least expected reference count per estimate: P(zero reference) = e^-50.
 MIN_REFERENCE_PHOTONS = 50.0
+# Most shots, and most expected reference photons, per estimate: counts up
+# to 2**53 are exact in float64 (numpy's Poisson sampler stops near 9.2e18).
+MAX_COUNT = 2**53
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
 SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/3"
@@ -99,6 +101,13 @@ class DetectionParams:
                 f"shots = {self.shots} gives {self.shots * rate:.6g} expected "
                 f"reference photons, fewer than {MIN_REFERENCE_PHOTONS:g}; "
                 f"these rates need shots >= {math.ceil(MIN_REFERENCE_PHOTONS / rate)}"
+            )
+        most = min(MAX_COUNT, math.floor(MAX_COUNT / rate))
+        if self.shots > most:
+            raise ValueError(
+                f"shots = {self.shots} gives {self.shots * rate:.6g} expected "
+                f"reference photons; counts must stay at most 2**53, so these "
+                f"rates allow shots <= {most}"
             )
 
     @property
@@ -355,9 +364,7 @@ def run_batches(
     return [_batch(t, p_true, det, [*prefix, b], seeds[b]) for b in range(n_batches)]
 
 
-def estimate_kappa(
-    reports, *, n_boot: int = 10_000, seed=0
-) -> KappaEstimate:
+def estimate_kappa(reports, *, seed=0) -> KappaEstimate:
     """Mean, sample std, stderr and bootstrap percentile CI of batch kappas."""
     k = np.array([r.kappa for r in reports], dtype=float)
     m = k.size
@@ -368,7 +375,7 @@ def estimate_kappa(
     mean = float(k.mean())
     std = float(k.std(ddof=1))
     rng = _rng(*_entropy(seed), BOOTSTRAP_STREAM)
-    idx = rng.integers(0, m, size=(n_boot, m))
+    idx = rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
     boot_means = k[idx].mean(axis=1)
     lo, hi = np.percentile(boot_means, [2.5, 97.5])
     return KappaEstimate(
@@ -471,14 +478,3 @@ def batch_csv_text(reports) -> str:
         ]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
-
-
-def write_text(path, text: str) -> None:
-    """Write one artifact as UTF-8 with \\n line ends, creating its directory."""
-    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
-def write_json(path, payload: dict) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -164,12 +164,12 @@ def third_order_term(p, t: TargetAmplitudes) -> float:
     )
 
 
-def kappa(i3: float, terms, *, floor: float = KAPPA_FLOOR) -> float:
+def kappa(i3: float, terms) -> float:
     """Normalized ratio I3 / (|I_ab| + |I_ac| + |I_bc|)."""
     i2 = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
-    if i2 <= floor:
+    if i2 <= KAPPA_FLOOR:
         raise QuantumRegimeError(
-            f"second-order interference {i2!r} is at or below the floor {floor:g}; "
+            f"second-order interference {i2!r} is at or below the floor {KAPPA_FLOOR:g}; "
             "the normalized ratio is undefined outside the interference regime"
         )
     return i3 / i2

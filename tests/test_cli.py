@@ -1,13 +1,16 @@
 import json
 import math
+import os
 
 import pytest
 
 from sorkin_lab.cli import (
+    _COMMANDS,
     _DEFAULTS,
     EXIT_BAD_CONFIG,
     EXIT_MISSING_FILE,
     EXIT_OK,
+    EXIT_UNWRITABLE,
     born_null_rejected,
     cmd_rwa_check,
     main,
@@ -91,6 +94,16 @@ def test_config_rejections(tmp_path):
         out = tmp_path / f"tiny-{command}"
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert not out.exists()
+    # counts must stay exact in float64: at most 2**53 shots, and at most
+    # 2**53 expected reference photons
+    huge = [
+        "detection.mu_bg = 1e9\ndetection.shots = 10000000000\n",
+        "detection.mu_bright = 1e-12\ndetection.mu_bg = 0\n"
+        "detection.shots = 10000000000000000000\n",
+    ]
+    for i, (text, most) in enumerate(zip(huge, (9007199, 2**53))):
+        with pytest.raises(ConfigError, match=f"allow shots <= {most}$"):
+            parse_config(_write(tmp_path, text, f"huge{i}.cfg"))
     path = _write(tmp_path, "rule = triple:-1e6\n", "negative.cfg")
     with pytest.raises(ConfigError, match="rule: triple deformation"):
         parse_config(path)
@@ -216,6 +229,40 @@ def test_overrides_are_byte_identical_to_config_keys(tmp_path, capsys, command):
     assert by_flags == by_keys
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_writes_and_prints_what_the_subcommand_returns(
+    tmp_path, capsys, monkeypatch, command
+):
+    text = "batches = 3\ndetection.shots = 50000\nsensitivity.eps_grid = 0,0.05\n"
+    path = _write(tmp_path, text)
+    monkeypatch.chdir(tmp_path)
+    result = _COMMANDS[command](parse_config(path))
+    # the subcommand itself neither prints nor writes
+    assert capsys.readouterr() == ("", "")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+    rc, out, files = _run(tmp_path, capsys, "o", command, path)
+    assert rc == result.exit_code == EXIT_OK
+    assert out == "".join(line + "\n" for line in result.stdout)
+    assert files == {name: body.encode() for name, body in result.artifacts.items()}
+
+
+def test_unwritable_artifacts_exit_4_and_leave_none_behind(tmp_path, capsys):
+    path = _write(tmp_path, "batches = 3\ndetection.shots = 50000\n")
+    # --out names an existing file
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    assert main(["ideal", "--config", path, "--out", str(blocker)]) == EXIT_UNWRITABLE
+    assert blocker.read_text() == "kept\n"
+    # the summary's path is a directory: the CSV written before it is removed
+    out = tmp_path / "o"
+    (out / "simulate_summary.json").mkdir(parents=True)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_UNWRITABLE
+    assert [f.name for f in out.iterdir()] == ["simulate_summary.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: cannot write") == 2
+
+
 def test_measurement_override_replaces_explicit_angles(tmp_path, capsys):
     path = _write(tmp_path, "measurement.theta1 = 1.1\nmeasurement.theta2 = 0.3\n")
     rc, _, files = _run(tmp_path, capsys, "o", "ideal", path, "--measurement", "M1")
@@ -256,6 +303,19 @@ def test_unsampleable_probability_rejected_in_simulated_mode(tmp_path, capsys, t
     # exact mode takes unnormalised probabilities as they are
     exact = _write(tmp_path, "detection.mode = exact\n" + text, "exact.cfg")
     assert main(["ideal", "--config", exact, "--out", str(tmp_path / "exact")]) == EXIT_OK
+
+
+def test_no_second_order_interference_rejected_at_parse_time(tmp_path):
+    # at theta1 = pi every pairwise term vanishes up to rounding (I2 ~ 1e-16),
+    # so kappa is undefined: ideal used to exit 3 only at run time, simulate
+    # and sensitivity to exit 0 with kappa normalised by noise alone
+    path = _write(tmp_path, "measurement.theta1 = 3.141592653589793\n")
+    with pytest.raises(ConfigError, match="rule: second-order interference .* floor"):
+        parse_config(path)
+    for command in ("ideal", "simulate", "sensitivity"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path):
@@ -369,8 +429,9 @@ def test_rwa_check_command(tmp_path):
 
 def test_rwa_check_integrates_one_period_per_channel(tmp_path):
     _period_propagator.cache_clear()
-    assert cmd_rwa_check(parse_config(_write(tmp_path, "")), str(tmp_path)) == EXIT_OK
-    pulses = json.loads((tmp_path / "rwa_check.json").read_text())["pulses"]
+    result = cmd_rwa_check(parse_config(_write(tmp_path, "")))
+    assert result.exit_code == EXIT_OK
+    pulses = json.loads(result.artifacts["rwa_check.json"])["pulses"]
     info = _period_propagator.cache_info()
     assert len(pulses) == 10
     assert (info.misses, info.hits) == (2, 8)
