@@ -26,11 +26,14 @@ precomputed words.  That is the very generator
 default_rng(SeedSequence([s, b, k])) builds, at about an eighth of its
 set-up cost.  A run_protocol_batch call is a run of one batch.  The
 bootstrap resampler of estimate_kappa draws from
-SeedSequence([s, 8]), with no batch index.  SeedSequence pads its entropy
-with zeros up to four words, so that is the very stream of experiment 0 of
-batch 8, SeedSequence([s, 8, 0]), in any run of more than eight batches.
-Separating the two changes simulate_summary.json, so it waits for the next
-summary schema.
+SeedSequence([s, 8]), with no batch index, in blocks of about 2**16
+indices: consecutive integers calls continue one PCG64 stream, so the
+blocks draw what a single (BOOTSTRAP_RESAMPLES, M) call draws, and the
+bootstrap's memory is O(M), not O(BOOTSTRAP_RESAMPLES * M).  SeedSequence
+pads its entropy with zeros up to four words, so [s, 8] is the very stream
+of experiment 0 of batch 8, SeedSequence([s, 8, 0]), in any run of more
+than eight batches.  Separating the two changes simulate_summary.json, so
+it waits for the next summary schema.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ from .protocol import (
 REFERENCE_STREAM = 7
 BOOTSTRAP_STREAM = 8
 BOOTSTRAP_RESAMPLES = 10_000
+# Indices drawn per bootstrap block: a block is max(1, BOOTSTRAP_BLOCK // M)
+# resamples of M, so its index and gather arrays hold at most
+# max(BOOTSTRAP_BLOCK, M) entries each.
+BOOTSTRAP_BLOCK = 2**16
 
 # Least expected reference count per estimate: P(zero reference) = e^-50.
 MIN_REFERENCE_PHOTONS = 50.0
@@ -117,7 +124,11 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class KappaEstimate:
-    """Mean, spread and bootstrap CI of kappa over a set of batches."""
+    """Mean, spread and bootstrap CI of kappa over a set of batches.
+
+    ci95 is the 2.5/97.5 percentile pair of BOOTSTRAP_RESAMPLES resampled
+    means, drawn in blocks of about 2**16 indices (see estimate_kappa).
+    """
 
     mean: float
     std: float
@@ -365,7 +376,17 @@ def run_batches(
 
 
 def estimate_kappa(reports, *, seed=0) -> KappaEstimate:
-    """Mean, sample std, stderr and bootstrap percentile CI of batch kappas."""
+    """Mean, sample std, stderr and bootstrap percentile CI of batch kappas.
+
+    The M kappas are resampled BOOTSTRAP_RESAMPLES times from the stream
+    SeedSequence([*seed, BOOTSTRAP_STREAM]), in blocks of
+    max(1, BOOTSTRAP_BLOCK // M) resamples.  Each block's integers call
+    continues the stream where the last one stopped and each resample's
+    mean is reduced alone, so the CI is bit-identical to one
+    (BOOTSTRAP_RESAMPLES, M) draw, while a block holds at most
+    max(2**16, M) indices: the working memory is O(M), not
+    O(BOOTSTRAP_RESAMPLES * M).
+    """
     k = np.array([r.kappa for r in reports], dtype=float)
     m = k.size
     if m < 2:
@@ -375,8 +396,11 @@ def estimate_kappa(reports, *, seed=0) -> KappaEstimate:
     mean = float(k.mean())
     std = float(k.std(ddof=1))
     rng = _rng(*_entropy(seed), BOOTSTRAP_STREAM)
-    idx = rng.integers(0, m, size=(BOOTSTRAP_RESAMPLES, m))
-    boot_means = k[idx].mean(axis=1)
+    rows = max(1, BOOTSTRAP_BLOCK // m)
+    boot_means = np.empty(BOOTSTRAP_RESAMPLES)
+    for start in range(0, BOOTSTRAP_RESAMPLES, rows):
+        block = boot_means[start : start + rows]
+        block[:] = k[rng.integers(0, m, size=(block.size, m))].mean(axis=1)
     lo, hi = np.percentile(boot_means, [2.5, 97.5])
     return KappaEstimate(
         mean=mean,

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,6 +261,46 @@ def test_estimate_kappa_ci_contains_mean():
     est = estimate_kappa(reports, seed=3)
     assert est.ci95[0] <= est.mean <= est.ci95[1]
     assert est.stderr == pytest.approx(est.std / 5.0)
+
+
+def _kappa_reports(m, seed=0):
+    """m report stand-ins: estimate_kappa reads only their kappa."""
+    draws = np.random.default_rng(seed).normal(size=m)
+    return [SimpleNamespace(kappa=float(x)) for x in draws]
+
+
+def _one_shot_ci95(reports, entropy):
+    """The bootstrap as one (BOOTSTRAP_RESAMPLES, M) draw on the bootstrap stream."""
+    k = np.array([r.kappa for r in reports])
+    rng = detection._rng(*entropy, detection.BOOTSTRAP_STREAM)
+    idx = rng.integers(0, k.size, size=(detection.BOOTSTRAP_RESAMPLES, k.size))
+    lo, hi = np.percentile(k[idx].mean(axis=1), [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+# resamples per block: the default, 1, and 3 (10,000 resamples leave a
+# ragged last block of one)
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("seed", [42, (7, 1 << 40)])
+@pytest.mark.parametrize("m", [2, 3, 7, 50, 1001])
+def test_blocked_bootstrap_draws_the_one_shot_bootstrap(monkeypatch, m, seed, rows):
+    if rows is not None:
+        monkeypatch.setattr(detection, "BOOTSTRAP_BLOCK", rows * m)
+    reports = _kappa_reports(m)
+    est = estimate_kappa(reports, seed=seed)
+    assert est.ci95 == _one_shot_ci95(reports, detection._entropy(seed))
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples_times_batches():
+    # the one-shot draw held 2 x 10,000 x 2,000 x 8 bytes (about 305 MiB)
+    reports = _kappa_reports(2_000)
+    tracemalloc.start()
+    try:
+        estimate_kappa(reports, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_single_batch_kappa_sanity_envelope():
