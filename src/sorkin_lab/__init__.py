@@ -25,7 +25,6 @@ from .dynamics import (
     rotation_r1,
     rotation_r2,
     rwa_fidelity,
-    sample_detuning,
 )
 from .errors import (
     ConfigError,

@@ -42,6 +42,7 @@ from .detection import (
     _check_sampleable,
     batch_csv_text,
     estimate_kappa,
+    predicted_kappa_std,
     run_batches,
     run_protocol_batch,
     sensitivity_scan,
@@ -337,13 +338,18 @@ def cmd_simulate(config: ExperimentConfig) -> CommandResult:
         config.batches,
         config.master_seed,
     )
-    est = estimate_kappa(reports, seed=config.master_seed)
+    est = estimate_kappa(reports)
     rejected = config.rule.kind == "born" and born_null_rejected(est)
+    predicted = None  # exact mode has no counting noise to predict
+    if config.detection is not None:
+        predicted = predicted_kappa_std(
+            config.amplitudes, config.measurement, config.rule, config.detection
+        )
     summary = _report_json(
         "simulate",
         config,
         csv_schema=BATCH_CSV_SCHEMA,
-        kappa=asdict(est),
+        kappa=asdict(est) | {"std_predicted": predicted},
         born_null_rejected_5sigma=rejected,
     )
     return CommandResult(

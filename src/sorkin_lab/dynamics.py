@@ -77,17 +77,12 @@ class HamiltonianParams:
     gamma_e_hz_per_G: float = 2.80e6
     B_G: float = 510.0
     omega1_hz: float = 5.0e6
-    T2star_s: float | None = 1.5e-6
 
     def __post_init__(self):
         for name in ("D_hz", "gamma_e_hz_per_G", "B_G", "omega1_hz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        if self.T2star_s is not None and not (
-            math.isfinite(self.T2star_s) and self.T2star_s > 0
-        ):
-            raise ValueError(f"T2star_s must be positive, got {self.T2star_s!r}")
         if self.omega_mw1_hz <= 0:
             raise ValueError("Zeeman splitting exceeds D; MW1 carrier is not positive")
         if self.omega1_hz > 0.05 * self.omega_mw1_hz:
@@ -321,15 +316,3 @@ def rwa_fidelity(
     overlap = inner_product(apply_unitary(ideal, psi0), apply_unitary(full, psi0))
     return min(1.0, max(0.0, abs(overlap) ** 2))
 
-
-def sample_detuning(t2star_s: float, seed, size=None):
-    """Quasi-static detuning draw(s) in Hz.
-
-    Gaussian with mean 0 and sigma = sqrt(2) / (2*pi*T2star), chosen so the
-    ensemble-averaged free-induction envelope is exp(-(t/T2star)^2).
-    """
-    if not (math.isfinite(t2star_s) and t2star_s > 0):
-        raise ValueError(f"T2star must be positive, got {t2star_s!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    sigma = math.sqrt(2.0) / (TWO_PI * t2star_s)
-    return rng.normal(0.0, sigma, size)

@@ -130,7 +130,7 @@ def test_criterion_4_statistical_reproduction():
     reports = run_batches(
         t, MEASUREMENT_M1, ProbabilityRule.born(), DetectionParams(), 50, MASTER_SEED
     )
-    est = estimate_kappa(reports, seed=MASTER_SEED)
+    est = estimate_kappa(reports)
     elapsed = time.perf_counter() - start
     ok = (
         abs(est.mean) <= 3 * est.stderr

@@ -16,7 +16,7 @@ from sorkin_lab.cli import (
     main,
     parse_config,
 )
-from sorkin_lab.detection import KappaEstimate
+from sorkin_lab.detection import KappaEstimate, predicted_kappa_std
 from sorkin_lab.dynamics import _period_propagator
 from sorkin_lab.errors import ConfigError
 
@@ -57,6 +57,16 @@ def test_measurement_preset(tmp_path):
         parse_config(
             _write(tmp_path, "measurement.preset = M1\nmeasurement.theta1 = 1\n", "c2.cfg")
         )
+
+
+def test_removed_t2star_key_exits_3(tmp_path):
+    # removed in sorkin-lab.summary/4: no run read it
+    path = _write(tmp_path, "hamiltonian.T2star_s = 1.5e-6\n")
+    with pytest.raises(ConfigError, match="unknown config key 'hamiltonian.T2star_s'"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
 
 
 def test_config_rejections(tmp_path):
@@ -158,7 +168,6 @@ def test_echo_round_trips_through_a_config_file(tmp_path):
     text = (
         "hamiltonian.D_hz = 2.88e9\nhamiltonian.gamma_e_hz_per_G = 2.81e6\n"
         "hamiltonian.B_G = 500\nhamiltonian.omega1_hz = 2e7\n"
-        "hamiltonian.T2star_s = 3e-6\n"
         "amplitudes.a = 0.6\namplitudes.b = -0.64\namplitudes.c = -0.48\n"
         "measurement.theta1 = 1.1\nmeasurement.theta2 = 0.3\n"
         "rule = triple:0.123456789\n"
@@ -367,6 +376,15 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert summary["config"]["batches"] == 10
     assert len(csv_a.decode().strip().split("\n")) == 11
     assert "kappa" in summary and "ci95" in summary["kappa"]
+    config = parse_config(path)
+    predicted = predicted_kappa_std(
+        config.amplitudes, config.measurement, config.rule, config.detection
+    )
+    assert summary["kappa"]["std_predicted"] == predicted
+    exact = _write(tmp_path, "batches = 3\ndetection.mode = exact\n", "exact.cfg")
+    assert main(["simulate", "--config", exact, "--out", str(tmp_path / "x")]) == EXIT_OK
+    summary = json.loads((tmp_path / "x" / "simulate_summary.json").read_text())
+    assert summary["kappa"]["std_predicted"] is None
 
 
 def test_simulate_seed_changes_output(tmp_path):
@@ -421,7 +439,7 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/3"
+    assert payload["schema"] == "sorkin-lab.summary/4"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels

@@ -211,34 +211,29 @@ def test_stream_set_up_refuses_bad_input():
         run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, -1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="SeedSequence pads entropy with zeros to four words, so the "
-    "bootstrap stream [s, 8] is batch 8's experiment-0 stream [s, 8, 0]; "
-    "separating them changes simulate_summary.json and waits for a schema bump",
-)
-def test_bootstrap_stream_differs_from_every_batch_stream(monkeypatch):
+def test_estimate_kappa_draws_no_random_numbers(monkeypatch):
     # the default simulate run: master seed 42, 50 batches
     reports = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 50, 42)
-    opened = []
-    open_stream = detection._rng
+    first = estimate_kappa(reports)
+    np.random.seed(3)
+    estimate_kappa(reports)
+    after = np.random.random()
+    np.random.seed(3)
+    assert after == np.random.random()  # the global state was left alone
+    np.random.default_rng(3).random(5)
+    assert estimate_kappa(reports) == first
+    # seed is accepted and ignored
+    assert estimate_kappa(reports, seed=42) == first
+    assert estimate_kappa(reports, seed=(7, 1 << 40)) == first
 
-    def recording(*entropy):
-        rng = open_stream(*entropy)
-        opened.append(rng.bit_generator.state)
-        return rng
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_kappa set up a random generator")
 
-    monkeypatch.setattr(detection, "_rng", recording)
-    estimate_kappa(reports, seed=42)
-    [bootstrap] = opened
-    seeds = detection._run_seeds([42], 50)
-    same = [
-        (42, b, k)
-        for b in range(50)
-        for k in range(8)
-        if detection._generator(seeds[b, k]).bit_generator.state == bootstrap
-    ]
-    assert same == []
+    for name in ("default_rng", "Generator", "SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name, refuse)
+    assert estimate_kappa(reports, seed=42) == first
+    # the Student-t interval at these defaults
+    assert first.ci95 == pytest.approx((-0.00233, 0.00489), abs=1e-5)
 
 
 def test_estimate_kappa_exact_batches():
@@ -246,7 +241,7 @@ def test_estimate_kappa_exact_batches():
     est = estimate_kappa(reports)
     assert est.mean == pytest.approx(0.0, abs=1e-12)
     assert est.std == 0.0
-    assert est.ci95[0] <= est.mean <= est.ci95[1]
+    assert est.ci95 == (est.mean, est.mean)
 
 
 def test_estimate_kappa_needs_two_batches():
@@ -258,49 +253,100 @@ def test_estimate_kappa_needs_two_batches():
 def test_estimate_kappa_ci_contains_mean():
     det = DetectionParams(shots=20_000)
     reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 25, 3)
-    est = estimate_kappa(reports, seed=3)
+    est = estimate_kappa(reports)
     assert est.ci95[0] <= est.mean <= est.ci95[1]
     assert est.stderr == pytest.approx(est.std / 5.0)
+    half = 2.0638985616 * est.stderr  # t(0.975, 24), tabulated
+    assert est.ci95 == pytest.approx((est.mean - half, est.mean + half), rel=1e-9)
 
 
-def _kappa_reports(m, seed=0):
+def _kappa_reports(m, seed=0, loc=0.0):
     """m report stand-ins: estimate_kappa reads only their kappa."""
-    draws = np.random.default_rng(seed).normal(size=m)
+    draws = np.random.default_rng(seed).normal(loc, size=m)
     return [SimpleNamespace(kappa=float(x)) for x in draws]
 
 
-def _one_shot_ci95(reports, entropy):
-    """The bootstrap as one (BOOTSTRAP_RESAMPLES, M) draw on the bootstrap stream."""
-    k = np.array([r.kappa for r in reports])
-    rng = detection._rng(*entropy, detection.BOOTSTRAP_STREAM)
-    idx = rng.integers(0, k.size, size=(detection.BOOTSTRAP_RESAMPLES, k.size))
-    lo, hi = np.percentile(k[idx].mean(axis=1), [2.5, 97.5])
-    return float(lo), float(hi)
+@pytest.mark.parametrize(
+    "df, expected, tol",
+    [
+        (1, math.tan(math.pi * (0.975 - 0.5)), 1e-12),  # 12.706, Cauchy
+        (2, 0.95 / math.sqrt(2 * 0.975 * 0.025), 1e-12),  # 4.303
+        (10, 2.228, 5e-4),
+        (49, 2.0096, 5e-5),
+        (10**12, 1.95996, 5e-6),  # the normal quantile in the limit
+    ],
+)
+def test_t975_tabulated(df, expected, tol):
+    assert detection._t975(df) == pytest.approx(expected, abs=tol)
 
 
-# resamples per block: the default, 1, and 3 (10,000 resamples leave a
-# ragged last block of one)
-@pytest.mark.parametrize("rows", [None, 1, 3])
-@pytest.mark.parametrize("seed", [42, (7, 1 << 40)])
-@pytest.mark.parametrize("m", [2, 3, 7, 50, 1001])
-def test_blocked_bootstrap_draws_the_one_shot_bootstrap(monkeypatch, m, seed, rows):
-    if rows is not None:
-        monkeypatch.setattr(detection, "BOOTSTRAP_BLOCK", rows * m)
-    reports = _kappa_reports(m)
-    est = estimate_kappa(reports, seed=seed)
-    assert est.ci95 == _one_shot_ci95(reports, detection._entropy(seed))
+def _t_cdf(t, df):
+    """Exact Student-t CDF for integer df (Abramowitz and Stegun 26.7.3-4)."""
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    if df % 2:
+        term = math.cos(theta)
+        total = term if df > 1 else 0.0
+        for j in range(1, (df - 1) // 2):
+            term *= c2 * (2 * j) / (2 * j + 1)
+            total += term
+        inside = 2.0 / math.pi * (theta + math.sin(theta) * total)
+    else:
+        term = total = 1.0
+        for j in range(df // 2 - 1):
+            term *= c2 * (2 * j + 1) / (2 * j + 2)
+            total += term
+        inside = math.sin(theta) * total
+    return 0.5 * (1.0 + inside)
 
 
-def test_bootstrap_memory_does_not_grow_with_resamples_times_batches():
-    # the one-shot draw held 2 x 10,000 x 2,000 x 8 bytes (about 305 MiB)
+def _t975_exact(df):
+    """Bisection on the exact CDF, down to rounding."""
+    lo, hi = 0.0, 1e3
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _t_cdf(mid, df) < 0.975 else (lo, mid)
+    return lo
+
+
+def test_t975_within_its_documented_error():
+    # df 1 and 2 are closed forms, df 3 takes the tail series
+    for df in range(1, 121):
+        bound = 1e-6 if df <= 10 else 3e-9 if df < 49 else 2e-12
+        assert detection._t975(df) == pytest.approx(_t975_exact(df), rel=bound), df
+
+
+def test_t_interval_covers_the_mean_95_percent_of_the_time():
+    # 4,000 intervals on 5 draws each: one binomial sd is 0.34%
+    hits = 0
+    for i in range(4_000):
+        est = estimate_kappa(_kappa_reports(5, seed=(11, i), loc=2.5))
+        hits += est.ci95[0] <= 2.5 <= est.ci95[1]
+    assert abs(hits / 4_000 - 0.95) <= 0.015
+
+
+def test_estimate_kappa_memory_is_linear_in_batches():
     reports = _kappa_reports(2_000)
     tracemalloc.start()
     try:
-        estimate_kappa(reports, seed=1)
+        estimate_kappa(reports)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("spec", [MEASUREMENT_M1, MEASUREMENT_M2], ids=["M1", "M2"])
+@pytest.mark.parametrize("shots", [200_000, 2_000_000])
+def test_observed_kappa_std_matches_the_counting_model(spec, shots):
+    det = DetectionParams(shots=shots)
+    predicted = detection.predicted_kappa_std(_target(), spec, BORN, det)
+    reports = run_batches(_target(), spec, BORN, det, 200, 5)
+    ratio = np.std([r.kappa for r in reports], ddof=1) / predicted
+    # 99.9% band of s / sigma at 199 degrees of freedom (Wilson-Hilferty)
+    h, z = 2.0 / (9 * 199), 3.2905
+    band = ((1 - h - z * math.sqrt(h)) ** 1.5, (1 - h + z * math.sqrt(h)) ** 1.5)
+    assert band[0] < ratio < band[1]
 
 
 def test_single_batch_kappa_sanity_envelope():
@@ -314,7 +360,7 @@ def test_kappa_estimator_unbiased_at_large_shots():
     # consistent with zero at high shot count; stderr ~ 3e-4 at M=200
     det = DetectionParams(shots=20_000_000)
     reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 200, 314)
-    est = estimate_kappa(reports, seed=314)
+    est = estimate_kappa(reports)
     assert abs(est.mean) <= 3 * est.stderr
     assert abs(est.mean) < 2e-3
 

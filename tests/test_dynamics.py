@@ -15,7 +15,6 @@ from sorkin_lab import (
     rotation_r1,
     rotation_r2,
     rwa_fidelity,
-    sample_detuning,
 )
 from sorkin_lab.dynamics import CHANNELS, TWO_PI, _cf4_span, _period_propagator
 from sorkin_lab.qutrit import spin1_matrices
@@ -244,23 +243,6 @@ def test_propagator_rejects_non_finite_inputs(kwargs):
 def test_rwa_fidelity_covers_mw2_channel():
     p = HamiltonianParams()
     assert rwa_fidelity(p, PulseSegment("MW2", math.pi / 2)) >= 0.999
-
-
-def test_sample_detuning_is_deterministic():
-    assert sample_detuning(1.5e-6, 99) == sample_detuning(1.5e-6, 99)
-
-
-def test_sample_detuning_std():
-    draws = sample_detuning(1.5e-6, 4, size=100_000)
-    expected = math.sqrt(2) / (2 * math.pi * 1.5e-6)
-    assert np.std(draws) == pytest.approx(expected, rel=0.02)
-    assert abs(np.mean(draws)) < 5 * expected / math.sqrt(100_000)
-
-
-def test_sample_detuning_vanishes_for_long_t2star():
-    assert abs(sample_detuning(1e6, 5)) < 1e-3
-    with pytest.raises(ValueError):
-        sample_detuning(0.0, 5)
 
 
 def test_detuned_propagation_dephases():
