@@ -309,11 +309,41 @@ def _t975_exact(df):
     return lo
 
 
+def _t975_error(df):
+    """The relative error _t975 documents at df."""
+    return 1e-6 if df <= 10 else 3e-9 if df < 49 else 2e-12
+
+
 def test_t975_within_its_documented_error():
     # df 1 and 2 are closed forms, df 3 takes the tail series
     for df in range(1, 121):
-        bound = 1e-6 if df <= 10 else 3e-9 if df < 49 else 2e-12
+        bound = _t975_error(df)
         assert detection._t975(df) == pytest.approx(_t975_exact(df), rel=bound), df
+
+
+def _assert_one_shot_interval(reports, est):
+    """est.ci95 is mean -/+ the exact t quantile times stderr."""
+    k = np.array([r.kappa for r in reports])
+    m = k.size
+    half = _t975_exact(m - 1) * k.std(ddof=1) / math.sqrt(m)
+    assert est.ci95[0] + est.ci95[1] == pytest.approx(2 * k.mean(), abs=1e-12)
+    width = 0.5 * (est.ci95[1] - est.ci95[0])
+    assert width == pytest.approx(half, rel=_t975_error(m - 1) + 1e-12)
+
+
+# The name and case ids are those of the blocked bootstrap the closed form
+# replaced: m batches and the seed, now ignored.  In place of the resample
+# block, rows counts calls on other kappas made first (None: none), which
+# must leave no trace, as the interval is neither cached nor drawn.
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("seed", [42, (7, 1 << 40)])
+@pytest.mark.parametrize("m", [2, 3, 7, 50, 1001])
+def test_blocked_bootstrap_draws_the_one_shot_bootstrap(m, seed, rows):
+    for i in range(rows or 0):
+        other = _kappa_reports(m, seed=i + 1)
+        _assert_one_shot_interval(other, estimate_kappa(other, seed=seed))
+    reports = _kappa_reports(m)
+    _assert_one_shot_interval(reports, estimate_kappa(reports, seed=seed))
 
 
 def test_t_interval_covers_the_mean_95_percent_of_the_time():
