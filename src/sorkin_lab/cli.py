@@ -441,11 +441,37 @@ def cmd_sensitivity(config: ExperimentConfig) -> CommandResult:
         )
     stdout.append(f"smallest detected eps: {scan.smallest_detected_eps}")
     summary = _report_json(
-        "sensitivity", config, rows=rows, smallest_detected_eps=scan.smallest_detected_eps
+        "sensitivity",
+        config,
+        rows=rows,
+        smallest_detected_eps=scan.smallest_detected_eps,
+        predicted_detectable_eps=_predicted_detectable_eps(config),
     )
     return CommandResult(
         {"sensitivity.csv": "\n".join(csv) + "\n", "sensitivity.json": summary}, stdout
     )
+
+
+def _predicted_detectable_eps(config: ExperimentConfig) -> float | None:
+    """3 sigma_kappa / (sqrt(M) |slope|): the strength the 3-sigma flag should detect.
+
+    sigma_kappa is the counting model's Born prediction and the slope is
+    the exact kappa at the grid's smallest nonzero strength over that
+    strength.  None in exact mode, and when the grid has no nonzero
+    strength or its exact kappa is zero.
+    """
+    nonzero = [eps for eps in config.eps_grid if eps != 0]
+    if config.detection is None or not nonzero:
+        return None
+    eps = min(nonzero, key=abs)
+    rule = ProbabilityRule(config.sensitivity_family, eps)
+    exact = run_protocol_batch(config.amplitudes, config.measurement, rule, None, 0)
+    if exact.kappa == 0.0:
+        return None
+    sigma = predicted_kappa_std(
+        config.amplitudes, config.measurement, ProbabilityRule.born(), config.detection
+    )
+    return 3.0 * sigma * abs(eps) / (math.sqrt(config.batches) * abs(exact.kappa))
 
 
 _COMMANDS = {

@@ -57,7 +57,7 @@ MIN_REFERENCE_PHOTONS = 50.0
 MAX_COUNT = 2**53
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/4"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/5"
 
 _CSV_COLUMNS = (
     "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
@@ -255,19 +255,15 @@ def _check_sampleable(p_true: float) -> None:
         )
 
 
-def _sample_signal(p_true: float, det: DetectionParams, rng) -> int:
-    _check_sampleable(p_true)
-    bright = rng.binomial(det.shots, p_true)
-    lam = (
-        bright * det.mu_bright
-        + (det.shots - bright) * det.mu_dark
-        + det.shots * det.mu_bg
-    )
-    return int(rng.poisson(lam))
+def _readout_constants(p_true, det: DetectionParams) -> tuple[float, float, float]:
+    """(mu_dark, N * mu_bg, reference mean) of a run, shared by all its batches.
 
-
-def _sample_reference(det: DetectionParams, rng) -> int:
-    return int(rng.poisson(det.shots * (det.mu_bright + det.mu_bg)))
+    Refuses first a run whose seven probabilities the counting model
+    cannot sample.
+    """
+    for p in p_true:
+        _check_sampleable(p)
+    return det.mu_dark, det.shots * det.mu_bg, det.shots * (det.mu_bright + det.mu_bg)
 
 
 def _exact_probabilities(
@@ -284,14 +280,20 @@ def _batch(
     det: DetectionParams | None,
     prefix: list[int],
     seeds: np.ndarray | None,
+    readout: tuple[float, float, float] | None,
 ) -> SorkinReport:
     if det is None:
         p = p_true
         prov = Provenance("exact")
     else:
+        mu_dark, bg, ref_mean = readout
         rng = [_generator(s) for s in seeds]
-        signals = [_sample_signal(p_true[k], det, rng[k]) for k in range(7)]
-        ref = _sample_reference(det, rng[REFERENCE_STREAM])
+        signals = []
+        for k in range(7):
+            bright = rng[k].binomial(det.shots, p_true[k])
+            lam = bright * det.mu_bright + (det.shots - bright) * mu_dark + bg
+            signals.append(int(rng[k].poisson(lam)))
+        ref = int(rng[REFERENCE_STREAM].poisson(ref_mean))
         p = tuple(s / ref for s in signals)
         prov = Provenance("simulated", seed=tuple(prefix), shots=det.shots)
     terms = second_order_terms(p, t)
@@ -326,10 +328,12 @@ def run_protocol_batch(
     seed stream and the batch's seven estimates share one reference draw.
     """
     prefix = _entropy(seed)
-    seeds = None
+    p_true = _exact_probabilities(t, spec, rule)
+    seeds = readout = None
     if det is not None:
         seeds = _stream_seeds(np.array([_words(prefix)], dtype=np.uint32))[0]
-    return _batch(t, _exact_probabilities(t, spec, rule), det, prefix, seeds)
+        readout = _readout_constants(p_true, det)
+    return _batch(t, p_true, det, prefix, seeds, readout)
 
 
 def run_batches(
@@ -344,12 +348,15 @@ def run_batches(
 
     Batch b equals run_protocol_batch(..., (*master_seed, b)); the exact
     probabilities are computed once for the whole run, and in simulated
-    mode so are the seeds of all its streams.
+    mode so are the seeds of all its streams and the counting model's
+    constants.
     """
     p_true = _exact_probabilities(t, spec, rule)
     prefix = _entropy(master_seed)
-    seeds = [None] * n_batches if det is None else _run_seeds(prefix, n_batches)
-    return [_batch(t, p_true, det, [*prefix, b], seeds[b]) for b in range(n_batches)]
+    seeds, readout = [None] * n_batches, None
+    if det is not None:
+        seeds, readout = _run_seeds(prefix, n_batches), _readout_constants(p_true, det)
+    return [_batch(t, p_true, det, [*prefix, b], seeds[b], readout) for b in range(n_batches)]
 
 
 def _t975(df: int) -> float:

@@ -17,13 +17,16 @@ approximation actually is.
 The lab-frame Hamiltonian H0 + cos(omega_d t) * drive is exactly periodic
 in T = 2*pi/omega_d, so a pulse of N whole periods plus a remainder tau
 has the propagator U(tau) @ U(T)**N (Shirley, Phys. Rev. 138, B979, 1965).
-The period and the remainder are integrated with a fourth-order
-commutator-free Magnus scheme (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-151, 2009), and the power is taken by repeated squaring, so the cost of a
-pulse does not grow with its length.  U(T) depends on the parameters, the
-channel, the step count and the detuning, but not on the pulse angle: it
-is integrated once per process for each such tuple and shared by every
-pulse, which then integrates only its own remainder.
+One period is integrated with a fourth-order commutator-free Magnus scheme
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009) on n equal steps of
+dt = T/n, keeping every prefix product P[m] of its first m steps; U(T) is
+the polar factor of P[n].  This depends on the parameters, the channel,
+the step count and the detuning, but not on the pulse angle, so it is
+integrated once per process for each such tuple and shared by every
+pulse.  A pulse writes tau = m*dt + r with 0 <= r < dt, so U(tau) is one
+partial CF4 step of length r starting at m*dt times P[m], and U(T)**N is
+taken by repeated squaring: the cost of a pulse grows with neither its
+length nor its remainder.
 """
 
 from __future__ import annotations
@@ -62,9 +65,8 @@ _CF4_NODE_B = 0.5 + math.sqrt(3.0) / 6.0
 _CF4_W_SMALL = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_W_BIG = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
-_CHUNK = 65536
-
-# One 3x3 complex period propagator is 144 bytes of data; 64 of them cover
+# An entry holds U(T) and the n + 1 prefix products, (n + 2) * 144 bytes:
+# about 29 KB at 200 steps, so about 1.9 MB for 64 entries, which cover
 # both channels at 32 (params, steps, detuning) tuples.
 _PERIOD_MEMO_SIZE = 64
 
@@ -173,17 +175,6 @@ def rotation_r2(theta: float) -> Unitary3:
     return Unitary3._plane_rotation([[c, -s, 0], [s, c, 0], [0, 0, 1]], c, s)
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[n-1] @ ... @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        n2 = mats.shape[0] // 2
-        paired = np.matmul(mats[1 : 2 * n2 : 2], mats[0 : 2 * n2 : 2])
-        if mats.shape[0] % 2:
-            paired = np.concatenate([paired, mats[-1:]], axis=0)
-        mats = paired
-    return mats[0]
-
-
 def _batch_expm(h_stack: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i * H * dt) for a stack of Hermitian 3x3 matrices."""
     w, v = np.linalg.eigh(h_stack)
@@ -191,31 +182,26 @@ def _batch_expm(h_stack: np.ndarray, dt: float) -> np.ndarray:
     return np.matmul(v * phase[..., None, :], v.conj().swapaxes(-1, -2))
 
 
-def _cf4_span(
-    h0: np.ndarray, drive: np.ndarray, omega_d: float, span: float, n_steps: int
+def _cf4_steps(
+    h0: np.ndarray, drive: np.ndarray, omega_d: float, start: float, dt: float, n_steps: int
 ) -> np.ndarray:
-    """CF4 propagator of diag(h0) + cos(omega_d t) * drive over [0, span].
+    """CF4 propagators of diag(h0) + cos(omega_d t) * drive over n_steps steps.
 
-    n_steps equal steps, each two exact 3x3 exponentials; the steps are
-    built _CHUNK at a time, so memory is bounded for any n_steps.
+    Step j covers [start + j*dt, start + (j + 1)*dt] and is two exact 3x3
+    exponentials; the result stacks the steps in time order, (n_steps, 3, 3).
     """
-    dt = span / n_steps
-    h0_mat = np.diag(h0).astype(complex)
-    total = np.eye(3, dtype=complex)
-    for start in range(0, n_steps, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, n_steps))
-        g_a = np.cos(omega_d * (k + _CF4_NODE_A) * dt)
-        g_b = np.cos(omega_d * (k + _CF4_NODE_B) * dt)
-        # first (right) factor weights the early node more, second the late
-        c_first = _CF4_W_BIG * g_a + _CF4_W_SMALL * g_b
-        c_second = _CF4_W_SMALL * g_a + _CF4_W_BIG * g_b
-        h_stack = np.empty((k.size, 2, 3, 3), dtype=complex)
-        h_stack[:, 0] = 0.5 * h0_mat + c_first[:, None, None] * drive
-        h_stack[:, 1] = 0.5 * h0_mat + c_second[:, None, None] * drive
-        exps = _batch_expm(h_stack.reshape(-1, 3, 3), dt).reshape(k.size, 2, 3, 3)
-        steps = np.matmul(exps[:, 1], exps[:, 0])
-        total = _ordered_product(steps) @ total
-    return total
+    k = np.arange(n_steps)
+    g_a = np.cos(omega_d * start + omega_d * (k + _CF4_NODE_A) * dt)
+    g_b = np.cos(omega_d * start + omega_d * (k + _CF4_NODE_B) * dt)
+    # first (right) factor weights the early node more, second the late
+    c_first = _CF4_W_BIG * g_a + _CF4_W_SMALL * g_b
+    c_second = _CF4_W_SMALL * g_a + _CF4_W_BIG * g_b
+    h0_half = 0.5 * np.diag(h0).astype(complex)
+    h_stack = np.empty((n_steps, 2, 3, 3), dtype=complex)
+    h_stack[:, 0] = h0_half + c_first[:, None, None] * drive
+    h_stack[:, 1] = h0_half + c_second[:, None, None] * drive
+    exps = _batch_expm(h_stack.reshape(-1, 3, 3), dt).reshape(n_steps, 2, 3, 3)
+    return np.matmul(exps[:, 1], exps[:, 0])
 
 
 def _drive_terms(
@@ -232,20 +218,28 @@ def _drive_terms(
 @functools.lru_cache(maxsize=_PERIOD_MEMO_SIZE)
 def _period_propagator(
     params: HamiltonianParams, channel: str, steps_per_drive_period: int, detuning_hz: float
-) -> np.ndarray:
-    """Read-only polar factor of the CF4 propagator over one drive period.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (U(T), prefix) of the CF4 stepping over one drive period.
 
-    A pure function of its four hashable arguments, memoised per process.
-    The nearest unitary is kept because it is raised to the N-th power:
-    the period's roundoff departure from unitarity, about 1e-13, would
-    grow N-fold.
+    prefix[m] = S[m-1] @ ... @ S[0], m = 0..n, is the propagator over the
+    first m of the n = steps_per_drive_period steps of dt = T/n.  U(T) is
+    the polar factor of prefix[n]: it is raised to the N-th power, so the
+    period's roundoff departure from unitarity, about 1e-13, would grow
+    N-fold.  A pure function of its four hashable arguments, memoised per
+    process.
     """
     h0, drive_op, omega_d = _drive_terms(params, channel, detuning_hz)
-    one_period = _cf4_span(h0, drive_op, omega_d, TWO_PI / omega_d, steps_per_drive_period)
-    w, _, vh = np.linalg.svd(one_period)
+    n = steps_per_drive_period
+    steps = _cf4_steps(h0, drive_op, omega_d, 0.0, TWO_PI / omega_d / n, n)
+    prefix = np.empty((n + 1, 3, 3), dtype=complex)
+    prefix[0] = np.eye(3)
+    for m in range(n):
+        prefix[m + 1] = steps[m] @ prefix[m]
+    w, _, vh = np.linalg.svd(prefix[n])
     polar = w @ vh
     polar.setflags(write=False)
-    return polar
+    prefix.setflags(write=False)
+    return polar, prefix
 
 
 def lab_frame_propagator(
@@ -260,18 +254,18 @@ def lab_frame_propagator(
     Solves i dU/dt = (H0 + Hdrive(t)) U with Hdrive(t) proportional to
     cos(omega_drive * t) * Sy.  H is periodic in T = 2*pi/omega_drive, so
     for a duration N*T + tau the propagator is U(tau) @ U(T)**N (Shirley,
-    Phys. Rev. 138, B979, 1965).  U(T) is the polar factor of one period
-    integrated with the CF4 scheme at steps_per_drive_period steps; it is
-    integrated once per (params, channel, steps, detuning) per process and
-    shared by every pulse.  Each pulse raises it to the N-th power by
-    repeated squaring and left-multiplies the CF4 propagator over its own
-    remainder tau, so it integrates at most one period of steps plus
-    log2(N) matrix products, whatever its length.  The result is
-    left-multiplied by exp(+i H0 duration) so it is directly comparable
-    with rotation_r1 / rotation_r2, and takes the full Unitary3 check.
-    The pulse lasts seg.angle / omega_1.  detuning_hz shifts the driven
-    level's diagonal entry, modelling a quasi-static dephasing draw; a
-    static shift keeps H periodic.
+    Phys. Rev. 138, B979, 1965).  One period is integrated with the CF4
+    scheme on n = steps_per_drive_period steps of dt = T/n, once per
+    (params, channel, steps, detuning) per process, keeping U(T) (its polar
+    factor) and the prefix products P[m] of its first m steps.  A pulse
+    writes tau = m*dt + r, 0 <= r < dt (m at most n - 1), and returns
+    CF4(r, from m*dt) @ P[m] @ U(T)**N: one partial step, one lookup and
+    log2(N) matrix products by repeated squaring, whatever its length.
+    The result is left-multiplied by exp(+i H0 duration) so it is directly
+    comparable with rotation_r1 / rotation_r2, and takes the full Unitary3
+    check.  The pulse lasts seg.angle / omega_1.  detuning_hz shifts the
+    driven level's diagonal entry, modelling a quasi-static dephasing draw;
+    a static shift keeps H periodic.
     """
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
@@ -285,17 +279,17 @@ def lab_frame_propagator(
         return Unitary3.identity()
 
     h0, drive_op, omega_d = _drive_terms(params, seg.channel, detuning_hz)
-    period = TWO_PI / omega_d
-    n_periods, tau = divmod(duration, period)
-    total = np.eye(3, dtype=complex)
-    if n_periods:
-        one_period = _period_propagator(
-            params, seg.channel, steps_per_drive_period, detuning_hz
-        )
-        total = np.linalg.matrix_power(one_period, int(n_periods))
-    if tau > 0.0:
-        n_tail = math.ceil(tau / period * steps_per_drive_period)
-        total = _cf4_span(h0, drive_op, omega_d, tau, n_tail) @ total
+    one_period, prefix = _period_propagator(
+        params, seg.channel, steps_per_drive_period, detuning_hz
+    )
+    n_periods, tau = divmod(duration, TWO_PI / omega_d)
+    dt = TWO_PI / omega_d / steps_per_drive_period
+    # tau < T and floor division is exact, so the bound only states m < n
+    m = min(int(tau // dt), steps_per_drive_period - 1)
+    r = tau - m * dt
+    total = prefix[m] @ np.linalg.matrix_power(one_period, int(n_periods))
+    if r > 0.0:
+        total = _cf4_steps(h0, drive_op, omega_d, m * dt, r, 1)[0] @ total
 
     # interaction picture of the nominal (undetuned) static Hamiltonian
     h0_nominal = h0.copy()

@@ -13,9 +13,11 @@ from sorkin_lab.cli import (
     EXIT_UNWRITABLE,
     born_null_rejected,
     cmd_rwa_check,
+    cmd_sensitivity,
     main,
     parse_config,
 )
+from sorkin_lab.born import ProbabilityRule
 from sorkin_lab.detection import KappaEstimate, predicted_kappa_std
 from sorkin_lab.dynamics import _period_propagator
 from sorkin_lab.errors import ConfigError
@@ -434,12 +436,40 @@ def test_sensitivity_command(tmp_path):
     assert csv_text.startswith("eps,kappa_mean,kappa_std,detected")
 
 
+def _predicted_detectable_eps(tmp_path, text):
+    result = cmd_sensitivity(parse_config(_write(tmp_path, text)))
+    return json.loads(result.artifacts["sensitivity.json"])["predicted_detectable_eps"]
+
+
+def test_sensitivity_predicts_the_detectable_eps(tmp_path):
+    # acceptance criterion 6 computes eps* = 3 sigma / (sqrt(50) * slope) = 0.061
+    # by hand; here sigma is the counting model's and the slope is exact
+    slope = 0.10663603541648406  # triple kappa per unit eps at the working point
+    config = parse_config(_write(tmp_path, ""))
+    sigma = predicted_kappa_std(
+        config.amplitudes, config.measurement, ProbabilityRule.born(), config.detection
+    )
+    eps_star = _predicted_detectable_eps(tmp_path, "")
+    assert eps_star == pytest.approx(3.0 * sigma / (math.sqrt(50) * slope), rel=1e-9)
+    assert eps_star == pytest.approx(0.061, abs=5e-4)
+    # 4x the batches halve it; the grid's order does not matter
+    text = "batches = 200\nsensitivity.eps_grid = 0.05,0,0.01\n"
+    assert _predicted_detectable_eps(tmp_path, text) == pytest.approx(eps_star / 2, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text", ["detection.mode = exact\n", "sensitivity.eps_grid = 0\n"]
+)
+def test_predicted_detectable_eps_is_null_without_noise_or_slope(tmp_path, text):
+    assert _predicted_detectable_eps(tmp_path, text) is None
+
+
 def test_rwa_check_command(tmp_path):
     path = _write(tmp_path, "")
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/4"
+    assert payload["schema"] == "sorkin-lab.summary/5"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels

@@ -16,10 +16,74 @@ from sorkin_lab import (
     rotation_r2,
     rwa_fidelity,
 )
-from sorkin_lab.dynamics import CHANNELS, TWO_PI, _cf4_span, _period_propagator
+from sorkin_lab.dynamics import CHANNELS, TWO_PI, _cf4_steps, _period_propagator
 from sorkin_lab.qutrit import spin1_matrices
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+# fourth-order commutator-free step (Blanes, Casas, Oteo & Ros 2009), written
+# out apart from the module: two Gauss nodes, weights (big, small) on the
+# first exponential and (small, big) on the second
+_CF4_NODES = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
+_CF4_BIG, _CF4_SMALL = (3 + 2 * math.sqrt(3)) / 12, (3 - 2 * math.sqrt(3)) / 12
+
+
+def _lab_hamiltonian(p, channel):
+    """(diagonal of H0, drive operator, omega_d) of a channel, built by hand."""
+    split = p.gamma_e_hz_per_G * p.B_G
+    h0 = TWO_PI * np.array([p.D_hz + split, 0.0, p.D_hz - split])
+    sign = -1.0 if channel == "MW1" else 1.0
+    drive = sign * math.sqrt(2) * TWO_PI * p.omega1_hz * spin1_matrices()[1]
+    return h0, drive, TWO_PI * p.drive_frequency_hz(channel)
+
+
+def _cf4_stepped(p, channel, starts, lengths):
+    """Ordered product of one CF4 step per (start, length), earliest first."""
+    h0, drive, omega_d = _lab_hamiltonian(p, channel)
+    starts = np.asarray(starts, dtype=float)[:, None]
+    lengths = np.asarray(lengths, dtype=float)[:, None]
+    g = np.cos(omega_d * (starts + _CF4_NODES * lengths))
+    c = np.stack(
+        [_CF4_BIG * g[:, 0] + _CF4_SMALL * g[:, 1], _CF4_SMALL * g[:, 0] + _CF4_BIG * g[:, 1]],
+        axis=1,
+    )
+    w, v = np.linalg.eigh(0.5 * np.diag(h0) + c[..., None, None] * drive)
+    exps = (v * np.exp(-1j * lengths[..., None] * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _ordered(exps[:, 1] @ exps[:, 0])
+
+
+def _ordered(steps):
+    """steps[-1] @ ... @ steps[0]."""
+    total = np.eye(3, dtype=complex)
+    for step in steps:
+        total = step @ total
+    return total
+
+
+def _stepped_pulse(p, seg, steps):
+    """The pulse stepped in full from t = 0 on the period grid dt = T/steps,
+    the last step cut to end with the pulse, in the interaction picture."""
+    h0, _, omega_d = _lab_hamiltonian(p, seg.channel)
+    dt = TWO_PI / omega_d / steps
+    duration = seg.duration_s(p.omega1_hz)
+    full, r = divmod(duration, dt)
+    starts = np.arange(int(full) + 1) * dt
+    lengths = np.append(np.full(int(full), dt), r)
+    return np.exp(1j * h0 * duration)[:, None] * _cf4_stepped(p, seg.channel, starts, lengths)
+
+
+@pytest.fixture
+def eigh_count(monkeypatch):
+    """A list whose one entry counts the matrices np.linalg.eigh factors."""
+    count = [0]
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        count[0] += math.prod(np.shape(a)[:-2])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return count
 
 
 def test_rotation_r1_identity_and_pi():
@@ -158,16 +222,13 @@ def test_period_power_equals_stepping_every_period():
     # CF4 steps on the same time grid: only the periodicity identity differs
     p = HamiltonianParams()
     steps = 200
-    omega_d = 2 * math.pi * p.omega_mw2_hz
-    period = 2 * math.pi / omega_d
+    h0, drive, omega_d = _lab_hamiltonian(p, "MW2")
+    period = TWO_PI / omega_d
     n_periods = int(PulseSegment("MW2", math.pi).duration_s(p.omega1_hz) // period)
     assert n_periods > 400
-    split = p.gamma_e_hz_per_G * p.B_G
-    h0 = 2 * math.pi * np.array([p.D_hz + split, 0.0, p.D_hz - split])
-    drive = math.sqrt(2) * 2 * math.pi * p.omega1_hz * spin1_matrices()[1]
-    one_period = _cf4_span(h0, drive, omega_d, period, steps)
+    one_period = _ordered(_cf4_steps(h0, drive, omega_d, 0.0, period / steps, steps))
     powered = np.linalg.matrix_power(one_period, n_periods)
-    stepped = _cf4_span(h0, drive, omega_d, n_periods * period, n_periods * steps)
+    stepped = _ordered(_cf4_steps(h0, drive, omega_d, 0.0, period / steps, n_periods * steps))
     assert np.max(np.abs(powered - stepped)) < 1e-12
 
 
@@ -206,10 +267,102 @@ def test_shared_period_is_bit_equal_cold_and_warm(omega1_hz, channel, detuning_h
 
 
 def test_memoised_period_is_read_only():
-    period = _period_propagator(HamiltonianParams(), "MW1", 200, 0.0)
-    assert not period.flags.writeable
-    with pytest.raises(ValueError):
-        period[0, 0] = 0.0
+    period, prefix = _period_propagator(HamiltonianParams(), "MW1", 200, 0.0)
+    assert period.shape == (3, 3) and prefix.shape == (201, 3, 3)
+    for array in (period, prefix):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def _split(p, seg):
+    """(N, tau, m) of a pulse: N whole periods, remainder tau, m = tau // (T/200)."""
+    period = TWO_PI / (TWO_PI * p.drive_frequency_hz(seg.channel))
+    n_periods, tau = divmod(seg.duration_s(p.omega1_hz), period)
+    return int(n_periods), tau, int(tau // (period / 200))
+
+
+def _nearest_pulse(p, channel, angle, wanted, ulps=64):
+    """The pulse of the float nearest angle whose split satisfies wanted."""
+    for i in sorted(range(-ulps, ulps + 1), key=abs):
+        seg = PulseSegment(channel, angle + i * math.ulp(angle))
+        if wanted(*_split(p, seg)):
+            return seg
+    raise AssertionError(f"no {channel} pulse within {ulps} ulps of {angle!r} splits as wanted")
+
+
+def _remainder_case(case, channel, n_periods):
+    p = HamiltonianParams()
+    period = TWO_PI / (TWO_PI * p.drive_frequency_hz(channel))
+    dt = period / 200
+    to_angle = TWO_PI * p.omega1_hz
+    if case == "tau = m*dt":
+        # m = 64 makes m*dt exact, so tau can equal it bit for bit
+        angle = (n_periods * period + 64 * dt) * to_angle
+        return _nearest_pulse(
+            p, channel, angle, lambda n, tau, m: n == n_periods and m == 64 and tau == 64 * dt
+        )
+    if case == "tau < dt":
+        angle = (n_periods * period + 0.4 * dt) * to_angle
+        return _nearest_pulse(p, channel, angle, lambda n, tau, m: n == n_periods and m == 0)
+    # the largest remainders, tau a few ulps below T: the edge that the
+    # bound m <= n - 1 guards (floor division of tau < T never reaches n)
+    angle = (n_periods + 1) * period * to_angle
+    return _nearest_pulse(
+        p,
+        channel,
+        angle,
+        lambda n, tau, m: n == n_periods and m == 199 and period - tau < 1e-6 * dt,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, channel, n_periods, eighs",
+    [
+        ("tau = m*dt", "MW1", 0, 0),
+        ("tau = m*dt", "MW1", 3, 0),
+        ("tau = m*dt", "MW1", 7, 0),
+        ("tau < dt", "MW1", 0, 2),
+        ("tau < dt", "MW2", 3, 2),
+        ("top of the period", "MW1", 3, 2),
+        ("top of the period", "MW2", 0, 2),
+    ],
+)
+def test_remainder_edges_match_full_stepping(case, channel, n_periods, eighs, eigh_count):
+    p = HamiltonianParams()
+    seg = _remainder_case(case, channel, n_periods)
+    lab_frame_propagator(p, PulseSegment(channel, 1.0))  # warms the period memo
+    eigh_count[0] = 0
+    u = lab_frame_propagator(p, seg).matrix
+    # an exact multiple of dt is a prefix lookup, with no partial step
+    assert eigh_count[0] == eighs
+    assert np.max(np.abs(u - _stepped_pulse(p, seg, 200))) < 1e-12
+
+
+def test_warm_pulse_eighs_at_most_two_matrices(eigh_count):
+    for omega1_hz, channel, angle in [
+        (5e6, "MW1", math.pi),
+        (5e6, "MW2", 1.234567),
+        (5e7, "MW1", 2.718281828),
+        (5e7, "MW2", 1e-3),
+        (1e5, "MW2", math.pi),  # about 21,500 drive periods
+    ]:
+        p = HamiltonianParams(omega1_hz=omega1_hz)
+        lab_frame_propagator(p, PulseSegment(channel, 0.5))
+        eigh_count[0] = 0
+        lab_frame_propagator(p, PulseSegment(channel, angle))
+        assert eigh_count[0] <= 2, (omega1_hz, channel, angle)
+
+
+@pytest.mark.parametrize("omega1_hz", [5e6, 50e6])
+@pytest.mark.parametrize("angle", [math.pi, 1.234567, 2.718281828])
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_default_resolution_within_2e9_of_1600_steps(channel, angle, omega1_hz):
+    p = HamiltonianParams(omega1_hz=omega1_hz)
+    seg = PulseSegment(channel, angle)
+    u = lab_frame_propagator(p, seg).matrix
+    reference = lab_frame_propagator(p, seg, 1600).matrix
+    assert np.max(np.abs(u - reference)) < 2e-9
 
 
 @pytest.mark.parametrize(
