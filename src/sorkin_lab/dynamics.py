@@ -9,7 +9,9 @@ internally).  Two microwave channels drive the allowed transitions:
 
 In the rotating-wave approximation each channel produces the rotation
 matrices `rotation_r1` / `rotation_r2` below, parametrized by the rotation
-angle theta = omega_1 * t (half-angle matrices).  `lab_frame_propagator`
+angle theta = omega_1 * t (half-angle matrices); the protocol's states are
+rotated by them in closed form, two amplitudes at a time, with no matrix
+built (`_rotate`).  `lab_frame_propagator`
 solves the full time-dependent problem, counter-rotating terms and
 crosstalk included, so `rwa_fidelity` can quantify how good the
 approximation actually is.
@@ -39,7 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepResolutionError
-from .qutrit import QutritState, Unitary3, apply_unitary, inner_product, spin1_matrices
+from .qutrit import (
+    QutritState,
+    Unitary3,
+    _check_plane_rotation,
+    apply_unitary,
+    inner_product,
+    spin1_matrices,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +56,11 @@ CHANNELS = ("MW1", "MW2")
 
 DEFAULT_STEPS_PER_PERIOD = 200
 MIN_STEPS_PER_PERIOD = 50
+# The period is integrated in one stack of about 1.6 KB a step and its
+# memo entry keeps (n + 2) * 144 bytes, so this cap bounds one integration
+# at about 26 MB and one entry at about 2.4 MB (about 150 MB for a full
+# memo).  The package uses the default 200; its tests pass at most 1,600.
+MAX_STEPS_PER_PERIOD = 16_384
 
 # Each channel's microwave phase is calibrated so that its rotating-frame
 # limit is exactly rotation_r1 / rotation_r2; with the standard spin-1 Sy
@@ -152,27 +166,59 @@ class PulseSchedule:
         return len(self.segments)
 
     def angle_pair(self) -> tuple[float, float]:
-        """(phi1, phi2): summed rotation angles on MW1 and MW2."""
-        phi1 = sum(s.angle for s in self.segments if s.channel == "MW1")
-        phi2 = sum(s.angle for s in self.segments if s.channel == "MW2")
+        """(phi1, phi2): summed rotation angles on MW1 and MW2, each summed
+        in schedule order from the integer 0, as ``sum`` would."""
+        phi1 = phi2 = 0
+        for s in self.segments:
+            if s.channel == "MW1":
+                phi1 += s.angle
+            else:
+                phi2 += s.angle
         return (phi1, phi2)
 
     def total_duration_s(self, omega1_hz: float) -> float:
         return sum(s.duration_s(omega1_hz) for s in self.segments)
 
 
+def _half_angle(theta: float) -> tuple[float, float]:
+    """(c, s) = (cos(theta/2), sin(theta/2)), the block entries of a
+    rotation by theta."""
+    return math.cos(0.5 * theta), math.sin(0.5 * theta)
+
+
 def rotation_r1(theta: float) -> Unitary3:
     """Rotating-frame rotation on the (|0>, |-1>) pair by angle theta."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
+    c, s = _half_angle(theta)
     return Unitary3._plane_rotation([[1, 0, 0], [0, c, s], [0, -s, c]], c, s)
 
 
 def rotation_r2(theta: float) -> Unitary3:
     """Rotating-frame rotation on the (|+1>, |0>) pair by angle theta."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
+    c, s = _half_angle(theta)
     return Unitary3._plane_rotation([[c, -s, 0], [s, c, 0], [0, 0, 1]], c, s)
+
+
+def _rotate(
+    channel: str, theta: float, amplitudes: tuple[float, float, float], *, adjoint: bool = False
+) -> tuple[float, float, float]:
+    """rotation_r1/r2(theta), or its adjoint, applied in closed form to real
+    amplitudes (|+1>, |0>, |-1>), with no matrix built.
+
+    MW1's block [[c, s], [-s, c]] acts on (|0>, |-1>), MW2's [[c, -s],
+    [s, c]] on (|+1>, |0>); the adjoint is the same block with (c, -s),
+    not the rotation by -theta, so it does not rest on the parity of
+    libm's sin and cos.  The rotation takes the same closed-form check as
+    the matrices, and the result has the bits of the checked matrix times
+    the vector (tests/test_lean_path.py).
+    """
+    c, s = _half_angle(theta)
+    _check_plane_rotation(c, s)
+    if adjoint:
+        s = -s
+    p, z, m = amplitudes
+    if channel == "MW1":
+        return (p, c * z + s * m, c * m - s * z)
+    return (c * p - s * z, s * p + c * z, m)
 
 
 def _batch_expm(h_stack: np.ndarray, dt: float) -> np.ndarray:
@@ -265,12 +311,19 @@ def lab_frame_propagator(
     comparable with rotation_r1 / rotation_r2, and takes the full Unitary3
     check.  The pulse lasts seg.angle / omega_1.  detuning_hz shifts the
     driven level's diagonal entry, modelling a quasi-static dephasing draw;
-    a static shift keeps H periodic.
+    a static shift keeps H periodic.  steps_per_drive_period must lie in
+    [MIN_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD], else StepResolutionError
+    is raised before any integration.
     """
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
             f"steps_per_drive_period={steps_per_drive_period} is below the "
             f"minimum {MIN_STEPS_PER_PERIOD}; integration would be untrusted"
+        )
+    if steps_per_drive_period > MAX_STEPS_PER_PERIOD:
+        raise StepResolutionError(
+            f"steps_per_drive_period={steps_per_drive_period} is above the "
+            f"maximum {MAX_STEPS_PER_PERIOD}; the period's memory would pass its bound"
         )
     if not math.isfinite(detuning_hz):
         raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
@@ -305,8 +358,7 @@ def rwa_fidelity(
 ) -> float:
     """|<psi_RWA|psi_full>|^2 for the pulse applied to |0>."""
     full = lab_frame_propagator(params, seg, steps_per_drive_period)
-    ideal = rotation_r1(seg.angle) if seg.channel == "MW1" else rotation_r2(seg.angle)
-    psi0 = QutritState.ket_zero()
-    overlap = inner_product(apply_unitary(ideal, psi0), apply_unitary(full, psi0))
+    ideal = QutritState(*_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
+    overlap = inner_product(ideal, apply_unitary(full, QutritState.ket_zero()))
     return min(1.0, max(0.0, abs(overlap) ** 2))
 

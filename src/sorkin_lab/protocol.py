@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import PulseSchedule, PulseSegment, rotation_r1, rotation_r2
+from .dynamics import PulseSchedule, PulseSegment, _rotate
 from .errors import DegenerateProtocolError, QuantumRegimeError, UnreachableStateError
-from .qutrit import _KET_ZERO, QutritState, apply_unitary
+from .qutrit import QutritState
 
 # Below this, second-order interference is treated as absent and kappa is
 # refused (the ratio would not probe a quantum-mechanical regime).
@@ -127,12 +127,8 @@ def prepare_states(t: TargetAmplitudes) -> tuple[QutritState, ...]:
 
 def measurement_ket(spec: MeasurementSpec) -> QutritState:
     """|m> = R2(theta2)^dag R1(theta1)^dag |0>."""
-    m = (
-        rotation_r2(spec.theta2).matrix.conj().T
-        @ rotation_r1(spec.theta1).matrix.conj().T
-        @ _KET_ZERO
-    )
-    return QutritState(*m.tolist())
+    m = _rotate("MW1", spec.theta1, (0.0, 1.0, 0.0), adjoint=True)
+    return QutritState(*_rotate("MW2", spec.theta2, m, adjoint=True))
 
 
 def second_order_terms(p, t: TargetAmplitudes) -> tuple[float, float, float]:
@@ -253,9 +249,8 @@ def solve_schedule(t: TargetAmplitudes, omega1_hz: float) -> tuple[PulseSchedule
 
 def apply_schedule(schedule: PulseSchedule) -> QutritState:
     """Run a schedule's rotations on |0> and return the prepared state."""
-    state = QutritState.ket_zero()
+    amplitudes = (0.0, 1.0, 0.0)
     for seg in schedule:
-        rot = rotation_r1(seg.angle) if seg.channel == "MW1" else rotation_r2(seg.angle)
-        state = apply_unitary(rot, state)
-    return state
+        amplitudes = _rotate(seg.channel, seg.angle, amplitudes)
+    return QutritState(*amplitudes)
 

@@ -10,12 +10,18 @@ that still covers it:
 
   * ``QutritState(...)`` checks that its amplitudes are finite and
     normalized within NORM_ATOL, on every construction, including the
-    states ``from_vector``, ``apply_unitary`` and the protocol build;
+    states ``from_vector`` and ``apply_unitary`` return, the seven
+    protocol states, the scheduled preparations, the measurement ket and
+    ``rwa_fidelity``'s ideal state;
   * ``Unitary3(matrix)`` checks shape, finiteness and max|U^dag U - I|
     within UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product;
-  * the rotating-frame rotations of ``dynamics`` check the closed form
-    |c^2 + s^2 - 1| <= UNITARY_ATOL, which is the only entry of
-    U^dag U - I a plane rotation can move (``Unitary3._plane_rotation``);
+  * a plane rotation checks the closed form |c^2 + s^2 - 1| <=
+    UNITARY_ATOL, the only entry of U^dag U - I it can move
+    (``_check_plane_rotation``): the matrices of ``rotation_r1/r2``
+    (``Unitary3._plane_rotation``), and every rotation ``dynamics``
+    applies in closed form to a state's amplitudes, with no matrix built
+    (the scheduled preparations, the measurement ket and the ideal state
+    of ``rwa_fidelity``);
   * ``dynamics.lab_frame_propagator``, a numerical result, takes the full
     ``Unitary3`` check at atol = 1e-8.
 """
@@ -109,15 +115,9 @@ class Unitary3:
         """The rotation `rows`: the identity with one 2x2 block [[c, s], [-s, c]]
         or [[c, -s], [s, c]] on two levels, the third level fixed.
 
-        For such a matrix U^dag U - I is zero except c^2 + s^2 - 1 on the
-        block's diagonal, so that one number is the whole unitarity check;
-        a non-finite c or s fails it too.
+        Takes the closed-form check of `_check_plane_rotation`.
         """
-        err = abs(c * c + s * s - 1.0)
-        if not err <= UNITARY_ATOL:
-            raise UnitarityError(
-                f"U^dag U deviates from identity by {err:.3e} (atol {UNITARY_ATOL:g})"
-            )
+        _check_plane_rotation(c, s)
         m = np.array(rows, dtype=complex)
         m.setflags(write=False)
         u = cls.__new__(cls)
@@ -136,6 +136,21 @@ class Unitary3:
         return f"Unitary3({np.array2string(self._m, precision=6)})"
 
 
+def _check_plane_rotation(c: float, s: float) -> None:
+    """Unitarity check of a rotation by the 2x2 block [[c, s], [-s, c]] or
+    [[c, -s], [s, c]] on two levels, the third level fixed.
+
+    For such a matrix U^dag U - I is zero except c^2 + s^2 - 1 on the
+    block's diagonal, so that one number is the whole unitarity check; a
+    non-finite c or s fails it too.
+    """
+    err = abs(c * c + s * s - 1.0)
+    if not err <= UNITARY_ATOL:
+        raise UnitarityError(
+            f"U^dag U deviates from identity by {err:.3e} (atol {UNITARY_ATOL:g})"
+        )
+
+
 def apply_unitary(unitary: Unitary3, state: QutritState) -> QutritState:
     """Matrix-vector product U|state>."""
     return QutritState(*(unitary.matrix @ state.vector).tolist())
@@ -146,8 +161,6 @@ def _locked(array) -> np.ndarray:
     a.setflags(write=False)
     return a
 
-
-_KET_ZERO = _locked([0.0, 1.0, 0.0])
 
 # Spin-1 operators in the (|+1>, |0>, |-1>) basis, hbar = 1.
 _SZ = _locked(np.diag([1.0, 0.0, -1.0]))

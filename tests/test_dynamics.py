@@ -16,7 +16,13 @@ from sorkin_lab import (
     rotation_r2,
     rwa_fidelity,
 )
-from sorkin_lab.dynamics import CHANNELS, TWO_PI, _cf4_steps, _period_propagator
+from sorkin_lab.dynamics import (
+    CHANNELS,
+    MAX_STEPS_PER_PERIOD,
+    TWO_PI,
+    _cf4_steps,
+    _period_propagator,
+)
 from sorkin_lab.qutrit import spin1_matrices
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -148,6 +154,22 @@ def test_pulse_durations():
     assert sched.total_duration_s(5e6) == pytest.approx(150e-9)
 
 
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(CHANNELS), st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=6,
+    )
+)
+def test_angle_pair_sums_each_channel_as_sum_does(pulses):
+    sched = PulseSchedule(tuple(PulseSegment(ch, angle) for ch, angle in pulses))
+    expected = tuple(
+        sum(s.angle for s in sched.segments if s.channel == ch) for ch in CHANNELS
+    )
+    got = sched.angle_pair()
+    # same values, same types: an absent channel sums to the integer 0
+    assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in expected]
+
+
 def test_params_validation_and_carriers():
     p = HamiltonianParams()
     assert p.omega_mw1_hz == pytest.approx(2.87e9 - 2.80e6 * 510)
@@ -177,6 +199,15 @@ def test_propagator_refuses_coarse_stepping():
     p = HamiltonianParams()
     with pytest.raises(StepResolutionError):
         lab_frame_propagator(p, PulseSegment("MW1", math.pi), 20)
+
+
+def test_step_cap_refuses_even_a_zero_length_pulse():
+    # a zero angle returns the identity without integrating; the cap, like
+    # the minimum, is checked first
+    with pytest.raises(StepResolutionError, match=f"maximum {MAX_STEPS_PER_PERIOD}"):
+        lab_frame_propagator(
+            HamiltonianParams(), PulseSegment("MW2", 0.0), MAX_STEPS_PER_PERIOD + 1
+        )
 
 
 def test_propagator_converged_at_default_resolution():
@@ -367,7 +398,11 @@ def test_default_resolution_within_2e9_of_1600_steps(channel, angle, omega1_hz):
 
 @pytest.mark.parametrize(
     "steps, detuning_hz, error",
-    [(20, 0.0, StepResolutionError), (200, math.nan, ValueError)],
+    [
+        (20, 0.0, StepResolutionError),
+        (MAX_STEPS_PER_PERIOD + 1, 0.0, StepResolutionError),
+        (200, math.nan, ValueError),
+    ],
 )
 def test_rejected_propagator_call_adds_no_memo_entry(steps, detuning_hz, error):
     _period_propagator.cache_clear()

@@ -1,13 +1,16 @@
 """Oracles for the per-object path.
 
-The rotations, the measurement ket and the scheduled preparations are
-built without a 3x3 unitarity product; these tests rebuild each one
-through the public, fully checked constructors and require the same bits.
+The rotations are built without a 3x3 unitarity product, and the
+measurement ket, the scheduled preparations and rwa_fidelity's ideal
+state are rotated in closed form with no matrix at all; these tests
+rebuild each one through the public, fully checked constructors and
+require the same bits.
 """
 
 import math
 import sys
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,11 +27,13 @@ from sorkin_lab import (
     Unitary3,
     apply_schedule,
     apply_unitary,
+    inner_product,
     measurement_ket,
     rotation_r1,
     rotation_r2,
+    rwa_fidelity,
 )
-from sorkin_lab.dynamics import CHANNELS
+from sorkin_lab.dynamics import CHANNELS, HamiltonianParams, _rotate
 
 # Every finite float, with the large magnitudes drawn on purpose: there
 # cos and sin of the half angle carry the most argument-reduction error.
@@ -132,10 +137,39 @@ def test_measurement_ket_equals_the_validated_composition(theta1, theta2):
     assert _bits(measurement_ket(MeasurementSpec(theta1, theta2))) == _bits(validated)
 
 
-@given(st.lists(st.tuples(st.sampled_from(CHANNELS), _angles), max_size=4))
+@given(st.lists(st.tuples(st.sampled_from(CHANNELS), _angles), max_size=8))
 def test_apply_schedule_equals_the_validated_composition(pulses):
     schedule = PulseSchedule(tuple(PulseSegment(ch, angle) for ch, angle in pulses))
     assert _bits(apply_schedule(schedule)) == _bits(_validated_preparation(schedule))
+
+
+@_special_angles()
+@given(_angles)
+def test_rwa_ideal_state_equals_the_rotation_applied_to_ket_zero(theta):
+    # the propagator is replaced by the identity, so no pulse is integrated,
+    # and the ideal state is read from the overlap's bra
+    bras = []
+
+    def recording_inner_product(bra, ket):
+        bras.append(bra)
+        return inner_product(bra, ket)
+
+    with mock.patch("sorkin_lab.dynamics.lab_frame_propagator", return_value=Unitary3.identity()):
+        with mock.patch("sorkin_lab.dynamics.inner_product", recording_inner_product):
+            for channel, rotation in (("MW1", rotation_r1), ("MW2", rotation_r2)):
+                seg = PulseSegment(channel, theta)
+                rwa_fidelity(HamiltonianParams(), seg)
+                expected = apply_unitary(rotation(seg.angle), QutritState.ket_zero())
+                assert _bits(bras[-1]) == _bits(expected)
+    assert len(bras) == 2
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_closed_form_state_rotation_keeps_the_unitarity_check(channel, adjoint):
+    # a NaN angle gives NaN (c, s), which only the closed-form check refuses
+    with pytest.raises(UnitarityError):
+        _rotate(channel, math.nan, (0.0, 1.0, 0.0), adjoint=adjoint)
 
 
 def test_public_constructors_keep_their_checks():
