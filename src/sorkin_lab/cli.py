@@ -34,18 +34,19 @@ import sys
 from dataclasses import asdict, astuple, dataclass, fields
 
 from . import __version__
-from .born import DEFORMATIONS, ProbabilityRule, parse_rule, probability
+from .born import DEFORMATIONS, ProbabilityRule, parse_rule
 from .detection import (
     BATCH_CSV_SCHEMA,
     SUMMARY_JSON_SCHEMA,
     DetectionParams,
-    _check_sampleable,
     batch_csv_text,
     estimate_kappa,
+    exact_probabilities,
+    expected_estimates,
     predicted_kappa_std,
-    run_batches,
-    run_protocol_batch,
+    sample_batches,
     sensitivity_scan,
+    sorkin_report,
 )
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
 from .errors import (
@@ -58,13 +59,9 @@ from .protocol import (
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     MeasurementSpec,
+    Provenance,
     TargetAmplitudes,
-    kappa,
-    measurement_ket,
-    prepare_states,
-    second_order_terms,
     solve_schedule,
-    third_order_term,
 )
 
 EXIT_OK = 0
@@ -117,7 +114,9 @@ class ExperimentConfig:
     amplitudes: TargetAmplitudes
     measurement: MeasurementSpec
     rule: ProbabilityRule
-    # what the batch runner consumes: None selects exact probabilities
+    # the rule's seven exact probabilities, every subcommand's p
+    p: tuple[float, ...]
+    # what the batch sampler consumes: None selects exact probabilities
     detection: DetectionParams | None
     batches: int
     master_seed: int
@@ -184,10 +183,13 @@ def _resolve(values: dict) -> ExperimentConfig:
     echoes them even when ``detection.mode = exact`` ignores them.  The
     sensitivity grid is checked here too: it must be non-empty and every
     strength must build a rule of the scan's family.  The configured rule
-    and every grid rule must give seven probabilities for the configured
-    target and measurement that are non-negative, and in simulated mode
-    sampleable (at most 1), and whose second-order interference I2 lies
-    above the kappa floor, so a run never fails on them after writing.
+    and every grid rule go through the functions a run uses, so a run never
+    fails on them after writing: their seven probabilities for the
+    configured target and measurement must be non-negative, and the report
+    built from them must keep its second-order interference I2 above the
+    kappa floor.  In simulated mode that report is of the readout's
+    expected estimates, C*p + d, so every probability must also be
+    sampleable (at most 1) and C*I2 must lie above the floor.
     """
 
     resolved = {key: values.get(key, default) for key, default in _DEFAULTS.items()}
@@ -249,33 +251,33 @@ def _resolve(values: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     # the echo gives the rule in the repr form it parses back from
     resolved |= {"rule": rule.label(), "sensitivity.eps_grid": list(eps_grid)}
-    config = ExperimentConfig(
+    t, spec = built["amplitudes"], built["measurement"]
+    det = None if mode == "exact" else built["detection"]
+
+    # each rule goes through the functions a run uses, on what the run reports
+    rules = [("rule", rule)] + [("sensitivity.eps_grid", r) for r in grid_rules]
+    ps = []
+    for key, r in rules:
+        try:
+            ps.append(exact_probabilities(t, spec, r))
+            readout = ps[-1] if det is None else expected_estimates(ps[-1], det)
+            sorkin_report(t, readout, Provenance("exact"))
+        except (UnphysicalParameterError, QuantumRegimeError) as exc:
+            where = "" if det is None else " (simulated mode: of the expected readout)"
+            raise ConfigError(f"{key}: {exc}{where}", key=key) from exc
+    return ExperimentConfig(
         hamiltonian=built["hamiltonian"],
-        amplitudes=built["amplitudes"],
-        measurement=built["measurement"],
+        amplitudes=t,
+        measurement=spec,
         rule=rule,
-        detection=None if mode == "exact" else built["detection"],
+        p=ps[0],
+        detection=det,
         batches=batches,
         master_seed=master_seed,
         sensitivity_family=family,
         eps_grid=eps_grid,
         resolved=resolved,
     )
-
-    t = config.amplitudes
-    m = measurement_ket(config.measurement)
-    states = prepare_states(t)
-    rules = [("rule", config.rule)] + [("sensitivity.eps_grid", r) for r in grid_rules]
-    for key, r in rules:
-        try:
-            p = [probability(r, m, psi) for psi in states]
-            if mode == "simulated":
-                for x in p:
-                    _check_sampleable(x)
-            kappa(third_order_term(p, t), second_order_terms(p, t))
-        except (UnphysicalParameterError, QuantumRegimeError) as exc:
-            raise ConfigError(f"{key}: {exc}", key=key) from exc
-    return config
 
 
 @dataclass(frozen=True)
@@ -316,9 +318,7 @@ def _report_dict(report) -> dict:
 
 
 def cmd_ideal(config: ExperimentConfig) -> CommandResult:
-    report = run_protocol_batch(
-        config.amplitudes, config.measurement, config.rule, None, config.master_seed
-    )
+    report = sorkin_report(config.amplitudes, config.p, Provenance("exact"))
     return CommandResult(
         {"ideal_report.json": _report_json("ideal", config, report=_report_dict(report))},
         [
@@ -330,21 +330,12 @@ def cmd_ideal(config: ExperimentConfig) -> CommandResult:
 
 
 def cmd_simulate(config: ExperimentConfig) -> CommandResult:
-    reports = run_batches(
-        config.amplitudes,
-        config.measurement,
-        config.rule,
-        config.detection,
-        config.batches,
-        config.master_seed,
-    )
+    t, det = config.amplitudes, config.detection
+    reports = sample_batches(t, config.p, det, config.batches, config.master_seed)
     est = estimate_kappa(reports)
     rejected = config.rule.kind == "born" and born_null_rejected(est)
-    predicted = None  # exact mode has no counting noise to predict
-    if config.detection is not None:
-        predicted = predicted_kappa_std(
-            config.amplitudes, config.measurement, config.rule, config.detection
-        )
+    # exact mode has no counting noise to predict
+    predicted = None if det is None else predicted_kappa_std(t, config.p, det)
     summary = _report_json(
         "simulate",
         config,
@@ -464,13 +455,13 @@ def _predicted_detectable_eps(config: ExperimentConfig) -> float | None:
     if config.detection is None or not nonzero:
         return None
     eps = min(nonzero, key=abs)
-    rule = ProbabilityRule(config.sensitivity_family, eps)
-    exact = run_protocol_batch(config.amplitudes, config.measurement, rule, None, 0)
+    t, spec = config.amplitudes, config.measurement
+    p = exact_probabilities(t, spec, ProbabilityRule(config.sensitivity_family, eps))
+    exact = sorkin_report(t, p, Provenance("exact"))
     if exact.kappa == 0.0:
         return None
-    sigma = predicted_kappa_std(
-        config.amplitudes, config.measurement, ProbabilityRule.born(), config.detection
-    )
+    born = exact_probabilities(t, spec, ProbabilityRule.born())
+    sigma = predicted_kappa_std(t, born, config.detection)
     return 3.0 * sigma * abs(eps) / (math.sqrt(config.batches) * abs(exact.kappa))
 
 

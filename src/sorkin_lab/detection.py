@@ -24,7 +24,7 @@ runs SeedSequence's hash over the n_batches x 8 entropy rows at once, as
 uint32 array operations, and each stream is then PCG64 seeded with its
 precomputed words.  That is the very generator
 default_rng(SeedSequence([s, b, k])) builds, at about an eighth of its
-set-up cost.  A run_protocol_batch call is a run of one batch.
+set-up cost.
 """
 
 from __future__ import annotations
@@ -246,62 +246,47 @@ def _generator(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
 
 
-def _check_sampleable(p_true: float) -> None:
-    """Refuse a probability the counting model cannot sample: outside [0, 1]."""
-    if not 0.0 <= p_true <= 1.0:
-        raise UnphysicalParameterError(
-            f"true probability {p_true!r} is outside [0, 1]; "
-            "the counting model cannot simulate it"
-        )
-
-
 def _readout_constants(p_true, det: DetectionParams) -> tuple[float, float, float]:
     """(mu_dark, N * mu_bg, reference mean) of a run, shared by all its batches.
 
     Refuses first a run whose seven probabilities the counting model
-    cannot sample.
+    cannot sample: Binomial(N, p) needs every p in [0, 1].
     """
     for p in p_true:
-        _check_sampleable(p)
+        if not 0.0 <= p <= 1.0:
+            raise UnphysicalParameterError(
+                f"true probability {p!r} is outside [0, 1]; "
+                "the counting model cannot simulate it"
+            )
     return det.mu_dark, det.shots * det.mu_bg, det.shots * (det.mu_bright + det.mu_bg)
 
 
-def _exact_probabilities(
+def expected_estimates(p_true, det: DetectionParams) -> tuple[float, ...]:
+    """Mean signal over mean reference of each experiment: the affine map
+    C*p + d of p_true, C = (mu_bright - mu_dark) / (mu_bright + mu_bg).
+    Refuses, as a run does, probabilities the counting model cannot sample."""
+    mu_dark, bg, ref_mean = _readout_constants(p_true, det)
+    n, dmu = det.shots, det.mu_bright - mu_dark
+    return tuple((n * (mu_dark + p * dmu) + bg) / ref_mean for p in p_true)
+
+
+def exact_probabilities(
     t: TargetAmplitudes, spec: MeasurementSpec, rule: ProbabilityRule
 ) -> tuple[float, ...]:
-    """The seven rule probabilities; every batch of a run samples from these."""
+    """The seven rule probabilities of the protocol, the first step of every run."""
     m = measurement_ket(spec)
     return tuple(probability(rule, m, psi) for psi in prepare_states(t))
 
 
-def _batch(
-    t: TargetAmplitudes,
-    p_true: tuple[float, ...],
-    det: DetectionParams | None,
-    prefix: list[int],
-    seeds: np.ndarray | None,
-    readout: tuple[float, float, float] | None,
-) -> SorkinReport:
-    if det is None:
-        p = p_true
-        prov = Provenance("exact")
-    else:
-        mu_dark, bg, ref_mean = readout
-        rng = [_generator(s) for s in seeds]
-        signals = []
-        for k in range(7):
-            bright = rng[k].binomial(det.shots, p_true[k])
-            lam = bright * det.mu_bright + (det.shots - bright) * mu_dark + bg
-            signals.append(int(rng[k].poisson(lam)))
-        ref = int(rng[REFERENCE_STREAM].poisson(ref_mean))
-        p = tuple(s / ref for s in signals)
-        prov = Provenance("simulated", seed=tuple(prefix), shots=det.shots)
+def sorkin_report(t: TargetAmplitudes, p, provenance: Provenance) -> SorkinReport:
+    """The interference terms and kappa of seven probabilities p, the last
+    step of every run; kappa refuses an I2 at or below KAPPA_FLOOR."""
     terms = second_order_terms(p, t)
     i3 = third_order_term(p, t)
     kap = kappa(i3, terms)
     a2, b2, c2 = t.a**2, t.b**2, t.c**2
     return SorkinReport(
-        p=p,
+        p=tuple(p),
         q_a=a2 * p[4],
         q_b=b2 * p[5],
         q_c=c2 * p[6],
@@ -311,8 +296,38 @@ def _batch(
         I2=abs(terms[0]) + abs(terms[1]) + abs(terms[2]),
         I3=i3,
         kappa=kap,
-        provenance=prov,
+        provenance=provenance,
     )
+
+
+def _draw(t, p_true, det, readout, prefix, seeds) -> SorkinReport:
+    """One simulated batch: experiment k draws from stream seeds[k], and the
+    seven signals share the reference drawn from seeds[REFERENCE_STREAM]."""
+    mu_dark, bg, ref_mean = readout
+    rng = [_generator(s) for s in seeds]
+    signals = []
+    for k in range(7):
+        bright = rng[k].binomial(det.shots, p_true[k])
+        lam = bright * det.mu_bright + (det.shots - bright) * mu_dark + bg
+        signals.append(int(rng[k].poisson(lam)))
+    ref = int(rng[REFERENCE_STREAM].poisson(ref_mean))
+    prov = Provenance("simulated", seed=tuple(prefix), shots=det.shots)
+    return sorkin_report(t, tuple(s / ref for s in signals), prov)
+
+
+def sample_batches(
+    t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
+) -> list[SorkinReport]:
+    """n_batches readouts of any seven true probabilities p_true; det=None
+    reports p_true itself.  Experiment k of batch b draws from
+    SeedSequence([*master_seed, b, k]), the batch's reference from k = 7.
+    """
+    prefix = _entropy(master_seed)
+    if det is None:
+        return [sorkin_report(t, p_true, Provenance("exact"))] * n_batches
+    readout = _readout_constants(p_true, det)
+    seeds = _run_seeds(prefix, n_batches)
+    return [_draw(t, p_true, det, readout, [*prefix, b], seeds[b]) for b in range(n_batches)]
 
 
 def run_protocol_batch(
@@ -324,16 +339,15 @@ def run_protocol_batch(
 ) -> SorkinReport:
     """One seven-experiment batch; det=None runs on exact probabilities.
 
-    In simulated mode each experiment's photon counts come from its own
-    seed stream and the batch's seven estimates share one reference draw.
+    In simulated mode experiment k draws from SeedSequence([*seed, k]) and
+    the seven estimates share one reference draw, from k = 7.
     """
+    p_true = exact_probabilities(t, spec, rule)
+    if det is None:
+        return sorkin_report(t, p_true, Provenance("exact"))
     prefix = _entropy(seed)
-    p_true = _exact_probabilities(t, spec, rule)
-    seeds = readout = None
-    if det is not None:
-        seeds = _stream_seeds(np.array([_words(prefix)], dtype=np.uint32))[0]
-        readout = _readout_constants(p_true, det)
-    return _batch(t, p_true, det, prefix, seeds, readout)
+    seeds = _stream_seeds(np.array([_words(prefix)], dtype=np.uint32))[0]
+    return _draw(t, p_true, det, _readout_constants(p_true, det), prefix, seeds)
 
 
 def run_batches(
@@ -344,19 +358,9 @@ def run_batches(
     n_batches: int,
     master_seed,
 ) -> list[SorkinReport]:
-    """n_batches independent batches, ordered by batch index.
-
-    Batch b equals run_protocol_batch(..., (*master_seed, b)); the exact
-    probabilities are computed once for the whole run, and in simulated
-    mode so are the seeds of all its streams and the counting model's
-    constants.
-    """
-    p_true = _exact_probabilities(t, spec, rule)
-    prefix = _entropy(master_seed)
-    seeds, readout = [None] * n_batches, None
-    if det is not None:
-        seeds, readout = _run_seeds(prefix, n_batches), _readout_constants(p_true, det)
-    return [_batch(t, p_true, det, [*prefix, b], seeds[b], readout) for b in range(n_batches)]
+    """sample_batches of the rule's exact probabilities; batch b equals
+    run_protocol_batch(..., (*master_seed, b))."""
+    return sample_batches(t, exact_probabilities(t, spec, rule), det, n_batches, master_seed)
 
 
 def _t975(df: int) -> float:
@@ -410,8 +414,9 @@ def estimate_kappa(reports, *, seed=None) -> KappaEstimate:
     return KappaEstimate(mean=mean, std=std, stderr=stderr, ci95=(mean - half, mean + half))
 
 
-def predicted_kappa_std(t, spec, rule, det: DetectionParams) -> float:
-    """Batch kappa std of the counting model, to first order (delta method).
+def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
+    """Batch kappa std of the counting model on the seven true probabilities
+    p_true, to first order (delta method).
 
     kappa is invariant under the shared reference and a common affine map
     of the signals, so sigma_kappa = sqrt(sum_k c3_k^2 Var S_k) / I2(E S),
@@ -419,7 +424,7 @@ def predicted_kappa_std(t, spec, rule, det: DetectionParams) -> float:
     and Var S_k = E S_k + N p_k (1 - p_k) dmu^2, dmu = mu_bright - mu_dark.
     The I2 gradient term carries I3(E S), zero under Born, and is dropped.
     """
-    p = np.array(_exact_probabilities(t, spec, rule))
+    p = np.array(p_true)
     n, dmu = det.shots, det.mu_bright - det.mu_dark
     mean = n * (det.mu_dark + p * dmu + det.mu_bg)
     var = mean + n * p * (1.0 - p) * dmu**2
@@ -442,11 +447,11 @@ class SensitivityScan:
     smallest_detected_eps: float | None
 
 
-def _grid_kappas(t, spec, runs, n_batches, master_seed):
-    """Batch kappas per grid row; row j runs its (rule, det) under [*master_seed, j]."""
+def _grid_kappas(t, runs, n_batches, master_seed):
+    """Batch kappas per grid row; row j samples its (p_true, det) under [*master_seed, j]."""
     prefix = _entropy(master_seed)
-    for j, (rule, det) in enumerate(runs):
-        reports = run_batches(t, spec, rule, det, n_batches, (*prefix, j))
+    for j, (p_true, det) in enumerate(runs):
+        reports = sample_batches(t, p_true, det, n_batches, (*prefix, j))
         yield np.array([r.kappa for r in reports], dtype=float)
 
 
@@ -470,13 +475,11 @@ def sensitivity_scan(
         )
     eps_grid = [float(eps) for eps in eps_grid]
     born = ProbabilityRule.born()
-    runs = (
-        (born if eps == 0 else ProbabilityRule(rule_family, eps), det)
-        for eps in eps_grid
-    )
+    rules = (born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid)
+    runs = ((exact_probabilities(t, spec, rule), det) for rule in rules)
     rows = []
     smallest = None
-    for eps, k in zip(eps_grid, _grid_kappas(t, spec, runs, n_batches, master_seed)):
+    for eps, k in zip(eps_grid, _grid_kappas(t, runs, n_batches, master_seed)):
         k_mean = float(k.mean())
         k_std = float(k.std(ddof=1)) if k.size > 1 else 0.0
         threshold = max(3.0 * k_std / math.sqrt(k.size), 1e-12)
@@ -502,9 +505,9 @@ def scaling_check(
     shots_list = [int(n) for n in shots_list]
     if shots_list != sorted(shots_list):
         raise ValueError("shots_list must be ascending")
-    born = ProbabilityRule.born()
-    runs = ((born, None if det is None else replace(det, shots=n)) for n in shots_list)
-    kappas = _grid_kappas(t, spec, runs, n_batches, master_seed)
+    p_true = exact_probabilities(t, spec, ProbabilityRule.born())
+    runs = ((p_true, None if det is None else replace(det, shots=n)) for n in shots_list)
+    kappas = _grid_kappas(t, runs, n_batches, master_seed)
     return [(n, float(k.std(ddof=1))) for n, k in zip(shots_list, kappas)]
 
 

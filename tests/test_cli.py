@@ -18,7 +18,7 @@ from sorkin_lab.cli import (
     parse_config,
 )
 from sorkin_lab.born import ProbabilityRule
-from sorkin_lab.detection import KappaEstimate, predicted_kappa_std
+from sorkin_lab.detection import KappaEstimate, exact_probabilities, predicted_kappa_std
 from sorkin_lab.dynamics import _period_propagator
 from sorkin_lab.errors import ConfigError
 
@@ -116,6 +116,18 @@ def test_config_rejections(tmp_path):
     for i, (text, most) in enumerate(zip(huge, (9007199, 2**53))):
         with pytest.raises(ConfigError, match=f"allow shots <= {most}$"):
             parse_config(_write(tmp_path, text, f"huge{i}.cfg"))
+    # simulated mode reads out the expected estimates C*p + d, and their I2
+    # must clear the floor too: this background makes C about 3.6e-11 and
+    # the expected I2 about 2.3e-11, though the exact I2 is 0.64
+    path = _write(tmp_path, "detection.mu_bg = 1e9\n", "background.cfg")
+    with pytest.raises(ConfigError, match="rule: second-order .* floor .* expected readout"):
+        parse_config(path)
+    for command in ("ideal", "simulate", "sensitivity"):
+        out = tmp_path / f"background-{command}"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+    exact = _write(tmp_path, "detection.mode = exact\ndetection.mu_bg = 1e9\n", "bg-exact.cfg")
+    assert parse_config(exact).detection is None
     path = _write(tmp_path, "rule = triple:-1e6\n", "negative.cfg")
     with pytest.raises(ConfigError, match="rule: triple deformation"):
         parse_config(path)
@@ -379,9 +391,8 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert len(csv_a.decode().strip().split("\n")) == 11
     assert "kappa" in summary and "ci95" in summary["kappa"]
     config = parse_config(path)
-    predicted = predicted_kappa_std(
-        config.amplitudes, config.measurement, config.rule, config.detection
-    )
+    p = exact_probabilities(config.amplitudes, config.measurement, config.rule)
+    predicted = predicted_kappa_std(config.amplitudes, p, config.detection)
     assert summary["kappa"]["std_predicted"] == predicted
     exact = _write(tmp_path, "batches = 3\ndetection.mode = exact\n", "exact.cfg")
     assert main(["simulate", "--config", exact, "--out", str(tmp_path / "x")]) == EXIT_OK
@@ -446,9 +457,8 @@ def test_sensitivity_predicts_the_detectable_eps(tmp_path):
     # by hand; here sigma is the counting model's and the slope is exact
     slope = 0.10663603541648406  # triple kappa per unit eps at the working point
     config = parse_config(_write(tmp_path, ""))
-    sigma = predicted_kappa_std(
-        config.amplitudes, config.measurement, ProbabilityRule.born(), config.detection
-    )
+    born = exact_probabilities(config.amplitudes, config.measurement, ProbabilityRule.born())
+    sigma = predicted_kappa_std(config.amplitudes, born, config.detection)
     eps_star = _predicted_detectable_eps(tmp_path, "")
     assert eps_star == pytest.approx(3.0 * sigma / (math.sqrt(50) * slope), rel=1e-9)
     assert eps_star == pytest.approx(0.061, abs=5e-4)
@@ -551,7 +561,7 @@ def test_too_few_reference_photons_rejected_at_parse_time(tmp_path, monkeypatch,
     def no_batches(*args, **kwargs):
         raise AssertionError("a batch ran")
 
-    monkeypatch.setattr("sorkin_lab.cli.run_batches", no_batches)
+    monkeypatch.setattr("sorkin_lab.cli.sample_batches", no_batches)
     path = _write(tmp_path, "batches = 2\n" + text)
     with pytest.raises(ConfigError, match="shots >="):
         parse_config(path)
@@ -576,10 +586,9 @@ def test_too_few_reference_photons_rejected_at_parse_time(tmp_path, monkeypatch,
 )
 def test_bad_deformations_rejected_at_parse_time(tmp_path, monkeypatch, command, text):
     def no_run(*args, **kwargs):
-        raise AssertionError("a batch ran")
+        raise AssertionError("the subcommand ran")
 
-    for name in ("run_protocol_batch", "sensitivity_scan"):
-        monkeypatch.setattr(f"sorkin_lab.cli.{name}", no_run)
+    monkeypatch.setitem(_COMMANDS, command, no_run)
     path = _write(tmp_path, "detection.mode = exact\n" + text)
     with pytest.raises(ConfigError):
         parse_config(path)

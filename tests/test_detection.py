@@ -195,7 +195,7 @@ def _per_stream_p(p_true, det, n_batches, prefix):
 def test_run_batches_draw_what_per_stream_seeding_draws(prefix):
     det = DetectionParams()
     seed = prefix[0] if len(prefix) == 1 else prefix
-    p_true = detection._exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
     reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 30, seed)
     assert [r.p for r in reports] == _per_stream_p(p_true, det, 30, prefix)
     # a single batch is a run of one, with the batch index in its seed
@@ -370,7 +370,8 @@ def test_estimate_kappa_memory_is_linear_in_batches():
 @pytest.mark.parametrize("shots", [200_000, 2_000_000])
 def test_observed_kappa_std_matches_the_counting_model(spec, shots):
     det = DetectionParams(shots=shots)
-    predicted = detection.predicted_kappa_std(_target(), spec, BORN, det)
+    p_true = detection.exact_probabilities(_target(), spec, BORN)
+    predicted = detection.predicted_kappa_std(_target(), p_true, det)
     reports = run_batches(_target(), spec, BORN, det, 200, 5)
     ratio = np.std([r.kappa for r in reports], ddof=1) / predicted
     # 99.9% band of s / sigma at 199 degrees of freedom (Wilson-Hilferty)
