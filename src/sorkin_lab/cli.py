@@ -39,6 +39,7 @@ from .detection import (
     BATCH_CSV_SCHEMA,
     SUMMARY_JSON_SCHEMA,
     DetectionParams,
+    KappaEstimate,
     batch_csv_text,
     estimate_kappa,
     exact_probabilities,
@@ -256,21 +257,22 @@ def _resolve(values: dict) -> ExperimentConfig:
 
     # each rule goes through the functions a run uses, on what the run reports
     rules = [("rule", rule)] + [("sensitivity.eps_grid", r) for r in grid_rules]
-    ps = []
+    checked = []
     for key, r in rules:
         try:
-            ps.append(exact_probabilities(t, spec, r))
-            readout = ps[-1] if det is None else expected_estimates(ps[-1], det)
+            p = exact_probabilities(t, spec, r)
+            readout = p if det is None else expected_estimates(p, det)
             sorkin_report(t, readout, Provenance("exact"))
         except (UnphysicalParameterError, QuantumRegimeError) as exc:
             where = "" if det is None else " (simulated mode: of the expected readout)"
             raise ConfigError(f"{key}: {exc}{where}", key=key) from exc
+        checked.append(p)
     return ExperimentConfig(
         hamiltonian=built["hamiltonian"],
         amplitudes=t,
         measurement=spec,
         rule=rule,
-        p=ps[0],
+        p=checked[0],
         detection=det,
         batches=batches,
         master_seed=master_seed,
@@ -332,7 +334,11 @@ def cmd_ideal(config: ExperimentConfig) -> CommandResult:
 def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     t, det = config.amplitudes, config.detection
     reports = sample_batches(t, config.p, det, config.batches, config.master_seed)
-    est = estimate_kappa(reports)
+    if config.batches > 1:
+        est = estimate_kappa(reports)
+    else:  # only exact mode allows one batch (see _resolve), and it has no spread
+        k = reports[0].kappa
+        est = KappaEstimate(k, 0.0, 0.0, (k, k))
     rejected = config.rule.kind == "born" and born_null_rejected(est)
     # exact mode has no counting noise to predict
     predicted = None if det is None else predicted_kappa_std(t, config.p, det)

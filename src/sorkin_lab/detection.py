@@ -322,10 +322,10 @@ def sample_batches(
     reports p_true itself.  Experiment k of batch b draws from
     SeedSequence([*master_seed, b, k]), the batch's reference from k = 7.
     """
-    prefix = _entropy(master_seed)
     if det is None:
         return [sorkin_report(t, p_true, Provenance("exact"))] * n_batches
     readout = _readout_constants(p_true, det)
+    prefix = _entropy(master_seed)
     seeds = _run_seeds(prefix, n_batches)
     return [_draw(t, p_true, det, readout, [*prefix, b], seeds[b]) for b in range(n_batches)]
 

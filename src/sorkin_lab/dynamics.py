@@ -189,13 +189,13 @@ def _half_angle(theta: float) -> tuple[float, float]:
 def rotation_r1(theta: float) -> Unitary3:
     """Rotating-frame rotation on the (|0>, |-1>) pair by angle theta."""
     c, s = _half_angle(theta)
-    return Unitary3._plane_rotation([[1, 0, 0], [0, c, s], [0, -s, c]], c, s)
+    return Unitary3([[1, 0, 0], [0, c, s], [0, -s, c]])
 
 
 def rotation_r2(theta: float) -> Unitary3:
     """Rotating-frame rotation on the (|+1>, |0>) pair by angle theta."""
     c, s = _half_angle(theta)
-    return Unitary3._plane_rotation([[c, -s, 0], [s, c, 0], [0, 0, 1]], c, s)
+    return Unitary3([[c, -s, 0], [s, c, 0], [0, 0, 1]])
 
 
 def _rotate(
@@ -207,9 +207,9 @@ def _rotate(
     MW1's block [[c, s], [-s, c]] acts on (|0>, |-1>), MW2's [[c, -s],
     [s, c]] on (|+1>, |0>); the adjoint is the same block with (c, -s),
     not the rotation by -theta, so it does not rest on the parity of
-    libm's sin and cos.  The rotation takes the same closed-form check as
-    the matrices, and the result has the bits of the checked matrix times
-    the vector (tests/test_lean_path.py).
+    libm's sin and cos.  The rotation takes the closed-form unitarity
+    check of _check_plane_rotation, and the result has the bits of the
+    checked matrix times the vector (tests/test_lean_path.py).
     """
     c, s = _half_angle(theta)
     _check_plane_rotation(c, s)

@@ -15,13 +15,12 @@ that still covers it:
     ``rwa_fidelity``'s ideal state;
   * ``Unitary3(matrix)`` checks shape, finiteness and max|U^dag U - I|
     within UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product;
-  * a plane rotation checks the closed form |c^2 + s^2 - 1| <=
-    UNITARY_ATOL, the only entry of U^dag U - I it can move
-    (``_check_plane_rotation``): the matrices of ``rotation_r1/r2``
-    (``Unitary3._plane_rotation``), and every rotation ``dynamics``
-    applies in closed form to a state's amplitudes, with no matrix built
-    (the scheduled preparations, the measurement ket and the ideal state
-    of ``rwa_fidelity``);
+  * a plane rotation that ``dynamics`` applies in closed form to a
+    state's amplitudes, with no matrix built (the scheduled preparations,
+    the measurement ket and the ideal state of ``rwa_fidelity``), checks
+    the closed form |c^2 + s^2 - 1| <= UNITARY_ATOL, the only entry of
+    U^dag U - I it can move (``_check_plane_rotation``); the matrices of
+    ``rotation_r1/r2`` take the full ``Unitary3`` check;
   * ``dynamics.lab_frame_propagator``, a numerical result, takes the full
     ``Unitary3`` check at atol = 1e-8.
 """
@@ -109,20 +108,6 @@ class Unitary3:
             )
         m.setflags(write=False)
         self._m = m
-
-    @classmethod
-    def _plane_rotation(cls, rows, c: float, s: float) -> "Unitary3":
-        """The rotation `rows`: the identity with one 2x2 block [[c, s], [-s, c]]
-        or [[c, -s], [s, c]] on two levels, the third level fixed.
-
-        Takes the closed-form check of `_check_plane_rotation`.
-        """
-        _check_plane_rotation(c, s)
-        m = np.array(rows, dtype=complex)
-        m.setflags(write=False)
-        u = cls.__new__(cls)
-        u._m = m
-        return u
 
     @classmethod
     def identity(cls) -> "Unitary3":

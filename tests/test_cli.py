@@ -12,6 +12,7 @@ from sorkin_lab.cli import (
     EXIT_OK,
     EXIT_UNWRITABLE,
     born_null_rejected,
+    cmd_ideal,
     cmd_rwa_check,
     cmd_sensitivity,
     main,
@@ -540,6 +541,15 @@ def test_single_exact_batch_still_runs(tmp_path):
     assert main(["sensitivity", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "sensitivity.json").read_text())
     assert payload["smallest_detected_eps"] == 0.05
+    # simulate reports its one exact batch with no spread
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+    k = json.loads((out / "simulate_summary.json").read_text())["kappa"]
+    ideal = cmd_ideal(parse_config(path)).artifacts["ideal_report.json"]
+    mean = json.loads(ideal)["report"]["kappa"]
+    assert k == {
+        "mean": mean, "std": 0.0, "stderr": 0.0, "ci95": [mean, mean], "std_predicted": None
+    }
 
 
 def test_detection_keys_validated_in_exact_mode(tmp_path):

@@ -203,6 +203,18 @@ def test_run_batches_draw_what_per_stream_seeding_draws(prefix):
     assert last == reports[29]
 
 
+@pytest.mark.parametrize("prefix", [(0,), (7, 3)], ids=str)
+def test_sampler_reads_out_any_true_probabilities(prefix):
+    # the paper's probabilities, each moved by a different amount: no rule gives these
+    p_true = tuple(p + 1e-3 * (k + 1) for k, p in enumerate(_paper_probabilities()))
+    det = DetectionParams()
+    seed = prefix[0] if len(prefix) == 1 else prefix
+    reports = detection.sample_batches(_target(), p_true, det, 30, seed)
+    assert [r.p for r in reports] == _per_stream_p(p_true, det, 30, prefix)
+    exact = detection.sample_batches(_target(), p_true, None, 3, seed)
+    assert [r.p for r in exact] == [p_true] * 3
+
+
 def test_stream_set_up_refuses_bad_input():
     state = detection._run_seeds([0], 1)[0, 0]
     with pytest.raises(ValueError):

@@ -1,10 +1,9 @@
 """Oracles for the per-object path.
 
-The rotations are built without a 3x3 unitarity product, and the
-measurement ket, the scheduled preparations and rwa_fidelity's ideal
-state are rotated in closed form with no matrix at all; these tests
-rebuild each one through the public, fully checked constructors and
-require the same bits.
+The measurement ket, the scheduled preparations and rwa_fidelity's ideal
+state are rotated in closed form with no matrix at all, under a
+closed-form unitarity check; these tests rebuild each one through the
+public, fully checked constructors and require the same bits.
 """
 
 import math
@@ -34,6 +33,7 @@ from sorkin_lab import (
     rwa_fidelity,
 )
 from sorkin_lab.dynamics import CHANNELS, HamiltonianParams, _rotate
+from sorkin_lab.qutrit import _check_plane_rotation
 
 # Every finite float, with the large magnitudes drawn on purpose: there
 # cos and sin of the half angle carry the most argument-reduction error.
@@ -115,11 +115,11 @@ def test_closed_form_unitarity_error_matches_the_matrix_product(theta):
 def test_closed_form_check_decides_as_the_full_check(c, s, unitary):
     rows = [[1, 0, 0], [0, c, s], [0, -s, c]]
     if unitary:
-        lean = Unitary3._plane_rotation(rows, c, s)
-        assert lean.matrix.tobytes() == Unitary3(rows).matrix.tobytes()
+        _check_plane_rotation(c, s)
+        Unitary3(rows)
         return
     with pytest.raises(UnitarityError):
-        Unitary3._plane_rotation(rows, c, s)
+        _check_plane_rotation(c, s)
     with pytest.raises(UnitarityError):
         Unitary3(rows)
 
