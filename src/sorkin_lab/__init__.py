@@ -43,7 +43,6 @@ from .protocol import (
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     MeasurementSpec,
-    Provenance,
     SorkinReport,
     TargetAmplitudes,
     apply_schedule,

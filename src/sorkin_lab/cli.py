@@ -60,7 +60,6 @@ from .protocol import (
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     MeasurementSpec,
-    Provenance,
     TargetAmplitudes,
     solve_schedule,
 )
@@ -262,7 +261,7 @@ def _resolve(values: dict) -> ExperimentConfig:
         try:
             p = exact_probabilities(t, spec, r)
             readout = p if det is None else expected_estimates(p, det)
-            sorkin_report(t, readout, Provenance("exact"))
+            sorkin_report(t, readout)
         except (UnphysicalParameterError, QuantumRegimeError) as exc:
             where = "" if det is None else " (simulated mode: of the expected readout)"
             raise ConfigError(f"{key}: {exc}{where}", key=key) from exc
@@ -315,12 +314,13 @@ def _report_dict(report) -> dict:
         "I2": report.I2,
         "I3": report.I3,
         "kappa": report.kappa,
-        "provenance": report.provenance.label(),
+        # only ideal writes a report, and it is always of exact probabilities
+        "provenance": "exact",
     }
 
 
 def cmd_ideal(config: ExperimentConfig) -> CommandResult:
-    report = sorkin_report(config.amplitudes, config.p, Provenance("exact"))
+    report = sorkin_report(config.amplitudes, config.p)
     return CommandResult(
         {"ideal_report.json": _report_json("ideal", config, report=_report_dict(report))},
         [
@@ -463,7 +463,7 @@ def _predicted_detectable_eps(config: ExperimentConfig) -> float | None:
     eps = min(nonzero, key=abs)
     t, spec = config.amplitudes, config.measurement
     p = exact_probabilities(t, spec, ProbabilityRule(config.sensitivity_family, eps))
-    exact = sorkin_report(t, p, Provenance("exact"))
+    exact = sorkin_report(t, p)
     if exact.kappa == 0.0:
         return None
     born = exact_probabilities(t, spec, ProbabilityRule.born())

@@ -14,7 +14,9 @@ identical for this model and O(1) per estimate.
 
 Within one batch the seven signals share a single reference draw (the
 normalization is one bright reference trace), so common reference noise
-cancels from kappa exactly.
+cancels from kappa exactly.  A batch's report is sorkin_report(t, p) of
+its seven estimates p, as an exact run's is of the exact probabilities:
+the report records neither seed nor shot count.
 
 Seeding is splittable and documented: the RNG stream for experiment k of
 batch b under master seed s is numpy's SeedSequence([s, b, k]), and the
@@ -38,7 +40,6 @@ from .born import DEFORMATIONS, ProbabilityRule, probability
 from .errors import InsufficientBatchesError, UnphysicalParameterError
 from .protocol import (
     MeasurementSpec,
-    Provenance,
     SorkinReport,
     TargetAmplitudes,
     kappa,
@@ -278,9 +279,10 @@ def exact_probabilities(
     return tuple(probability(rule, m, psi) for psi in prepare_states(t))
 
 
-def sorkin_report(t: TargetAmplitudes, p, provenance: Provenance) -> SorkinReport:
+def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
     """The interference terms and kappa of seven probabilities p, the last
-    step of every run; kappa refuses an I2 at or below KAPPA_FLOOR."""
+    step of every run, exact or simulated alike; kappa refuses an I2 at or
+    below KAPPA_FLOOR."""
     terms = second_order_terms(p, t)
     i3 = third_order_term(p, t)
     kap = kappa(i3, terms)
@@ -296,11 +298,10 @@ def sorkin_report(t: TargetAmplitudes, p, provenance: Provenance) -> SorkinRepor
         I2=abs(terms[0]) + abs(terms[1]) + abs(terms[2]),
         I3=i3,
         kappa=kap,
-        provenance=provenance,
     )
 
 
-def _draw(t, p_true, det, readout, prefix, seeds) -> SorkinReport:
+def _draw(t, p_true, det, readout, seeds) -> SorkinReport:
     """One simulated batch: experiment k draws from stream seeds[k], and the
     seven signals share the reference drawn from seeds[REFERENCE_STREAM]."""
     mu_dark, bg, ref_mean = readout
@@ -311,8 +312,7 @@ def _draw(t, p_true, det, readout, prefix, seeds) -> SorkinReport:
         lam = bright * det.mu_bright + (det.shots - bright) * mu_dark + bg
         signals.append(int(rng[k].poisson(lam)))
     ref = int(rng[REFERENCE_STREAM].poisson(ref_mean))
-    prov = Provenance("simulated", seed=tuple(prefix), shots=det.shots)
-    return sorkin_report(t, tuple(s / ref for s in signals), prov)
+    return sorkin_report(t, tuple(s / ref for s in signals))
 
 
 def sample_batches(
@@ -323,11 +323,10 @@ def sample_batches(
     SeedSequence([*master_seed, b, k]), the batch's reference from k = 7.
     """
     if det is None:
-        return [sorkin_report(t, p_true, Provenance("exact"))] * n_batches
+        return [sorkin_report(t, p_true)] * n_batches
     readout = _readout_constants(p_true, det)
-    prefix = _entropy(master_seed)
-    seeds = _run_seeds(prefix, n_batches)
-    return [_draw(t, p_true, det, readout, [*prefix, b], seeds[b]) for b in range(n_batches)]
+    seeds = _run_seeds(_entropy(master_seed), n_batches)
+    return [_draw(t, p_true, det, readout, batch) for batch in seeds]
 
 
 def run_protocol_batch(
@@ -344,10 +343,9 @@ def run_protocol_batch(
     """
     p_true = exact_probabilities(t, spec, rule)
     if det is None:
-        return sorkin_report(t, p_true, Provenance("exact"))
-    prefix = _entropy(seed)
-    seeds = _stream_seeds(np.array([_words(prefix)], dtype=np.uint32))[0]
-    return _draw(t, p_true, det, _readout_constants(p_true, det), prefix, seeds)
+        return sorkin_report(t, p_true)
+    seeds = _stream_seeds(np.array([_words(_entropy(seed))], dtype=np.uint32))[0]
+    return _draw(t, p_true, det, _readout_constants(p_true, det), seeds)
 
 
 def run_batches(

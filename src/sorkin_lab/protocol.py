@@ -11,7 +11,10 @@ interference terms, the third-order term
 
 and the normalized ratio kappa = I3 / (|I_ab| + |I_ac| + |I_bc|) are
 extracted.  Under Born's rule I3 vanishes identically, so kappa is a
-violation figure of merit.  Everything here is pure and reentrant.
+violation figure of merit.  A SorkinReport holds those numbers for one
+batch; it is a function of the target and the seven probabilities alone,
+whether they are exact or a readout's estimates.  Everything here is pure
+and reentrant.
 """
 
 from __future__ import annotations
@@ -63,22 +66,9 @@ MEASUREMENT_M2 = MeasurementSpec(3 * math.pi / 2, math.pi / 2)
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a report's probabilities came from."""
-
-    mode: str  # "exact" or "simulated"
-    seed: tuple | None = None
-    shots: int | None = None
-
-    def label(self) -> str:
-        if self.mode == "exact":
-            return "exact"
-        return f"simulated(seed={list(self.seed)}, N={self.shots})"
-
-
-@dataclass(frozen=True)
 class SorkinReport:
-    """Outcome of one seven-experiment batch."""
+    """Outcome of one seven-experiment batch: p and what (t, p) determine
+    (detection.sorkin_report builds it)."""
 
     p: tuple[float, ...]
     q_a: float
@@ -90,7 +80,6 @@ class SorkinReport:
     I2: float
     I3: float
     kappa: float
-    provenance: Provenance
 
 
 def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:

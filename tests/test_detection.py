@@ -99,22 +99,29 @@ def test_exact_batch_matches_oracle():
     assert report.p == pytest.approx(p_oracle, abs=1e-12)
     assert report.I2 == pytest.approx(I2_EXPECTED, abs=1e-12)
     assert abs(report.kappa) < 1e-12
-    assert report.provenance.label() == "exact"
     assert report.p[0] == pytest.approx(
         report.q_a + report.q_b + report.q_c + report.I_ab + report.I_ac + report.I_bc,
         abs=1e-12,
     )
 
 
-def test_simulated_batch_determinism_and_provenance():
+def test_simulated_batch_determinism():
     det = DetectionParams(shots=100_000)
     r1 = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (42, 0))
     r2 = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (42, 0))
     assert r1.p == r2.p
     assert r1.kappa == r2.kappa
-    assert r1.provenance.mode == "simulated"
-    assert r1.provenance.shots == 100_000
-    assert "simulated" in r1.provenance.label()
+
+
+@pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
+def test_batch_report_is_a_function_of_its_probabilities(det):
+    # a batch carries nothing beyond what (t, p) determines
+    t = _target()
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", 0.05))
+    reports = detection.sample_batches(t, p_true, det, 4, 11)
+    assert len({r.p for r in reports}) == (1 if det is None else 4)
+    for r in reports:
+        assert r == detection.sorkin_report(t, r.p)
 
 
 @pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
