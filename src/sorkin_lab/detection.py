@@ -443,6 +443,8 @@ class SensitivityRow:
 class SensitivityScan:
     rows: tuple[SensitivityRow, ...]
     smallest_detected_eps: float | None
+    # the strength the 3-sigma flag should detect (see sensitivity_scan)
+    predicted_detectable_eps: float | None
 
 
 def _grid_kappas(t, runs, n_batches, master_seed):
@@ -466,6 +468,12 @@ def sensitivity_scan(
 
     A grid point is detected when |mean kappa| exceeds 3 * std / sqrt(M).
     Grid row j draws from seed prefix [*master_seed, j].
+
+    The same rule predicts the detectable strength: 3 sigma / (sqrt(M)
+    |slope|), with sigma the counting model's Born kappa spread and the
+    slope the exact kappa at the grid's smallest nonzero strength over that
+    strength.  It is None with no readout (det=None), with no nonzero
+    strength, or where that exact kappa is zero.
     """
     if rule_family not in DEFORMATIONS:
         raise ValueError(
@@ -473,8 +481,9 @@ def sensitivity_scan(
         )
     eps_grid = [float(eps) for eps in eps_grid]
     born = ProbabilityRule.born()
-    rules = (born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid)
-    runs = ((exact_probabilities(t, spec, rule), det) for rule in rules)
+    rules = [born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid]
+    p_grid = [exact_probabilities(t, spec, rule) for rule in rules]
+    runs = ((p_true, det) for p_true in p_grid)
     rows = []
     smallest = None
     for eps, k in zip(eps_grid, _grid_kappas(t, runs, n_batches, master_seed)):
@@ -485,7 +494,15 @@ def sensitivity_scan(
         rows.append(SensitivityRow(eps, k_mean, k_std, detected))
         if detected and smallest is None:
             smallest = eps
-    return SensitivityScan(tuple(rows), smallest)
+    nonzero = [(abs(eps), p_true) for eps, p_true in zip(eps_grid, p_grid) if eps != 0]
+    predicted = None
+    if det is not None and nonzero:
+        eps, p_true = min(nonzero, key=lambda pair: pair[0])
+        slope_kappa = sorkin_report(t, p_true).kappa
+        if slope_kappa != 0.0:
+            sigma = predicted_kappa_std(t, exact_probabilities(t, spec, born), det)
+            predicted = 3.0 * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
+    return SensitivityScan(tuple(rows), smallest, predicted)
 
 
 def scaling_check(

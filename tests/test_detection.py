@@ -131,6 +131,24 @@ def test_run_batches_follow_the_batch_stream_layout(det):
         assert r == run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (5, b))
 
 
+@pytest.mark.parametrize("grid", [[0.1, 0.0, -0.05], [0.05, 0.1]])
+def test_scan_predicts_its_detectable_eps(grid):
+    # 3 sigma / (sqrt(M) |slope|) at the smallest nonzero strength, whether or
+    # not the grid holds the Born point
+    t, det, m = _target(), DetectionParams(shots=50_000), 4
+    eps = min((e for e in grid if e), key=abs)
+    p = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", eps))
+    slope = detection.sorkin_report(t, p).kappa / eps
+    born = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    sigma = detection.predicted_kappa_std(t, born, det)
+    scan = sensitivity_scan(t, MEASUREMENT_M1, "triple", grid, det, m, 7)
+    assert scan.predicted_detectable_eps == pytest.approx(
+        3.0 * sigma / (math.sqrt(m) * abs(slope)), rel=1e-12
+    )
+    assert sensitivity_scan(t, MEASUREMENT_M1, "triple", grid, None, m, 7).predicted_detectable_eps is None
+    assert sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, m, 7).predicted_detectable_eps is None
+
+
 def test_grid_row_j_runs_batches_under_seed_prefix_j():
     det = DetectionParams(shots=50_000)
     grid = [0.0, 0.1]
