@@ -38,7 +38,9 @@ class InsufficientBatchesError(SorkinLabError):
 
 
 class StepResolutionError(SorkinLabError):
-    """Requested integration step count is too coarse to trust."""
+    """An integration too coarse, too costly or too long to trust: a step
+    count per drive period outside its bounds, or a pulse spanning more
+    drive periods than the propagator's accuracy bound."""
 
 
 class ConfigError(SorkinLabError):

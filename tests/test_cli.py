@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -308,6 +309,19 @@ def test_unschedulable_target_creates_no_out(tmp_path, capsys, command):
     path = _write(tmp_path, "amplitudes.a = 0\namplitudes.b = 0.6\namplitudes.c = -0.8\n")
     assert _run(tmp_path, capsys, "o", command, path)[0] == EXIT_BAD_CONFIG
     assert not (tmp_path / "o").exists()
+
+
+def test_rwa_check_refuses_a_pulse_too_long_to_trust(tmp_path, capsys):
+    # at 1 kHz the MW2 pi pulse spans about 2.15e6 drive periods, whose power
+    # used to fail the state's norm check on roundoff
+    path = _write(tmp_path, "hamiltonian.omega1_hz = 1e3\n")
+    out = tmp_path / "o"
+    assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert re.search(r"spans \d+ drive periods, more than the maximum 32768", err)
+    # no other subcommand propagates a pulse
+    assert _run(tmp_path, capsys, "s", "schedule", path)[0] == EXIT_OK
 
 
 @pytest.mark.parametrize(

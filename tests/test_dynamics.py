@@ -18,6 +18,7 @@ from sorkin_lab import (
 )
 from sorkin_lab.dynamics import (
     CHANNELS,
+    MAX_DRIVE_PERIODS,
     MAX_STEPS_PER_PERIOD,
     TWO_PI,
     _cf4_steps,
@@ -394,6 +395,37 @@ def test_default_resolution_within_2e9_of_1600_steps(channel, angle, omega1_hz):
     u = lab_frame_propagator(p, seg).matrix
     reference = lab_frame_propagator(p, seg, 1600).matrix
     assert np.max(np.abs(u - reference)) < 2e-9
+
+
+def _spanning(channel, angle, n_periods):
+    """(params, pulse) whose pulse spans n_periods whole drive periods and a half."""
+    carrier = HamiltonianParams().drive_frequency_hz(channel)
+    p = HamiltonianParams(omega1_hz=angle * carrier / (TWO_PI * (n_periods + 0.5)))
+    seg = PulseSegment(channel, angle)
+    assert seg.duration_s(p.omega1_hz) // (1.0 / carrier) == n_periods
+    return p, seg
+
+
+# the angles span the weakest drives (about 1 kHz on MW2 at 0.05) and the
+# strongest (6.2), where the two integrations part most at the bound
+@pytest.mark.parametrize("angle", [0.05, 1.234567, math.pi, 6.2])
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_pulse_at_the_period_bound_within_2e9_of_1600_steps(channel, angle):
+    p, seg = _spanning(channel, angle, MAX_DRIVE_PERIODS)
+    u = lab_frame_propagator(p, seg).matrix
+    reference = lab_frame_propagator(p, seg, 1600).matrix
+    assert np.max(np.abs(u - reference)) < 2e-9
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_pulse_past_the_period_bound_refused_before_integrating(channel, eigh_count):
+    p, seg = _spanning(channel, math.pi, MAX_DRIVE_PERIODS + 1)
+    _period_propagator.cache_clear()
+    match = rf"spans {MAX_DRIVE_PERIODS + 1} drive periods, .* maximum {MAX_DRIVE_PERIODS}"
+    with pytest.raises(StepResolutionError, match=match):
+        lab_frame_propagator(p, seg)
+    assert eigh_count[0] == 0
+    assert _period_propagator.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
