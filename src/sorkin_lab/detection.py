@@ -469,11 +469,10 @@ def sensitivity_scan(
     A grid point is detected when |mean kappa| exceeds 3 * std / sqrt(M).
     Grid row j draws from seed prefix [*master_seed, j].
 
-    The same rule predicts the detectable strength: 3 sigma / (sqrt(M)
-    |slope|), with sigma the counting model's Born kappa spread and the
-    slope the exact kappa at the grid's smallest nonzero strength over that
-    strength.  It is None with no readout (det=None), with no nonzero
-    strength, or where that exact kappa is zero.
+    The same rule predicts the detectable strength 3 sigma / (sqrt(M) |slope|):
+    sigma is the counting model's Born kappa spread, the slope the exact
+    kappa at the smallest nonzero strength over that strength.  None with
+    no readout (det=None), no nonzero strength or a zero slope.
     """
     if rule_family not in DEFORMATIONS:
         raise ValueError(

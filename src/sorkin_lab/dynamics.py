@@ -62,14 +62,10 @@ MIN_STEPS_PER_PERIOD = 50
 # at about 26 MB and one entry at about 2.4 MB (about 150 MB for a full
 # memo).  The package uses the default 200; its tests pass at most 1,600.
 MAX_STEPS_PER_PERIOD = 16_384
-# Longest pulse, in whole drive periods, whose propagator is trusted.  The
-# power U(T)**N and its interaction frame carry roundoff that grows about
-# linearly in N.  Over 400 pulses of every angle at this bound, both
-# channels, the default resolution stayed within 1.1e-9 of 1,600 steps per
-# period (the 2e-9 contract of the tests), and unitarity within 4.3e-11;
-# at 2**16 periods the worst pulse reached 1.8e-9 and at 2**17 3.5e-9.  A
-# pi pulse on MW2 spans about 2.15e9 / omega1_hz periods, so it stays
-# within the bound from omega1 = 66 kHz up.
+# Longest pulse, in whole drive periods, whose propagator is trusted: the
+# roundoff of U(T)**N grows about linearly in N.  At 2**15 every measured
+# pulse stayed within 1.1e-9 of its 1,600-step propagator, against 3.5e-9
+# at 2**17.  An MW2 pi pulse spans about 2.15e9 / omega1_hz periods.
 MAX_DRIVE_PERIODS = 2**15
 
 # Each channel's microwave phase is calibrated so that its rotating-frame

@@ -38,9 +38,8 @@ class InsufficientBatchesError(SorkinLabError):
 
 
 class StepResolutionError(SorkinLabError):
-    """An integration too coarse, too costly or too long to trust: a step
-    count per drive period outside its bounds, or a pulse spanning more
-    drive periods than the propagator's accuracy bound."""
+    """A step count per drive period outside its bounds, or a pulse spanning
+    more drive periods than the propagator is trusted for."""
 
 
 class ConfigError(SorkinLabError):

@@ -38,11 +38,12 @@ OVERRIDES = {"empty-m2": ("empty", ["--measurement", "M2"])}
 def golden_runs() -> dict[str, list[str]]:
     """CLI arguments, --out left out, of every golden run by <config>/<command>."""
     configs = {cfg.stem: (cfg.stem, []) for cfg in sorted(GOLDEN.glob("*.cfg"))}
-    return {
-        f"{name}/{command}": [command, "--config", str(GOLDEN / f"{cfg}.cfg"), "--seed", "1", *flags]
-        for name, (cfg, flags) in (configs | OVERRIDES).items()
-        for command in COMMANDS
-    }
+    runs = {}
+    for name, (cfg, flags) in (configs | OVERRIDES).items():
+        path = str(GOLDEN / f"{cfg}.cfg")
+        for command in COMMANDS:
+            runs[f"{name}/{command}"] = [command, "--config", path, "--seed", "1", *flags]
+    return runs
 
 
 def _sha256(data: bytes) -> str:
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
     runs = golden_runs()
     if args.check is None:
         with tempfile.TemporaryDirectory() as tmp:
-            got = {name: run_in_process(cli_args, Path(tmp, name)) for name, cli_args in runs.items()}
+            got = {name: run_in_process(run, Path(tmp, name)) for name, run in runs.items()}
         MANIFEST.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(got)} runs to {MANIFEST}")
         return 0

@@ -145,8 +145,9 @@ def test_scan_predicts_its_detectable_eps(grid):
     assert scan.predicted_detectable_eps == pytest.approx(
         3.0 * sigma / (math.sqrt(m) * abs(slope)), rel=1e-12
     )
-    assert sensitivity_scan(t, MEASUREMENT_M1, "triple", grid, None, m, 7).predicted_detectable_eps is None
-    assert sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, m, 7).predicted_detectable_eps is None
+    for no_prediction in [(grid, None), ([0.0], det)]:
+        scan = sensitivity_scan(t, MEASUREMENT_M1, "triple", *no_prediction, m, 7)
+        assert scan.predicted_detectable_eps is None
 
 
 def test_grid_row_j_runs_batches_under_seed_prefix_j():
