@@ -39,15 +39,14 @@ from .detection import (
     BATCH_CSV_SCHEMA,
     SUMMARY_JSON_SCHEMA,
     DetectionParams,
-    KappaEstimate,
     batch_csv_text,
-    estimate_kappa,
     exact_probabilities,
     expected_estimates,
     predicted_kappa_std,
     sample_batches,
     sensitivity_scan,
     sorkin_report,
+    summarize,
 )
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
 from .errors import (
@@ -334,11 +333,7 @@ def cmd_ideal(config: ExperimentConfig) -> CommandResult:
 def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     t, det = config.amplitudes, config.detection
     reports = sample_batches(t, config.p, det, config.batches, config.master_seed)
-    if config.batches > 1:
-        est = estimate_kappa(reports)
-    else:  # only exact mode allows one batch (see _resolve), and it has no spread
-        k = reports[0].kappa
-        est = KappaEstimate(k, 0.0, 0.0, (k, k))
+    est = summarize(reports)
     rejected = config.rule.kind == "born" and born_null_rejected(est)
     # exact mode has no counting noise to predict
     predicted = None if det is None else predicted_kappa_std(t, config.p, det)

@@ -18,6 +18,10 @@ cancels from kappa exactly.  A batch's report is sorkin_report(t, p) of
 its seven estimates p, as an exact run's is of the exact probabilities:
 the report records neither seed nor shot count.
 
+summarize is the one summary of a run's batch kappas, for simulate, every
+sensitivity row and every shot-ladder rung alike; a simulated run has at
+least two batches, since one has no spread.
+
 Seeding is splittable and documented: the RNG stream for experiment k of
 batch b under master seed s is numpy's SeedSequence([s, b, k]), and the
 shared batch reference uses k = 7.  Batches are therefore independent of
@@ -321,9 +325,15 @@ def sample_batches(
     """n_batches readouts of any seven true probabilities p_true; det=None
     reports p_true itself.  Experiment k of batch b draws from
     SeedSequence([*master_seed, b, k]), the batch's reference from k = 7.
+    A simulated run of fewer than 2 batches, which has no spread to
+    summarize, is refused before any stream is set up.
     """
     if det is None:
         return [sorkin_report(t, p_true)] * n_batches
+    if n_batches < 2:
+        raise InsufficientBatchesError(
+            f"a simulated run needs at least 2 batches for a spread estimate, got {n_batches}"
+        )
     readout = _readout_constants(p_true, det)
     seeds = _run_seeds(_entropy(master_seed), n_batches)
     return [_draw(t, p_true, det, readout, batch) for batch in seeds]
@@ -412,6 +422,15 @@ def estimate_kappa(reports, *, seed=None) -> KappaEstimate:
     return KappaEstimate(mean=mean, std=std, stderr=stderr, ci95=(mean - half, mean + half))
 
 
+def summarize(reports) -> KappaEstimate:
+    """The kappa summary of a run: estimate_kappa of its batches, or, for
+    the one batch only an exact run may have, its kappa with no spread."""
+    if len(reports) == 1:
+        k = reports[0].kappa
+        return KappaEstimate(k, 0.0, 0.0, (k, k))
+    return estimate_kappa(reports)
+
+
 def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
     """Batch kappa std of the counting model on the seven true probabilities
     p_true, to first order (delta method).
@@ -447,12 +466,11 @@ class SensitivityScan:
     predicted_detectable_eps: float | None
 
 
-def _grid_kappas(t, runs, n_batches, master_seed):
-    """Batch kappas per grid row; row j samples its (p_true, det) under [*master_seed, j]."""
+def _grid_summaries(t, runs, n_batches, master_seed):
+    """summarize of each grid row; row j samples its (p_true, det) under [*master_seed, j]."""
     prefix = _entropy(master_seed)
     for j, (p_true, det) in enumerate(runs):
-        reports = sample_batches(t, p_true, det, n_batches, (*prefix, j))
-        yield np.array([r.kappa for r in reports], dtype=float)
+        yield summarize(sample_batches(t, p_true, det, n_batches, (*prefix, j)))
 
 
 def sensitivity_scan(
@@ -466,8 +484,9 @@ def sensitivity_scan(
 ) -> SensitivityScan:
     """kappa statistics per deformation strength, with a 3-sigma detection flag.
 
-    A grid point is detected when |mean kappa| exceeds 3 * std / sqrt(M).
-    Grid row j draws from seed prefix [*master_seed, j].
+    Each row's mean and std are summarize of its batches, and the row is
+    detected when |mean kappa| exceeds 3 * std / sqrt(M).  Grid row j
+    draws from seed prefix [*master_seed, j].
 
     The same rule predicts the detectable strength 3 sigma / (sqrt(M) |slope|):
     sigma is the counting model's Born kappa spread, the slope the exact
@@ -485,12 +504,10 @@ def sensitivity_scan(
     runs = ((p_true, det) for p_true in p_grid)
     rows = []
     smallest = None
-    for eps, k in zip(eps_grid, _grid_kappas(t, runs, n_batches, master_seed)):
-        k_mean = float(k.mean())
-        k_std = float(k.std(ddof=1)) if k.size > 1 else 0.0
-        threshold = max(3.0 * k_std / math.sqrt(k.size), 1e-12)
-        detected = abs(k_mean) > threshold
-        rows.append(SensitivityRow(eps, k_mean, k_std, detected))
+    for eps, est in zip(eps_grid, _grid_summaries(t, runs, n_batches, master_seed)):
+        threshold = max(3.0 * est.std / math.sqrt(n_batches), 1e-12)
+        detected = abs(est.mean) > threshold
+        rows.append(SensitivityRow(eps, est.mean, est.std, detected))
         if detected and smallest is None:
             smallest = eps
     nonzero = [(abs(eps), p_true) for eps, p_true in zip(eps_grid, p_grid) if eps != 0]
@@ -512,7 +529,8 @@ def scaling_check(
     n_batches: int,
     master_seed,
 ) -> list[tuple[int, float]]:
-    """Empirical kappa std per shot count N, for shot-noise scaling checks.
+    """Empirical kappa std per shot count N, the std of summarize of each
+    rung's batches, for shot-noise scaling checks.
 
     Grid row j draws from seed prefix [*master_seed, j].
     """
@@ -521,8 +539,8 @@ def scaling_check(
         raise ValueError("shots_list must be ascending")
     p_true = exact_probabilities(t, spec, ProbabilityRule.born())
     runs = ((p_true, None if det is None else replace(det, shots=n)) for n in shots_list)
-    kappas = _grid_kappas(t, runs, n_batches, master_seed)
-    return [(n, float(k.std(ddof=1))) for n, k in zip(shots_list, kappas)]
+    summaries = _grid_summaries(t, runs, n_batches, master_seed)
+    return [(n, est.std) for n, est in zip(shots_list, summaries)]
 
 
 def batch_csv_text(reports) -> str:

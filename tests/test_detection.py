@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 from sorkin_lab import (
     DetectionParams,
     InsufficientBatchesError,
+    KappaEstimate,
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     ProbabilityRule,
@@ -482,6 +484,41 @@ def test_scaling_check_exact_and_validation():
     assert [r[1] for r in rows] == [0.0, 0.0]
     with pytest.raises(ValueError):
         scaling_check(_target(), MEASUREMENT_M1, None, [1000, 100], 4, 0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda det: sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [0.0, 0.01], det, 1, 3),
+        lambda det: scaling_check(_target(), MEASUREMENT_M1, det, [20_000, 200_000], 1, 3),
+        lambda det: run_batches(_target(), MEASUREMENT_M1, BORN, det, 1, 3),
+    ],
+    ids=["sensitivity_scan", "scaling_check", "run_batches"],
+)
+def test_one_simulated_batch_refused_before_any_stream(monkeypatch, run):
+    def no_generator(state):
+        raise AssertionError("a stream's generator was built")
+
+    monkeypatch.setattr(detection, "_generator", no_generator)
+    with pytest.raises(InsufficientBatchesError, match="at least 2 batches"):
+        run(DetectionParams())
+
+
+def test_one_exact_batch_per_rung_has_no_spread():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = scaling_check(_target(), MEASUREMENT_M1, None, [20_000, 200_000], 1, 3)
+    assert rows == [(20_000, 0.0), (200_000, 0.0)]
+
+
+def test_summarize_is_estimate_kappa_or_one_exact_batch():
+    reports = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(shots=50_000), 5, 1)
+    assert detection.summarize(reports) == estimate_kappa(reports)
+    (exact,) = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
+    k = exact.kappa
+    assert detection.summarize([exact]) == KappaEstimate(k, 0.0, 0.0, (k, k))
+    with pytest.raises(InsufficientBatchesError):
+        detection.summarize([])
 
 
 def test_scaling_check_noise_shrinks_with_brightness():
