@@ -22,8 +22,6 @@ from .dynamics import (
     PulseSchedule,
     PulseSegment,
     lab_frame_propagator,
-    rotation_r1,
-    rotation_r2,
     rwa_fidelity,
 )
 from .errors import (

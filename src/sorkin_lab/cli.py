@@ -19,8 +19,8 @@ Config files are UTF-8 ``key = value`` lines (``#`` comments); dotted keys
 address sections, e.g. ``detection.shots = 2000000``.  Missing keys take
 the documented defaults; unknown keys are rejected.  Exit codes: 0 ok,
 1 simulate-under-born rejected the null at 5 sigma, 2 config file missing,
-3 schema violation or domain error, 4 an artifact could not be written
-(none of the run's artifacts is left behind).
+3 schema violation or domain error, 4 an artifact or stdout could not be
+written (none of the run's artifacts is left behind).
 """
 
 from __future__ import annotations
@@ -453,17 +453,19 @@ _COMMANDS = {
 }
 
 
-def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> None:
-    """Write each artifact into out_dir (created) as UTF-8 with \\n line ends;
-    on an OSError, remove the files written so far and re-raise."""
+def _write_output(out_dir: str, result: CommandResult) -> None:
+    """Write each artifact into out_dir (created) as UTF-8 with \\n line ends,
+    then print stdout; on an OSError, a closed stdout included, remove the
+    files written so far and re-raise."""
     written = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in artifacts.items():
+        for name, text in result.artifacts.items():
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as f:
                 written.append(path)
                 f.write(text)
+        print("\n".join(result.stdout), flush=True)
     except OSError:
         for path in written:
             with contextlib.suppress(OSError):
@@ -506,11 +508,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        _write_artifacts(args.out, result.artifacts)
+        _write_output(args.out, result)
     except OSError as exc:
-        print(f"error: cannot write the artifacts: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # stdout's unflushed text would fail again as the interpreter exits
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
-    print("\n".join(result.stdout))
     if result.exit_code == EXIT_NULL_REJECTED:
         print("born null REJECTED at 5 sigma", file=sys.stderr)
     return result.exit_code

@@ -7,11 +7,10 @@ internally).  Two microwave channels drive the allowed transitions:
     MW1: |0> <-> |-1>, carrier D - gamma_e*B
     MW2: |0> <-> |+1>, carrier D + gamma_e*B
 
-In the rotating-wave approximation each channel produces the rotation
-matrices `rotation_r1` / `rotation_r2` below, parametrized by the rotation
-angle theta = omega_1 * t (half-angle matrices); the protocol's states are
-rotated by them in closed form, two amplitudes at a time, with no matrix
-built (`_rotate`).  `lab_frame_propagator`
+In the rotating-wave approximation each channel produces a rotation of
+its level pair by the angle theta = omega_1 * t, with half-angle entries;
+`_rotate` applies it to the protocol's states in closed form, two
+amplitudes at a time, with no matrix built.  `lab_frame_propagator`
 solves the full time-dependent problem, counter-rotating terms and
 crosstalk included, so `rwa_fidelity` can quantify how good the
 approximation actually is.
@@ -69,7 +68,7 @@ MAX_STEPS_PER_PERIOD = 16_384
 MAX_DRIVE_PERIODS = 2**15
 
 # Each channel's microwave phase is calibrated so that its rotating-frame
-# limit is exactly rotation_r1 / rotation_r2; with the standard spin-1 Sy
+# limit is exactly the rotation of _rotate; with the standard spin-1 Sy
 # the |0>-|-1> channel needs the opposite drive sign.
 _DRIVE_SIGN = {"MW1": -1.0, "MW2": 1.0}
 
@@ -186,38 +185,22 @@ class PulseSchedule:
         return sum(s.duration_s(omega1_hz) for s in self.segments)
 
 
-def _half_angle(theta: float) -> tuple[float, float]:
-    """(c, s) = (cos(theta/2), sin(theta/2)), the block entries of a
-    rotation by theta."""
-    return math.cos(0.5 * theta), math.sin(0.5 * theta)
-
-
-def rotation_r1(theta: float) -> Unitary3:
-    """Rotating-frame rotation on the (|0>, |-1>) pair by angle theta."""
-    c, s = _half_angle(theta)
-    return Unitary3([[1, 0, 0], [0, c, s], [0, -s, c]])
-
-
-def rotation_r2(theta: float) -> Unitary3:
-    """Rotating-frame rotation on the (|+1>, |0>) pair by angle theta."""
-    c, s = _half_angle(theta)
-    return Unitary3([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-
-
 def _rotate(
     channel: str, theta: float, amplitudes: tuple[float, float, float], *, adjoint: bool = False
 ) -> tuple[float, float, float]:
-    """rotation_r1/r2(theta), or its adjoint, applied in closed form to real
-    amplitudes (|+1>, |0>, |-1>), with no matrix built.
+    """The channel's rotating-frame rotation by theta, or its adjoint,
+    applied in closed form to real amplitudes (|+1>, |0>, |-1>), with no
+    matrix built.
 
-    MW1's block [[c, s], [-s, c]] acts on (|0>, |-1>), MW2's [[c, -s],
-    [s, c]] on (|+1>, |0>); the adjoint is the same block with (c, -s),
-    not the rotation by -theta, so it does not rest on the parity of
-    libm's sin and cos.  The rotation takes the closed-form unitarity
-    check of _check_plane_rotation, and the result has the bits of the
-    checked matrix times the vector (tests/test_lean_path.py).
+    With (c, s) = (cos(theta/2), sin(theta/2)), MW1's block [[c, s],
+    [-s, c]] acts on (|0>, |-1>), MW2's [[c, -s], [s, c]] on (|+1>, |0>);
+    the adjoint is the same block with (c, -s), not the rotation by -theta,
+    so it does not rest on the parity of libm's sin and cos.  The rotation
+    takes the closed-form unitarity check of _check_plane_rotation, and the
+    result has the bits of the checked Unitary3 of the block times the
+    vector (tests/test_lean_path.py).
     """
-    c, s = _half_angle(theta)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     _check_plane_rotation(c, s)
     if adjoint:
         s = -s
@@ -314,13 +297,13 @@ def lab_frame_propagator(
     CF4(r, from m*dt) @ P[m] @ U(T)**N: one partial step, one lookup and
     log2(N) matrix products by repeated squaring, whatever its length.
     The result is left-multiplied by exp(+i H0 duration) so it is directly
-    comparable with rotation_r1 / rotation_r2, and takes the full Unitary3
-    check.  The pulse lasts seg.angle / omega_1.  detuning_hz shifts the
-    driven level's diagonal entry, modelling a quasi-static dephasing draw;
-    a static shift keeps H periodic.  steps_per_drive_period must lie in
-    [MIN_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD], and the pulse may span at
-    most MAX_DRIVE_PERIODS whole periods, else StepResolutionError is raised
-    before any integration.
+    comparable with the rotating-frame rotation of _rotate, and takes the
+    full Unitary3 check.  The pulse lasts seg.angle / omega_1.  detuning_hz
+    shifts the driven level's diagonal entry, modelling a quasi-static
+    dephasing draw; a static shift keeps H periodic.  steps_per_drive_period
+    must lie in [MIN_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD], and the pulse
+    may span at most MAX_DRIVE_PERIODS whole periods, else
+    StepResolutionError is raised before any integration.
     """
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(

@@ -19,8 +19,7 @@ that still covers it:
     state's amplitudes, with no matrix built (the scheduled preparations,
     the measurement ket and the ideal state of ``rwa_fidelity``), checks
     the closed form |c^2 + s^2 - 1| <= UNITARY_ATOL, the only entry of
-    U^dag U - I it can move (``_check_plane_rotation``); the matrices of
-    ``rotation_r1/r2`` take the full ``Unitary3`` check;
+    U^dag U - I it can move (``_check_plane_rotation``);
   * ``dynamics.lab_frame_propagator``, a numerical result, takes the full
     ``Unitary3`` check at atol = 1e-8.
 """

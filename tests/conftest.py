@@ -33,6 +33,19 @@ PREPARATION_ANGLES = (
 )
 
 
+def r1_rows(theta):
+    """Rows of the rotating-frame MW1 rotation by theta on (|0>, |-1>);
+    Unitary3(r1_rows(theta)) is the fully checked reference matrix."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return [[1, 0, 0], [0, c, s], [0, -s, c]]
+
+
+def r2_rows(theta):
+    """Rows of the rotating-frame MW2 rotation by theta on (|+1>, |0>)."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+
+
 def oracle_state_vectors(a, b, c):
     """Seven protocol state vectors, built directly from the definitions."""
     ab = math.hypot(a, b)

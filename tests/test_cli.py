@@ -2,6 +2,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +289,34 @@ def test_unwritable_artifacts_exit_4_and_leave_none_behind(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error: cannot write") == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_4_and_leaves_no_artifacts(tmp_path, unbuffered):
+    # a pipe whose read end is already closed, as after `| head -1`; a
+    # buffered stdout still holds the text when the interpreter exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "o"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sorkin_lab.cli", "ideal",
+             "--config", _write(tmp_path, ""), "--out", str(out)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_UNWRITABLE
+    assert proc.stderr.decode().startswith("error: cannot write")
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_measurement_override_replaces_explicit_angles(tmp_path, capsys):

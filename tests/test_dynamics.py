@@ -12,8 +12,6 @@ from sorkin_lab import (
     QutritState,
     StepResolutionError,
     lab_frame_propagator,
-    rotation_r1,
-    rotation_r2,
     rwa_fidelity,
 )
 from sorkin_lab.dynamics import (
@@ -23,6 +21,7 @@ from sorkin_lab.dynamics import (
     TWO_PI,
     _cf4_steps,
     _period_propagator,
+    _rotate,
 )
 from sorkin_lab.qutrit import spin1_matrices
 
@@ -93,37 +92,42 @@ def eigh_count(monkeypatch):
     return count
 
 
+def _rotation(channel, theta):
+    """The matrix of the rotating-frame rotation: column j is _rotate of basis ket j."""
+    return np.array([_rotate(channel, theta, tuple(ket)) for ket in np.eye(3)]).T
+
+
 def test_rotation_r1_identity_and_pi():
-    assert np.allclose(rotation_r1(0.0).matrix, np.eye(3))
-    out = rotation_r1(math.pi).matrix @ np.array([0, 1, 0], dtype=complex)
+    assert np.allclose(_rotation("MW1", 0.0), np.eye(3))
+    out = _rotate("MW1", math.pi, (0.0, 1.0, 0.0))
     assert np.allclose(out, [0, 0, -1], atol=1e-15)
 
 
 def test_rotation_r1_half_angle_entries():
     theta = math.acos(1 / 3)
-    m = rotation_r1(theta).matrix
+    m = _rotation("MW1", theta)
     assert m[1, 1] == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
     assert m[1, 2] == pytest.approx(1 / math.sqrt(3), abs=1e-15)
 
 
 def test_rotation_r2_identity_spinor_and_quarter():
-    assert np.allclose(rotation_r2(0.0).matrix, np.eye(3))
-    ket0 = np.array([0, 1, 0], dtype=complex)
-    assert np.allclose(rotation_r2(2 * math.pi).matrix @ ket0, [0, -1, 0], atol=1e-12)
-    out = rotation_r2(math.pi / 2).matrix @ ket0
+    assert np.allclose(_rotation("MW2", 0.0), np.eye(3))
+    ket0 = (0.0, 1.0, 0.0)
+    assert np.allclose(_rotate("MW2", 2 * math.pi, ket0), [0, -1, 0], atol=1e-12)
+    out = _rotate("MW2", math.pi / 2, ket0)
     assert np.allclose(out, [-1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15)
 
 
 @given(_angles, _angles)
 def test_rotation_r1_one_parameter_subgroup(t1, t2):
-    prod = rotation_r1(t1).matrix @ rotation_r1(t2).matrix
-    assert np.max(np.abs(prod - rotation_r1(t1 + t2).matrix)) < 1e-12
+    prod = _rotation("MW1", t1) @ _rotation("MW1", t2)
+    assert np.max(np.abs(prod - _rotation("MW1", t1 + t2))) < 1e-12
 
 
 @given(_angles, _angles)
 def test_rotation_r2_one_parameter_subgroup(t1, t2):
-    prod = rotation_r2(t1).matrix @ rotation_r2(t2).matrix
-    assert np.max(np.abs(prod - rotation_r2(t1 + t2).matrix)) < 1e-12
+    prod = _rotation("MW2", t1) @ _rotation("MW2", t2)
+    assert np.max(np.abs(prod - _rotation("MW2", t1 + t2))) < 1e-12
 
 
 def test_pulse_segment_canonicalizes_angle():
@@ -470,7 +474,7 @@ def test_detuned_propagation_dephases():
     p = HamiltonianParams(omega1_hz=1e6)
     seg = PulseSegment("MW1", math.pi)
     u = lab_frame_propagator(p, seg, detuning_hz=1e6).matrix
-    ideal = rotation_r1(math.pi).matrix
+    ideal = _rotate("MW1", math.pi, (0.0, 1.0, 0.0))
     psi0 = QutritState.ket_zero().vector
-    overlap = abs(np.vdot(ideal @ psi0, u @ psi0)) ** 2
+    overlap = abs(np.vdot(ideal, u @ psi0)) ** 2
     assert overlap < 0.9

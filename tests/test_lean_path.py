@@ -28,12 +28,12 @@ from sorkin_lab import (
     apply_unitary,
     inner_product,
     measurement_ket,
-    rotation_r1,
-    rotation_r2,
     rwa_fidelity,
 )
 from sorkin_lab.dynamics import CHANNELS, HamiltonianParams, _rotate
 from sorkin_lab.qutrit import _check_plane_rotation
+
+from conftest import r1_rows, r2_rows
 
 # Every finite float, with the large magnitudes drawn on purpose: there
 # cos and sin of the half angle carry the most argument-reduction error.
@@ -56,16 +56,6 @@ def _special_angles(arity=1):
     return decorate
 
 
-def _r1_rows(theta):
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return [[1, 0, 0], [0, c, s], [0, -s, c]]
-
-
-def _r2_rows(theta):
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return [[c, -s, 0], [s, c, 0], [0, 0, 1]]
-
-
 def _bits(state: QutritState) -> bytes:
     amplitudes = (state.c_plus, state.c_zero, state.c_minus)
     assert all(type(x) is complex for x in amplitudes)
@@ -76,19 +66,9 @@ def _validated_preparation(schedule: PulseSchedule) -> QutritState:
     """A schedule run on |0> through checked matrices and checked states."""
     state = QutritState.from_vector([0.0, 1.0, 0.0])
     for seg in schedule:
-        rows = _r1_rows(seg.angle) if seg.channel == "MW1" else _r2_rows(seg.angle)
+        rows = r1_rows(seg.angle) if seg.channel == "MW1" else r2_rows(seg.angle)
         state = QutritState.from_vector(Unitary3(rows).matrix @ state.vector)
     return state
-
-
-@_special_angles()
-@given(_angles)
-def test_rotations_equal_the_validated_matrix(theta):
-    for rotation, rows in ((rotation_r1, _r1_rows), (rotation_r2, _r2_rows)):
-        lean = rotation(theta).matrix
-        assert lean.tobytes() == Unitary3(rows(theta)).matrix.tobytes()
-        assert lean.dtype == complex and lean.shape == (3, 3)
-        assert not lean.flags.writeable
 
 
 @_special_angles()
@@ -96,8 +76,8 @@ def test_rotations_equal_the_validated_matrix(theta):
 def test_closed_form_unitarity_error_matches_the_matrix_product(theta):
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     closed = abs(c * c + s * s - 1.0)
-    for rotation in (rotation_r1, rotation_r2):
-        u = rotation(theta).matrix
+    for rows in (r1_rows, r2_rows):
+        u = Unitary3(rows(theta)).matrix
         full = np.max(np.abs(u.conj().T @ u - np.eye(3)))
         assert abs(closed - full) <= 1e-15
 
@@ -130,8 +110,8 @@ def test_closed_form_check_decides_as_the_full_check(c, s, unitary):
 @example(3 * math.pi / 2, math.pi / 2)
 def test_measurement_ket_equals_the_validated_composition(theta1, theta2):
     validated = QutritState.from_vector(
-        Unitary3(_r2_rows(theta2)).matrix.conj().T
-        @ Unitary3(_r1_rows(theta1)).matrix.conj().T
+        Unitary3(r2_rows(theta2)).matrix.conj().T
+        @ Unitary3(r1_rows(theta1)).matrix.conj().T
         @ QutritState(0.0, 1.0, 0.0).vector
     )
     assert _bits(measurement_ket(MeasurementSpec(theta1, theta2))) == _bits(validated)
@@ -156,10 +136,10 @@ def test_rwa_ideal_state_equals_the_rotation_applied_to_ket_zero(theta):
 
     with mock.patch("sorkin_lab.dynamics.lab_frame_propagator", return_value=Unitary3.identity()):
         with mock.patch("sorkin_lab.dynamics.inner_product", recording_inner_product):
-            for channel, rotation in (("MW1", rotation_r1), ("MW2", rotation_r2)):
+            for channel, rows in (("MW1", r1_rows), ("MW2", r2_rows)):
                 seg = PulseSegment(channel, theta)
                 rwa_fidelity(HamiltonianParams(), seg)
-                expected = apply_unitary(rotation(seg.angle), QutritState.ket_zero())
+                expected = apply_unitary(Unitary3(rows(seg.angle)), QutritState.ket_zero())
                 assert _bits(bras[-1]) == _bits(expected)
     assert len(bras) == 2
 

@@ -12,10 +12,10 @@ from sorkin_lab import (
     Unitary3,
     apply_unitary,
     inner_product,
-    rotation_r1,
-    rotation_r2,
     spin1_matrices,
 )
+
+from conftest import r1_rows, r2_rows
 
 SQRT3 = math.sqrt(3.0)
 
@@ -78,12 +78,12 @@ def test_apply_identity():
 
 
 def test_apply_pi_pulse_sends_zero_to_minus():
-    out = apply_unitary(rotation_r1(math.pi), KET_ZERO)
+    out = apply_unitary(Unitary3(r1_rows(math.pi)), KET_ZERO)
     assert np.allclose(out.vector, [0, 0, -1], atol=1e-15)
 
 
 def test_apply_prepares_paper_superposition():
-    u = rotation_r2(math.pi / 2).matrix @ rotation_r1(math.acos(1 / 3)).matrix
+    u = Unitary3(r2_rows(math.pi / 2)).matrix @ Unitary3(r1_rows(math.acos(1 / 3))).matrix
     out = apply_unitary(Unitary3(u), KET_ZERO)
     assert np.allclose(out.vector, [-1 / SQRT3, 1 / SQRT3, -1 / SQRT3], atol=1e-15)
 
@@ -96,7 +96,7 @@ def test_apply_rejects_nonunitary():
 def test_compose_matches_closed_form_column():
     # R2(t') R1(t) |0> = (-cos(t/2) sin(t'/2), cos(t/2) cos(t'/2), -sin(t/2))
     t, tp = math.acos(1 / 3), math.pi / 2
-    u = rotation_r2(tp).matrix @ rotation_r1(t).matrix
+    u = Unitary3(r2_rows(tp)).matrix @ Unitary3(r1_rows(t)).matrix
     expected = np.array(
         [
             -math.cos(t / 2) * math.sin(tp / 2),
@@ -123,9 +123,10 @@ def test_random_rotation_compositions_stay_unitary():
     worst_norm = 0.0
     psi = QutritState(-1 / SQRT3, 1 / SQRT3, -1 / SQRT3).vector
     for _ in range(10_000):
-        u = rotation_r2(rng.uniform(0, 2 * math.pi)).matrix @ rotation_r1(
-            rng.uniform(0, 2 * math.pi)
-        ).matrix
+        u = (
+            Unitary3(r2_rows(rng.uniform(0, 2 * math.pi))).matrix
+            @ Unitary3(r1_rows(rng.uniform(0, 2 * math.pi))).matrix
+        )
         worst_unitarity = max(worst_unitarity, np.max(np.abs(u.conj().T @ u - eye)))
         worst_norm = max(worst_norm, abs(np.linalg.norm(u @ psi) ** 2 - 1.0))
     assert worst_unitarity < 1e-12
