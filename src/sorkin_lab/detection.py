@@ -22,15 +22,16 @@ summarize is the one summary of a run's batch kappas, for simulate, every
 sensitivity row and every shot-ladder rung alike; a simulated run has at
 least two batches, since one has no spread.
 
-Seeding is splittable and documented: the RNG stream for experiment k of
-batch b under master seed s is numpy's SeedSequence([s, b, k]), and the
-shared batch reference uses k = 7.  Batches are therefore independent of
-execution order.  A run sets all its streams up in one pass: _seed_words
-runs SeedSequence's hash over the n_batches x 8 entropy rows at once, as
-uint32 array operations, and each stream is then PCG64 seeded with its
-precomputed words.  That is the very generator
-default_rng(SeedSequence([s, b, k])) builds, at about an eighth of its
-set-up cost.
+Seeding is documented: a run draws from one stream,
+default_rng(SeedSequence([*prefix])), where the prefix is the run's
+master seed, or [*master_seed, j] for row j of a sensitivity scan or shot
+ladder.  It draws in three array calls, in this order: the bright counts
+of every batch and experiment, Binomial(N, p) over an (M, 7) batch-major
+array; the signals, Poisson over the same shape; then each batch's
+reference, M Poisson draws.  SeedSequence zero-pads entropy shorter than
+four words, so [s] and [s, 0] name one stream: simulate at seed s draws
+what row 0 of a scan at seed s draws.  No run reuses a stream within
+itself.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .protocol import (
     third_order_term,
 )
 
-REFERENCE_STREAM = 7
-
 # Least expected reference count per estimate: P(zero reference) = e^-50.
 MIN_REFERENCE_PHOTONS = 50.0
 # Most shots, and most expected reference photons, per estimate: counts up
@@ -62,7 +61,7 @@ MIN_REFERENCE_PHOTONS = 50.0
 MAX_COUNT = 2**53
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/5"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/6"
 
 _CSV_COLUMNS = (
     "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
@@ -128,129 +127,6 @@ def _entropy(seed) -> list[int]:
     return [int(x) for x in seed]
 
 
-# numpy's SeedSequence: pool size and hash constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-
-def _words(entropy: list[int]) -> list[int]:
-    """The uint32 words SeedSequence assembles from a list of ints.
-
-    Each int contributes its 32-bit words, least significant first (0 gives
-    one word); the lists are concatenated.
-    """
-    words = []
-    for x in entropy:
-        if x < 0:
-            raise ValueError(f"seed entropy must be non-negative, got {x!r}")
-        while True:
-            words.append(x & _MASK32)
-            x >>= 32
-            if not x:
-                break
-    return words
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i < n, as a uint32 column."""
-    out = [init]
-    while len(out) < n:
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x, y):
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> _XSHIFT)
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(4, np.uint64) for each entropy row.
-
-    entropy is an (n, L) uint32 array of assembled words; the result is
-    (n, 4) uint64.  This is numpy's algorithm with the stream axis last:
-    hash the first four words (zeros past L) into the pool, mix every pool
-    word into every other, fold in words beyond the fourth, then hash the
-    pool out twice.  The hash constants advance the same way for every row,
-    so each step is one array operation over all rows.
-    """
-    n, width = entropy.shape
-    size = _POOL_SIZE
-    extra = max(width - size, 0)
-    # hashmix call j xors a[j] and multiplies by a[j + 1]
-    a = _hash_constants(_INIT_A, _MULT_A, size * (size + extra) + 1)
-    words = np.zeros((size, n), dtype=np.uint32)
-    words[:width] = entropy[:, :size].T
-    pool = _hashmix(words, a[:size], a[1 : size + 1])
-    j = size
-    for src in range(size):
-        dst = [d for d in range(size) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j : j + size - 1], a[j + 1 : j + size]))
-        j += size - 1
-    for src in range(size, width):
-        pool = _mix(pool, _hashmix(entropy[:, src], a[j : j + size], a[j + 1 : j + size + 1]))
-        j += size
-    b = _hash_constants(_INIT_B, _MULT_B, 2 * size + 1)
-    state = _hashmix(np.tile(pool, (2, 1)), b[:-1], b[1:])
-    # pairs of uint32 words read as little-endian uint64, as numpy does
-    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _stream_seeds(batch_words: np.ndarray) -> np.ndarray:
-    """PCG64 seeds of every stream of a set of batches, shape (n, 8, 4).
-
-    Row b of batch_words holds batch b's entropy words; its stream k is
-    SeedSequence([*row, k]) for k < 7 and the reference k = 7.
-    """
-    # numpy.random loads here, at a run's first draw, not on import
-    np.random.bit_generator.ISeedSequence.register(_HashedSeed)
-    n, width = batch_words.shape
-    entropy = np.empty((n, REFERENCE_STREAM + 1, width + 1), dtype=np.uint32)
-    entropy[:, :, :width] = batch_words[:, None, :]
-    entropy[:, :, width] = np.arange(REFERENCE_STREAM + 1)
-    return _seed_words(entropy.reshape(-1, width + 1)).reshape(n, REFERENCE_STREAM + 1, 4)
-
-
-def _run_seeds(prefix: list[int], n_batches: int) -> np.ndarray:
-    """Seeds of a run's streams: row (b, k) seeds SeedSequence([*prefix, b, k])."""
-    head = _words(prefix)
-    batch_words = np.empty((n_batches, len(head) + 1), dtype=np.uint32)
-    batch_words[:, :-1] = head
-    batch_words[:, -1] = np.arange(n_batches)
-    return _stream_seeds(batch_words)
-
-
-class _HashedSeed:
-    """One stream's precomputed SeedSequence output, for seeding PCG64.
-
-    PCG64 seeds itself from generate_state(4, np.uint64) and asks for
-    nothing else.  _stream_seeds registers this class as numpy's
-    ISeedSequence, which PCG64 requires of a seed it does not hash itself.
-    """
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a pre-hashed stream holds exactly four uint64 words")
-        return self.state
-
-
-def _generator(state: np.ndarray) -> np.random.Generator:
-    """The generator default_rng builds from the SeedSequence whose output is state."""
-    return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
-
-
 def _readout_constants(p_true, det: DetectionParams) -> tuple[float, float, float]:
     """(mu_dark, N * mu_bg, reference mean) of a run, shared by all its batches.
 
@@ -305,28 +181,28 @@ def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
     )
 
 
-def _draw(t, p_true, det, readout, seeds) -> SorkinReport:
-    """One simulated batch: experiment k draws from stream seeds[k], and the
-    seven signals share the reference drawn from seeds[REFERENCE_STREAM]."""
-    mu_dark, bg, ref_mean = readout
-    rng = [_generator(s) for s in seeds]
-    signals = []
-    for k in range(7):
-        bright = rng[k].binomial(det.shots, p_true[k])
-        lam = bright * det.mu_bright + (det.shots - bright) * mu_dark + bg
-        signals.append(int(rng[k].poisson(lam)))
-    ref = int(rng[REFERENCE_STREAM].poisson(ref_mean))
-    return sorkin_report(t, tuple(s / ref for s in signals))
+def _read_out(t, p_true, det, n_batches, prefix) -> list[SorkinReport]:
+    """n_batches simulated batches, every count drawn from the one stream
+    default_rng(SeedSequence(prefix)) in three array calls: the (n_batches,
+    7) bright counts, the signals of the same shape, then each batch's
+    shared reference.  int64 / int64 rounds as Python's int / int does for
+    counts below 2**53."""
+    mu_dark, bg, ref_mean = _readout_constants(p_true, det)
+    rng = np.random.default_rng(np.random.SeedSequence(prefix))
+    bright = rng.binomial(det.shots, np.broadcast_to(p_true, (n_batches, 7)))
+    signals = rng.poisson(bright * det.mu_bright + (det.shots - bright) * mu_dark + bg)
+    ref = rng.poisson(ref_mean, size=n_batches)
+    return [sorkin_report(t, tuple(p)) for p in (signals / ref[:, None]).tolist()]
 
 
 def sample_batches(
     t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
 ) -> list[SorkinReport]:
     """n_batches readouts of any seven true probabilities p_true; det=None
-    reports p_true itself.  Experiment k of batch b draws from
-    SeedSequence([*master_seed, b, k]), the batch's reference from k = 7.
-    A simulated run of fewer than 2 batches, which has no spread to
-    summarize, is refused before any stream is set up.
+    reports p_true itself.  The run draws from the one stream
+    SeedSequence([*master_seed]) (see _read_out).  A simulated run of fewer
+    than 2 batches, which has no spread to summarize, is refused before its
+    stream is set up.
     """
     if det is None:
         return [sorkin_report(t, p_true)] * n_batches
@@ -334,9 +210,7 @@ def sample_batches(
         raise InsufficientBatchesError(
             f"a simulated run needs at least 2 batches for a spread estimate, got {n_batches}"
         )
-    readout = _readout_constants(p_true, det)
-    seeds = _run_seeds(_entropy(master_seed), n_batches)
-    return [_draw(t, p_true, det, readout, batch) for batch in seeds]
+    return _read_out(t, p_true, det, n_batches, _entropy(master_seed))
 
 
 def run_protocol_batch(
@@ -348,14 +222,13 @@ def run_protocol_batch(
 ) -> SorkinReport:
     """One seven-experiment batch; det=None runs on exact probabilities.
 
-    In simulated mode experiment k draws from SeedSequence([*seed, k]) and
-    the seven estimates share one reference draw, from k = 7.
+    In simulated mode the batch is a run of one on its own stream
+    SeedSequence([*seed]), drawn as sample_batches draws each batch.
     """
     p_true = exact_probabilities(t, spec, rule)
     if det is None:
         return sorkin_report(t, p_true)
-    seeds = _stream_seeds(np.array([_words(_entropy(seed))], dtype=np.uint32))[0]
-    return _draw(t, p_true, det, _readout_constants(p_true, det), seeds)
+    return _read_out(t, p_true, det, 1, _entropy(seed))[0]
 
 
 def run_batches(
@@ -366,8 +239,10 @@ def run_batches(
     n_batches: int,
     master_seed,
 ) -> list[SorkinReport]:
-    """sample_batches of the rule's exact probabilities; batch b equals
-    run_protocol_batch(..., (*master_seed, b))."""
+    """sample_batches of the rule's exact probabilities: a simulated run
+    draws its n_batches x 7 bright counts, then its n_batches x 7 signals,
+    then its n_batches references, from the one stream
+    SeedSequence([*master_seed])."""
     return sample_batches(t, exact_probabilities(t, spec, rule), det, n_batches, master_seed)
 
 
@@ -403,7 +278,8 @@ def _t975(df: int) -> float:
 
 
 def estimate_kappa(reports, *, seed=None) -> KappaEstimate:
-    """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr.
+    """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr;
+    M batches of one kappa k, as an exact run has, give k with no spread.
 
     A pure O(M) function of the M batch kappas: it draws no random numbers.
     seed is ignored; callers of the seeded bootstrap this replaced
@@ -415,6 +291,9 @@ def estimate_kappa(reports, *, seed=None) -> KappaEstimate:
         raise InsufficientBatchesError(
             f"need at least 2 batches for a spread estimate, got {m}"
         )
+    if (k == k[0]).all():
+        first = float(k[0])
+        return KappaEstimate(first, 0.0, 0.0, (first, first))
     mean = float(k.mean())
     std = float(k.std(ddof=1))
     stderr = std / math.sqrt(m)

@@ -525,7 +525,7 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/5"
+    assert payload["schema"] == "sorkin-lab.summary/6"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels

@@ -128,9 +128,14 @@ def test_batch_report_is_a_function_of_its_probabilities(det):
 
 @pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
 def test_run_batches_follow_the_batch_stream_layout(det):
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 6, 5)
-    for b, r in enumerate(reports):
-        assert r == run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (5, b))
+    # SeedSequence zero-pads [s] to [s, 0], so a run at seed s draws what
+    # row 0 of a scan at seed s draws
+    t = _target()
+    reports = run_batches(t, MEASUREMENT_M1, BORN, det, 6, 5)
+    assert reports == run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
+    row = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, 6, 5).rows[0]
+    est = detection.summarize(reports)
+    assert (row.kappa_mean, row.kappa_std) == (est.mean, est.std)
 
 
 @pytest.mark.parametrize("grid", [[0.1, 0.0, -0.05], [0.05, 0.1]])
@@ -187,36 +192,16 @@ def test_run_batches_builds_the_measurement_once(monkeypatch):
 ORACLE_PREFIXES = [(0,), (1,), (2**32 - 1,), (2**32,), (2**64 + 5,), (2**130 + 3,), (7, 3)]
 
 
-@pytest.mark.parametrize("prefix", ORACLE_PREFIXES, ids=str)
-def test_bulk_hashed_streams_equal_seed_sequence(prefix):
-    seeds = detection._run_seeds(list(prefix), 20)
-    assert seeds.shape == (20, 8, 4) and seeds.dtype == np.uint64
-    for b in range(20):
-        for k in range(8):
-            entropy = np.random.SeedSequence([*prefix, b, k])
-            assert np.array_equal(seeds[b, k], entropy.generate_state(4, np.uint64))
-            expected = np.random.default_rng(entropy).bit_generator.state
-            assert detection._generator(seeds[b, k]).bit_generator.state == expected
-
-
-def _per_stream_p(p_true, det, n_batches, prefix):
-    """Each batch's seven estimates, one SeedSequence([*prefix, b, k]) at a time."""
-    batches = []
-    for b in range(n_batches):
-        signals = []
-        for k in range(7):
-            rng = np.random.default_rng(np.random.SeedSequence([*prefix, b, k]))
-            bright = rng.binomial(det.shots, p_true[k])
-            lam = (
-                bright * det.mu_bright
-                + (det.shots - bright) * det.mu_dark
-                + det.shots * det.mu_bg
-            )
-            signals.append(int(rng.poisson(lam)))
-        rng = np.random.default_rng(np.random.SeedSequence([*prefix, b, 7]))
-        ref = int(rng.poisson(det.shots * (det.mu_bright + det.mu_bg)))
-        batches.append(tuple(s / ref for s in signals))
-    return batches
+def _one_stream_p(p_true, det, n_batches, prefix):
+    """Each batch's seven estimates, replayed from the run's one stream
+    default_rng(SeedSequence([*prefix])) in the documented order: every
+    bright count, every signal, then every batch's reference."""
+    rng = np.random.default_rng(np.random.SeedSequence([*prefix]))
+    bright = rng.binomial(det.shots, np.tile(p_true, (n_batches, 1)))
+    lam = bright * det.mu_bright + (det.shots - bright) * det.mu_dark + det.shots * det.mu_bg
+    signals = rng.poisson(lam)
+    refs = rng.poisson(det.shots * (det.mu_bright + det.mu_bg), size=n_batches)
+    return [tuple(int(s) / int(ref) for s in row) for row, ref in zip(signals, refs)]
 
 
 @pytest.mark.parametrize("prefix", ORACLE_PREFIXES, ids=str)
@@ -225,10 +210,10 @@ def test_run_batches_draw_what_per_stream_seeding_draws(prefix):
     seed = prefix[0] if len(prefix) == 1 else prefix
     p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
     reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 30, seed)
-    assert [r.p for r in reports] == _per_stream_p(p_true, det, 30, prefix)
-    # a single batch is a run of one, with the batch index in its seed
-    last = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, (*prefix, 29))
-    assert last == reports[29]
+    assert [r.p for r in reports] == _one_stream_p(p_true, det, 30, prefix)
+    # a single batch is a run of one on its own stream
+    one = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, seed)
+    assert [one.p] == _one_stream_p(p_true, det, 1, prefix)
 
 
 @pytest.mark.parametrize("prefix", [(0,), (7, 3)], ids=str)
@@ -238,17 +223,39 @@ def test_sampler_reads_out_any_true_probabilities(prefix):
     det = DetectionParams()
     seed = prefix[0] if len(prefix) == 1 else prefix
     reports = detection.sample_batches(_target(), p_true, det, 30, seed)
-    assert [r.p for r in reports] == _per_stream_p(p_true, det, 30, prefix)
+    assert [r.p for r in reports] == _one_stream_p(p_true, det, 30, prefix)
     exact = detection.sample_batches(_target(), p_true, None, 3, seed)
     assert [r.p for r in exact] == [p_true] * 3
 
 
+@pytest.mark.parametrize("n_batches", [2, 30, 1000])
+def test_a_simulated_run_constructs_one_seed_sequence(monkeypatch, n_batches):
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(entropy, *args, **kwargs):
+        made.append(entropy)
+        return seed_sequence(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    det = DetectionParams(shots=50_000)
+    run_batches(_target(), MEASUREMENT_M1, BORN, det, n_batches, (7, 3))
+    assert made == [[7, 3]]
+    sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [0.0, 0.1], det, n_batches, 7)
+    assert made == [[7, 3], [7, 0], [7, 1]]
+    run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, 9)
+    assert made[3:] == [[9]]
+
+
 def test_stream_set_up_refuses_bad_input():
-    state = detection._run_seeds([0], 1)[0, 0]
-    with pytest.raises(ValueError):
-        detection._HashedSeed(state).generate_state(8, np.uint32)
-    with pytest.raises(ValueError, match="non-negative"):
-        run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, -1)
+    p_true = _paper_probabilities()
+    for run in (
+        lambda: run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, -1),
+        lambda: detection.sample_batches(_target(), p_true, DetectionParams(), 2, (7, -1)),
+        lambda: run_protocol_batch(_target(), MEASUREMENT_M1, BORN, DetectionParams(), -1),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            run()
 
 
 def test_estimate_kappa_draws_no_random_numbers(monkeypatch):
@@ -272,8 +279,10 @@ def test_estimate_kappa_draws_no_random_numbers(monkeypatch):
     for name in ("default_rng", "Generator", "SeedSequence", "PCG64"):
         monkeypatch.setattr(np.random, name, refuse)
     assert estimate_kappa(reports, seed=42) == first
-    # the Student-t interval at these defaults
-    assert first.ci95 == pytest.approx((-0.00233, 0.00489), abs=1e-5)
+    # the Student-t interval of these 50 batches
+    k = np.array([r.kappa for r in reports])
+    half = detection._t975(49) * k.std(ddof=1) / math.sqrt(50)
+    assert first.ci95 == pytest.approx((k.mean() - half, k.mean() + half), rel=1e-12)
 
 
 def test_estimate_kappa_exact_batches():
@@ -282,6 +291,15 @@ def test_estimate_kappa_exact_batches():
     assert est.mean == pytest.approx(0.0, abs=1e-12)
     assert est.std == 0.0
     assert est.ci95 == (est.mean, est.mean)
+
+
+def test_identical_exact_batches_have_no_spread():
+    # exact-triple's sensitivity row at exponent eps 0.07: the float mean of
+    # three equal kappas need not equal them
+    reports = run_batches(_target(), MEASUREMENT_M1, ProbabilityRule("exponent", 0.07), None, 3, 1)
+    k = reports[0].kappa
+    assert k != 0.0
+    assert estimate_kappa(reports) == KappaEstimate(k, 0.0, 0.0, (k, k))
 
 
 def test_estimate_kappa_needs_two_batches():
@@ -496,10 +514,10 @@ def test_scaling_check_exact_and_validation():
     ids=["sensitivity_scan", "scaling_check", "run_batches"],
 )
 def test_one_simulated_batch_refused_before_any_stream(monkeypatch, run):
-    def no_generator(state):
-        raise AssertionError("a stream's generator was built")
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was set up")
 
-    monkeypatch.setattr(detection, "_generator", no_generator)
+    monkeypatch.setattr(np.random, "default_rng", no_stream)
     with pytest.raises(InsufficientBatchesError, match="at least 2 batches"):
         run(DetectionParams())
 
