@@ -332,8 +332,8 @@ def cmd_ideal(config: ExperimentConfig) -> CommandResult:
 
 def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     t, det = config.amplitudes, config.detection
-    reports = sample_batches(t, config.p, det, config.batches, config.master_seed)
-    est = summarize(reports)
+    report = sample_batches(t, config.p, det, config.batches, config.master_seed)
+    est = summarize(report)
     rejected = config.rule.kind == "born" and born_null_rejected(est)
     # exact mode has no counting noise to predict
     predicted = None if det is None else predicted_kappa_std(t, config.p, det)
@@ -345,7 +345,7 @@ def cmd_simulate(config: ExperimentConfig) -> CommandResult:
         born_null_rejected_5sigma=rejected,
     )
     return CommandResult(
-        {"simulate_batches.csv": batch_csv_text(reports), "simulate_summary.json": summary},
+        {"simulate_batches.csv": batch_csv_text(report), "simulate_summary.json": summary},
         [
             f"kappa = {est.mean:.6g} +/- {est.std:.3g} "
             f"(stderr {est.stderr:.3g}, {config.batches} batches)"

@@ -14,11 +14,11 @@ identical for this model and O(1) per estimate.
 
 Within one batch the seven signals share a single reference draw (the
 normalization is one bright reference trace), so common reference noise
-cancels from kappa exactly.  A batch's report is sorkin_report(t, p) of
-its seven estimates p, as an exact run's is of the exact probabilities:
-the report records neither seed nor shot count.
+cancels from kappa exactly.  A run's report is sorkin_report(t, P) of its
+(M, 7) estimates P, as an exact run's is of p_true in every row: row b of
+each column is batch b's, and the report records neither seed nor shots.
 
-summarize is the one summary of a run's batch kappas, for simulate, every
+summarize is the one summary of a run's kappa column, for simulate, every
 sensitivity row and every shot-ladder rung alike; a simulated run has at
 least two batches, since one has no spread.
 
@@ -63,9 +63,7 @@ MAX_COUNT = 2**53
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
 SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/6"
 
-_CSV_COLUMNS = (
-    "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
-)
+_CSV_COLUMNS = "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
 
 
 @dataclass(frozen=True)
@@ -160,18 +158,20 @@ def exact_probabilities(
 
 
 def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
-    """The interference terms and kappa of seven probabilities p, the last
-    step of every run, exact or simulated alike; kappa refuses an I2 at or
-    below KAPPA_FLOOR."""
-    terms = second_order_terms(p, t)
-    i3 = third_order_term(p, t)
+    """The interference terms and kappa of seven probabilities p, or, as
+    columns, of each row of a run's (M, 7) array p: the last step of every
+    run, exact or simulated; kappa refuses an I2 at or below KAPPA_FLOOR."""
+    stack = isinstance(p, np.ndarray) and p.ndim == 2
+    cols = p.T if stack else p
+    terms = second_order_terms(cols, t)
+    i3 = third_order_term(cols, t)
     kap = kappa(i3, terms)
     a2, b2, c2 = t.a**2, t.b**2, t.c**2
     return SorkinReport(
-        p=tuple(p),
-        q_a=a2 * p[4],
-        q_b=b2 * p[5],
-        q_c=c2 * p[6],
+        p=p if stack else tuple(p),
+        q_a=a2 * cols[4],
+        q_b=b2 * cols[5],
+        q_c=c2 * cols[6],
         I_ab=terms[0],
         I_ac=terms[1],
         I_bc=terms[2],
@@ -181,36 +181,36 @@ def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
     )
 
 
-def _read_out(t, p_true, det, n_batches, prefix) -> list[SorkinReport]:
-    """n_batches simulated batches, every count drawn from the one stream
-    default_rng(SeedSequence(prefix)) in three array calls: the (n_batches,
-    7) bright counts, the signals of the same shape, then each batch's
-    shared reference.  int64 / int64 rounds as Python's int / int does for
-    counts below 2**53."""
+def _read_out(p_true, det, n_batches, prefix) -> np.ndarray:
+    """The (n_batches, 7) estimates of a simulated run, every count drawn
+    from the one stream default_rng(SeedSequence(prefix)) in three array
+    calls: the (n_batches, 7) bright counts, the signals of the same shape,
+    then each batch's shared reference.  int64 / int64 rounds as Python's
+    int / int does for counts below 2**53."""
     mu_dark, bg, ref_mean = _readout_constants(p_true, det)
     rng = np.random.default_rng(np.random.SeedSequence(prefix))
     bright = rng.binomial(det.shots, np.broadcast_to(p_true, (n_batches, 7)))
     signals = rng.poisson(bright * det.mu_bright + (det.shots - bright) * mu_dark + bg)
     ref = rng.poisson(ref_mean, size=n_batches)
-    return [sorkin_report(t, tuple(p)) for p in (signals / ref[:, None]).tolist()]
+    return signals / ref[:, None]
 
 
 def sample_batches(
     t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
-) -> list[SorkinReport]:
-    """n_batches readouts of any seven true probabilities p_true; det=None
-    reports p_true itself.  The run draws from the one stream
-    SeedSequence([*master_seed]) (see _read_out).  A simulated run of fewer
-    than 2 batches, which has no spread to summarize, is refused before its
-    stream is set up.
+) -> SorkinReport:
+    """The report of n_batches readouts of any seven true probabilities
+    p_true, one row a batch; det=None reads out p_true itself in every row.
+    The run draws from the one stream SeedSequence([*master_seed]) (see
+    _read_out).  A simulated run of fewer than 2 batches, which has no
+    spread to summarize, is refused before its stream is set up.
     """
     if det is None:
-        return [sorkin_report(t, p_true)] * n_batches
+        return sorkin_report(t, np.broadcast_to(p_true, (n_batches, 7)))
     if n_batches < 2:
         raise InsufficientBatchesError(
             f"a simulated run needs at least 2 batches for a spread estimate, got {n_batches}"
         )
-    return _read_out(t, p_true, det, n_batches, _entropy(master_seed))
+    return sorkin_report(t, _read_out(p_true, det, n_batches, _entropy(master_seed)))
 
 
 def run_protocol_batch(
@@ -220,15 +220,12 @@ def run_protocol_batch(
     det: DetectionParams | None,
     seed,
 ) -> SorkinReport:
-    """One seven-experiment batch; det=None runs on exact probabilities.
-
-    In simulated mode the batch is a run of one on its own stream
-    SeedSequence([*seed]), drawn as sample_batches draws each batch.
-    """
-    p_true = exact_probabilities(t, spec, rule)
-    if det is None:
-        return sorkin_report(t, p_true)
-    return _read_out(t, p_true, det, 1, _entropy(seed))[0]
+    """The report of one batch's seven floats; det=None reads out exact
+    probabilities, else a run of one on its own stream SeedSequence([*seed])."""
+    p = exact_probabilities(t, spec, rule)
+    if det is not None:
+        p = _read_out(p, det, 1, _entropy(seed))[0].tolist()
+    return sorkin_report(t, p)
 
 
 def run_batches(
@@ -238,11 +235,8 @@ def run_batches(
     det: DetectionParams | None,
     n_batches: int,
     master_seed,
-) -> list[SorkinReport]:
-    """sample_batches of the rule's exact probabilities: a simulated run
-    draws its n_batches x 7 bright counts, then its n_batches x 7 signals,
-    then its n_batches references, from the one stream
-    SeedSequence([*master_seed])."""
+) -> SorkinReport:
+    """sample_batches of the rule's exact probabilities."""
     return sample_batches(t, exact_probabilities(t, spec, rule), det, n_batches, master_seed)
 
 
@@ -277,15 +271,15 @@ def _t975(df: int) -> float:
     return math.sqrt(df * y)
 
 
-def estimate_kappa(reports, *, seed=None) -> KappaEstimate:
-    """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr;
-    M batches of one kappa k, as an exact run has, give k with no spread.
+def estimate_kappa(report, *, seed=None) -> KappaEstimate:
+    """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr
+    of a run's kappa column; M equal kappas k, as in an exact run, give k, std 0.
 
     A pure O(M) function of the M batch kappas: it draws no random numbers.
     seed is ignored; callers of the seeded bootstrap this replaced
     (perfbench/workloads.py) still pass one.
     """
-    k = np.array([r.kappa for r in reports], dtype=float)
+    k = np.asarray(report.kappa, dtype=float)
     m = k.size
     if m < 2:
         raise InsufficientBatchesError(
@@ -301,13 +295,13 @@ def estimate_kappa(reports, *, seed=None) -> KappaEstimate:
     return KappaEstimate(mean=mean, std=std, stderr=stderr, ci95=(mean - half, mean + half))
 
 
-def summarize(reports) -> KappaEstimate:
+def summarize(report) -> KappaEstimate:
     """The kappa summary of a run: estimate_kappa of its batches, or, for
     the one batch only an exact run may have, its kappa with no spread."""
-    if len(reports) == 1:
-        k = reports[0].kappa
+    if report.kappa.size == 1:
+        k = float(report.kappa[0])
         return KappaEstimate(k, 0.0, 0.0, (k, k))
-    return estimate_kappa(reports)
+    return estimate_kappa(report)
 
 
 def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
@@ -324,7 +318,7 @@ def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
     n, dmu = det.shots, det.mu_bright - det.mu_dark
     mean = n * (det.mu_dark + p * dmu + det.mu_bg)
     var = mean + n * p * (1.0 - p) * dmu**2
-    c3 = np.array([third_order_term(e, t) for e in np.eye(7)])
+    c3 = third_order_term(np.eye(7), t)
     i2 = sum(abs(x) for x in second_order_terms(mean, t))
     return float(math.sqrt(c3**2 @ var) / i2)
 
@@ -422,15 +416,11 @@ def scaling_check(
     return [(n, est.std) for n, est in zip(shots_list, summaries)]
 
 
-def batch_csv_text(reports) -> str:
-    """Per-batch CSV series; floats use repr so reruns are byte-identical."""
+def batch_csv_text(report) -> str:
+    """Per-batch CSV series of a run's report; floats use repr so reruns
+    are byte-identical."""
+    r = report
+    table = np.column_stack((r.p, r.I_ab, r.I_ac, r.I_bc, r.I2, r.I3, r.kappa)).tolist()
     lines = [_CSV_COLUMNS]
-    for b, r in enumerate(reports):
-        fields = [str(b)]
-        fields += [repr(float(x)) for x in r.p]
-        fields += [
-            repr(float(x))
-            for x in (r.I_ab, r.I_ac, r.I_bc, r.I2, r.I3, r.kappa)
-        ]
-        lines.append(",".join(fields))
+    lines += [",".join([str(b), *map(repr, row)]) for b, row in enumerate(table)]
     return "\n".join(lines) + "\n"

@@ -11,16 +11,19 @@ interference terms, the third-order term
 
 and the normalized ratio kappa = I3 / (|I_ab| + |I_ac| + |I_bc|) are
 extracted.  Under Born's rule I3 vanishes identically, so kappa is a
-violation figure of merit.  A SorkinReport holds those numbers for one
-batch; it is a function of the target and the seven probabilities alone,
-whether they are exact or a readout's estimates.  Everything here is pure
-and reentrant.
+violation figure of merit.  The functions only index p[0]..p[6], so on a
+run's (M, 7) stack transposed they compute every batch at once, in the
+same operation order.  A SorkinReport holds those numbers for one run, a
+function of the target and the probabilities alone, exact or a readout's
+estimates.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dynamics import PulseSchedule, PulseSegment, _rotate
 from .errors import DegenerateProtocolError, QuantumRegimeError, UnreachableStateError
@@ -67,10 +70,10 @@ MEASUREMENT_M2 = MeasurementSpec(3 * math.pi / 2, math.pi / 2)
 
 @dataclass(frozen=True)
 class SorkinReport:
-    """Outcome of one seven-experiment batch: p and what (t, p) determine
-    (detection.sorkin_report builds it)."""
+    """p and what (t, p) determine (detection.sorkin_report builds it): of
+    seven floats, floats; of a run's (M, 7) p, columns, row b batch b's."""
 
-    p: tuple[float, ...]
+    p: tuple[float, ...] | np.ndarray
     q_a: float
     q_b: float
     q_c: float
@@ -149,13 +152,20 @@ def third_order_term(p, t: TargetAmplitudes) -> float:
     )
 
 
-def kappa(i3: float, terms) -> float:
-    """Normalized ratio I3 / (|I_ab| + |I_ac| + |I_bc|)."""
+def kappa(i3, terms):
+    """Normalized ratio I3 / (|I_ab| + |I_ac| + |I_bc|), of one batch or
+    element-wise of batch columns; an I2 at or below KAPPA_FLOOR is refused,
+    naming the first such batch."""
     i2 = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
-    if i2 <= KAPPA_FLOOR:
+    where, low = "", i2
+    if isinstance(i2, np.ndarray):
+        b = np.flatnonzero(i2 <= KAPPA_FLOOR)
+        where, low = (f"batch {b[0]}: ", i2[b[0]]) if b.size else ("", math.inf)
+    if low <= KAPPA_FLOOR:
         raise QuantumRegimeError(
-            f"second-order interference {i2!r} is at or below the floor {KAPPA_FLOOR:g}; "
-            "the normalized ratio is undefined outside the interference regime"
+            f"{where}second-order interference {float(low)!r} is at or below the floor "
+            f"{KAPPA_FLOOR:g}; the normalized ratio is undefined outside the "
+            "interference regime"
         )
     return i3 / i2
 

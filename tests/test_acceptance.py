@@ -127,10 +127,10 @@ def test_criterion_3_affine_invariance():
 def test_criterion_4_statistical_reproduction():
     t = TargetAmplitudes(*PAPER_ABC)
     start = time.perf_counter()
-    reports = run_batches(
+    report = run_batches(
         t, MEASUREMENT_M1, ProbabilityRule.born(), DetectionParams(), 50, MASTER_SEED
     )
-    est = estimate_kappa(reports)
+    est = estimate_kappa(report)
     elapsed = time.perf_counter() - start
     ok = (
         abs(est.mean) <= 3 * est.stderr

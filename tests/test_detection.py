@@ -1,19 +1,23 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sorkin_lab import (
+    KAPPA_FLOOR,
     DetectionParams,
     InsufficientBatchesError,
     KappaEstimate,
     MEASUREMENT_M1,
     MEASUREMENT_M2,
     ProbabilityRule,
+    QuantumRegimeError,
     TargetAmplitudes,
     UnphysicalParameterError,
     estimate_kappa,
@@ -115,15 +119,90 @@ def test_simulated_batch_determinism():
     assert r1.kappa == r2.kappa
 
 
+def _table(report):
+    """A run's report as one (M, 16) array: p, then each derived column in
+    field order."""
+    return np.column_stack([report.p] + [getattr(report, f.name) for f in fields(report)[1:]])
+
+
+def _one_batch_floats(report):
+    """p and each derived field of a report of seven probabilities, in field order."""
+    return [*report.p] + [getattr(report, f.name) for f in fields(report)[1:]]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
 def test_batch_report_is_a_function_of_its_probabilities(det):
     # a batch carries nothing beyond what (t, p) determines
     t = _target()
     p_true = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", 0.05))
-    reports = detection.sample_batches(t, p_true, det, 4, 11)
-    assert len({r.p for r in reports}) == (1 if det is None else 4)
-    for r in reports:
-        assert r == detection.sorkin_report(t, r.p)
+    report = detection.sample_batches(t, p_true, det, 4, 11)
+    rows = report.p.tolist()
+    assert len({tuple(p) for p in rows}) == (1 if det is None else 4)
+    for got, p in zip(_table(report), rows):
+        assert _bits(got) == _bits(_one_batch_floats(detection.sorkin_report(t, p)))
+
+
+def _per_batch_csv(reports):
+    """The batch CSV written from one report per batch, as a reference."""
+    lines = ["batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"]
+    for b, r in enumerate(reports):
+        values = (*r.p, r.I_ab, r.I_ac, r.I_bc, r.I2, r.I3, r.kappa)
+        lines.append(",".join([str(b)] + [repr(float(x)) for x in values]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _near_floor_batch(draw):
+    """The paper's Born probabilities under an affine map C*p + d whose
+    C puts I2 = C * I2_EXPECTED within a factor of 2 of KAPPA_FLOOR."""
+    c = draw(st.floats(min_value=0.5, max_value=2.0)) * KAPPA_FLOOR / I2_EXPECTED
+    d = draw(st.floats(min_value=0.0, max_value=1.0 - c))
+    return [float(c * p + d) for p in _paper_probabilities()]
+
+
+# any probability, plus the ends of [0, 1] and the least subnormal
+_P = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, 1.0, 5e-324]))
+_BATCH = st.one_of(st.lists(_P, min_size=7, max_size=7), _near_floor_batch())
+_TARGETS = st.sampled_from([PAPER_ABC, (0.6, -0.48, 0.64), (0.8, 0.0, 0.6)])
+
+
+@given(_TARGETS, st.lists(_BATCH, min_size=1, max_size=6))
+def test_each_row_of_a_run_report_is_its_batch_report(abc, batches):
+    # row b of the report of a stack is sorkin_report of batch b's seven
+    # Python floats, bit for bit, and the stack is refused, naming the batch,
+    # exactly where the first batch alone is refused
+    t = TargetAmplitudes(*abc)
+    reports = []
+    for b, p in enumerate(batches):
+        try:
+            reports.append(detection.sorkin_report(t, p))
+        except QuantumRegimeError as exc:
+            with pytest.raises(QuantumRegimeError) as refused:
+                detection.sorkin_report(t, np.array(batches))
+            assert str(refused.value) == f"batch {b}: {exc}"
+            return
+    report = detection.sorkin_report(t, np.array(batches))
+    for row, one in zip(_table(report), reports):
+        assert all(type(x) is float for x in _one_batch_floats(one))
+        assert _bits(row) == _bits(_one_batch_floats(one))
+    assert batch_csv_text(report) == _per_batch_csv(reports)
+
+
+def test_floor_refusal_names_the_first_batch_at_the_floor():
+    # batch 2 is the paper's probabilities under C*p + d with C = 1e-7, so
+    # its I2 is about 6e-8; batch 4 reads 0.5 everywhere, an I2 of rounding
+    stack = np.tile(_paper_probabilities(), (6, 1))
+    stack[2] = 1e-7 * stack[2] + 0.5
+    stack[4] = 0.5
+    with pytest.raises(QuantumRegimeError, match="^batch 2: second-order interference") as refused:
+        detection.sorkin_report(_target(), stack)
+    with pytest.raises(QuantumRegimeError) as alone:
+        detection.sorkin_report(_target(), stack[2].tolist())
+    assert str(refused.value) == f"batch 2: {alone.value}"
 
 
 @pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
@@ -131,10 +210,11 @@ def test_run_batches_follow_the_batch_stream_layout(det):
     # SeedSequence zero-pads [s] to [s, 0], so a run at seed s draws what
     # row 0 of a scan at seed s draws
     t = _target()
-    reports = run_batches(t, MEASUREMENT_M1, BORN, det, 6, 5)
-    assert reports == run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
+    report = run_batches(t, MEASUREMENT_M1, BORN, det, 6, 5)
+    other = run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
+    assert _bits(_table(report)) == _bits(_table(other))
     row = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, 6, 5).rows[0]
-    est = detection.summarize(reports)
+    est = detection.summarize(report)
     assert (row.kappa_mean, row.kappa_std) == (est.mean, est.std)
 
 
@@ -163,14 +243,14 @@ def test_grid_row_j_runs_batches_under_seed_prefix_j():
     scan = sensitivity_scan(_target(), MEASUREMENT_M1, "triple", grid, det, 4, 7)
     for j, (eps, row) in enumerate(zip(grid, scan.rows)):
         rule = BORN if eps == 0 else ProbabilityRule("triple", eps)
-        k = [r.kappa for r in run_batches(_target(), MEASUREMENT_M1, rule, det, 4, (7, j))]
+        k = run_batches(_target(), MEASUREMENT_M1, rule, det, 4, (7, j)).kappa
         assert row.kappa_mean == float(np.mean(k))
         assert row.kappa_std == float(np.std(k, ddof=1))
     ladder = [20_000, 50_000]
     rows = scaling_check(_target(), MEASUREMENT_M1, det, ladder, 4, 7)
     for j, (n, std) in enumerate(rows):
         det_n = replace(det, shots=n)
-        k = [r.kappa for r in run_batches(_target(), MEASUREMENT_M1, BORN, det_n, 4, (7, j))]
+        k = run_batches(_target(), MEASUREMENT_M1, BORN, det_n, 4, (7, j)).kappa
         assert (n, std) == (ladder[j], float(np.std(k, ddof=1)))
 
 
@@ -209,8 +289,8 @@ def test_run_batches_draw_what_per_stream_seeding_draws(prefix):
     det = DetectionParams()
     seed = prefix[0] if len(prefix) == 1 else prefix
     p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 30, seed)
-    assert [r.p for r in reports] == _one_stream_p(p_true, det, 30, prefix)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, det, 30, seed)
+    assert [tuple(p) for p in report.p.tolist()] == _one_stream_p(p_true, det, 30, prefix)
     # a single batch is a run of one on its own stream
     one = run_protocol_batch(_target(), MEASUREMENT_M1, BORN, det, seed)
     assert [one.p] == _one_stream_p(p_true, det, 1, prefix)
@@ -222,10 +302,10 @@ def test_sampler_reads_out_any_true_probabilities(prefix):
     p_true = tuple(p + 1e-3 * (k + 1) for k, p in enumerate(_paper_probabilities()))
     det = DetectionParams()
     seed = prefix[0] if len(prefix) == 1 else prefix
-    reports = detection.sample_batches(_target(), p_true, det, 30, seed)
-    assert [r.p for r in reports] == _one_stream_p(p_true, det, 30, prefix)
+    report = detection.sample_batches(_target(), p_true, det, 30, seed)
+    assert [tuple(p) for p in report.p.tolist()] == _one_stream_p(p_true, det, 30, prefix)
     exact = detection.sample_batches(_target(), p_true, None, 3, seed)
-    assert [r.p for r in exact] == [p_true] * 3
+    assert [tuple(p) for p in exact.p.tolist()] == [p_true] * 3
 
 
 @pytest.mark.parametrize("n_batches", [2, 30, 1000])
@@ -260,34 +340,34 @@ def test_stream_set_up_refuses_bad_input():
 
 def test_estimate_kappa_draws_no_random_numbers(monkeypatch):
     # the default simulate run: master seed 42, 50 batches
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 50, 42)
-    first = estimate_kappa(reports)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 50, 42)
+    first = estimate_kappa(report)
     np.random.seed(3)
-    estimate_kappa(reports)
+    estimate_kappa(report)
     after = np.random.random()
     np.random.seed(3)
     assert after == np.random.random()  # the global state was left alone
     np.random.default_rng(3).random(5)
-    assert estimate_kappa(reports) == first
+    assert estimate_kappa(report) == first
     # seed is accepted and ignored
-    assert estimate_kappa(reports, seed=42) == first
-    assert estimate_kappa(reports, seed=(7, 1 << 40)) == first
+    assert estimate_kappa(report, seed=42) == first
+    assert estimate_kappa(report, seed=(7, 1 << 40)) == first
 
     def refuse(*args, **kwargs):
         raise AssertionError("estimate_kappa set up a random generator")
 
     for name in ("default_rng", "Generator", "SeedSequence", "PCG64"):
         monkeypatch.setattr(np.random, name, refuse)
-    assert estimate_kappa(reports, seed=42) == first
+    assert estimate_kappa(report, seed=42) == first
     # the Student-t interval of these 50 batches
-    k = np.array([r.kappa for r in reports])
+    k = report.kappa
     half = detection._t975(49) * k.std(ddof=1) / math.sqrt(50)
     assert first.ci95 == pytest.approx((k.mean() - half, k.mean() + half), rel=1e-12)
 
 
 def test_estimate_kappa_exact_batches():
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, None, 5, 0)
-    est = estimate_kappa(reports)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 5, 0)
+    est = estimate_kappa(report)
     assert est.mean == pytest.approx(0.0, abs=1e-12)
     assert est.std == 0.0
     assert est.ci95 == (est.mean, est.mean)
@@ -296,32 +376,32 @@ def test_estimate_kappa_exact_batches():
 def test_identical_exact_batches_have_no_spread():
     # exact-triple's sensitivity row at exponent eps 0.07: the float mean of
     # three equal kappas need not equal them
-    reports = run_batches(_target(), MEASUREMENT_M1, ProbabilityRule("exponent", 0.07), None, 3, 1)
-    k = reports[0].kappa
+    report = run_batches(_target(), MEASUREMENT_M1, ProbabilityRule("exponent", 0.07), None, 3, 1)
+    k = float(report.kappa[0])
     assert k != 0.0
-    assert estimate_kappa(reports) == KappaEstimate(k, 0.0, 0.0, (k, k))
+    assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k))
 
 
 def test_estimate_kappa_needs_two_batches():
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
     with pytest.raises(InsufficientBatchesError):
-        estimate_kappa(reports)
+        estimate_kappa(report)
 
 
 def test_estimate_kappa_ci_contains_mean():
     det = DetectionParams(shots=20_000)
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 25, 3)
-    est = estimate_kappa(reports)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, det, 25, 3)
+    est = estimate_kappa(report)
     assert est.ci95[0] <= est.mean <= est.ci95[1]
     assert est.stderr == pytest.approx(est.std / 5.0)
     half = 2.0638985616 * est.stderr  # t(0.975, 24), tabulated
     assert est.ci95 == pytest.approx((est.mean - half, est.mean + half), rel=1e-9)
 
 
-def _kappa_reports(m, seed=0, loc=0.0):
-    """m report stand-ins: estimate_kappa reads only their kappa."""
-    draws = np.random.default_rng(seed).normal(loc, size=m)
-    return [SimpleNamespace(kappa=float(x)) for x in draws]
+def _kappa_run(m, seed=0, loc=0.0):
+    """A stand-in for the report of an m-batch run: estimate_kappa reads
+    only its kappa column."""
+    return SimpleNamespace(kappa=np.random.default_rng(seed).normal(loc, size=m))
 
 
 @pytest.mark.parametrize(
@@ -379,9 +459,9 @@ def test_t975_within_its_documented_error():
         assert detection._t975(df) == pytest.approx(_t975_exact(df), rel=bound), df
 
 
-def _assert_one_shot_interval(reports, est):
+def _assert_one_shot_interval(report, est):
     """est.ci95 is mean -/+ the exact t quantile times stderr."""
-    k = np.array([r.kappa for r in reports])
+    k = report.kappa
     m = k.size
     half = _t975_exact(m - 1) * k.std(ddof=1) / math.sqrt(m)
     assert est.ci95[0] + est.ci95[1] == pytest.approx(2 * k.mean(), abs=1e-12)
@@ -398,26 +478,26 @@ def _assert_one_shot_interval(reports, est):
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 1001])
 def test_blocked_bootstrap_draws_the_one_shot_bootstrap(m, seed, rows):
     for i in range(rows or 0):
-        other = _kappa_reports(m, seed=i + 1)
+        other = _kappa_run(m, seed=i + 1)
         _assert_one_shot_interval(other, estimate_kappa(other, seed=seed))
-    reports = _kappa_reports(m)
-    _assert_one_shot_interval(reports, estimate_kappa(reports, seed=seed))
+    report = _kappa_run(m)
+    _assert_one_shot_interval(report, estimate_kappa(report, seed=seed))
 
 
 def test_t_interval_covers_the_mean_95_percent_of_the_time():
     # 4,000 intervals on 5 draws each: one binomial sd is 0.34%
     hits = 0
     for i in range(4_000):
-        est = estimate_kappa(_kappa_reports(5, seed=(11, i), loc=2.5))
+        est = estimate_kappa(_kappa_run(5, seed=(11, i), loc=2.5))
         hits += est.ci95[0] <= 2.5 <= est.ci95[1]
     assert abs(hits / 4_000 - 0.95) <= 0.015
 
 
 def test_estimate_kappa_memory_is_linear_in_batches():
-    reports = _kappa_reports(2_000)
+    report = _kappa_run(2_000)
     tracemalloc.start()
     try:
-        estimate_kappa(reports)
+        estimate_kappa(report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,8 +510,8 @@ def test_observed_kappa_std_matches_the_counting_model(spec, shots):
     det = DetectionParams(shots=shots)
     p_true = detection.exact_probabilities(_target(), spec, BORN)
     predicted = detection.predicted_kappa_std(_target(), p_true, det)
-    reports = run_batches(_target(), spec, BORN, det, 200, 5)
-    ratio = np.std([r.kappa for r in reports], ddof=1) / predicted
+    report = run_batches(_target(), spec, BORN, det, 200, 5)
+    ratio = np.std(report.kappa, ddof=1) / predicted
     # 99.9% band of s / sigma at 199 degrees of freedom (Wilson-Hilferty)
     h, z = 2.0 / (9 * 199), 3.2905
     band = ((1 - h - z * math.sqrt(h)) ** 1.5, (1 - h + z * math.sqrt(h)) ** 1.5)
@@ -448,8 +528,8 @@ def test_single_batch_kappa_sanity_envelope():
 def test_kappa_estimator_unbiased_at_large_shots():
     # consistent with zero at high shot count; stderr ~ 3e-4 at M=200
     det = DetectionParams(shots=20_000_000)
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, det, 200, 314)
-    est = estimate_kappa(reports)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, det, 200, 314)
+    est = estimate_kappa(report)
     assert abs(est.mean) <= 3 * est.stderr
     assert abs(est.mean) < 2e-3
 
@@ -530,30 +610,32 @@ def test_one_exact_batch_per_rung_has_no_spread():
 
 
 def test_summarize_is_estimate_kappa_or_one_exact_batch():
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(shots=50_000), 5, 1)
-    assert detection.summarize(reports) == estimate_kappa(reports)
-    (exact,) = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
-    k = exact.kappa
-    assert detection.summarize([exact]) == KappaEstimate(k, 0.0, 0.0, (k, k))
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(shots=50_000), 5, 1)
+    assert detection.summarize(report) == estimate_kappa(report)
+    exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
+    p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    k = detection.sorkin_report(_target(), p_true).kappa
+    est = detection.summarize(exact)
+    assert est == KappaEstimate(k, 0.0, 0.0, (k, k))
+    assert type(est.mean) is float  # the summary JSON writes it
     with pytest.raises(InsufficientBatchesError):
-        detection.summarize([])
+        detection.summarize(run_batches(_target(), MEASUREMENT_M1, BORN, None, 0, 0))
 
 
 def test_scaling_check_noise_shrinks_with_brightness():
     det = DetectionParams(shots=100_000)
-    reports_dim = run_batches(_target(), MEASUREMENT_M1, BORN, det, 60, 9)
+    dim = run_batches(_target(), MEASUREMENT_M1, BORN, det, 60, 9)
     bright = replace(det, mu_bright=0.24, mu_bg=0.003)
-    reports_bright = run_batches(_target(), MEASUREMENT_M1, BORN, bright, 60, 9)
-    std_dim = np.std([r.kappa for r in reports_dim], ddof=1)
-    std_bright = np.std([r.kappa for r in reports_bright], ddof=1)
+    std_dim = np.std(dim.kappa, ddof=1)
+    std_bright = np.std(run_batches(_target(), MEASUREMENT_M1, BORN, bright, 60, 9).kappa, ddof=1)
     assert std_bright < std_dim
 
 
 def test_batch_csv_layout():
-    reports = run_batches(_target(), MEASUREMENT_M1, BORN, None, 2, 0)
-    text = batch_csv_text(reports)
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 2, 0)
+    text = batch_csv_text(report)
     lines = text.strip().split("\n")
     assert lines[0] == "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
-    assert batch_csv_text(reports) == text
+    assert batch_csv_text(report) == text

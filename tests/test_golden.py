@@ -11,11 +11,6 @@ import json
 
 from golden.regen import MANIFEST, golden_runs, run_in_process
 
-# the 1000-batch sensitivity scan takes about 0.85 s, more than the other 39
-# runs together, so tier-1 leaves it out; the CI determinism step checks it
-# as a whole process against the manifest
-LEFT_OUT = "batches1000/sensitivity"
-
 
 def test_manifest_covers_every_golden_run():
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
@@ -28,6 +23,5 @@ def test_golden_runs_reproduce_the_manifest(tmp_path):
     got = {
         name: run_in_process(args, tmp_path / name)
         for name, args in golden_runs().items()
-        if name != LEFT_OUT
     }
-    assert got == {name: manifest[name] for name in got}
+    assert got == manifest

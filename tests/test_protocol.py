@@ -153,6 +153,9 @@ def test_kappa_arithmetic_and_floor():
     assert kappa(0.001, (0.5, 0.25, 0.25)) == pytest.approx(0.001)
     with pytest.raises(QuantumRegimeError):
         kappa(0.0, (1e-7, 0.0, 0.0))
+    # a numpy scalar I2 is named as a float, whatever numpy's scalar repr
+    with pytest.raises(QuantumRegimeError, match="^second-order interference 1e-07 is at"):
+        kappa(0.0, (np.float64(1e-7), 0.0, 0.0))
 
 
 @given(
