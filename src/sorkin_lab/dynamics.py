@@ -24,11 +24,15 @@ dt = T/n, keeping every prefix product P[m] of its first m steps; U(T) is
 the polar factor of P[n].  This depends on the parameters, the channel,
 the step count and the detuning, but not on the pulse angle, so it is
 integrated once per process for each such tuple and shared by every
-pulse.  A pulse writes tau = m*dt + r with 0 <= r < dt, so U(tau) is one
-partial CF4 step of length r starting at m*dt times P[m], and U(T)**N is
-taken by repeated squaring: the cost of a pulse grows with neither its
-length nor its remainder.  Its roundoff does grow with N, so a pulse may
-span at most MAX_DRIVE_PERIODS whole periods.
+pulse.  The same memo entry keeps U(T)**(2**k) for every bit of a period
+count up to MAX_DRIVE_PERIODS, and the constants of the channel's
+Hamiltonian and frame.  A pulse writes tau = m*dt + r with 0 <= r < dt, so
+U(tau) is one partial CF4 step of length r starting at m*dt times P[m],
+and U(T)**N is the product of the squares of N's set bits, in the order
+np.linalg.matrix_power multiplies them: a warm pulse squares nothing and
+rebuilds no constant, and its cost grows with neither its length nor its
+remainder.  The roundoff of U(T)**N does grow with N, so a pulse may span
+at most MAX_DRIVE_PERIODS whole periods.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StepResolutionError
 from .qutrit import (
+    _IDENTITY,
     QutritState,
     Unitary3,
     _check_plane_rotation,
@@ -57,9 +63,9 @@ CHANNELS = ("MW1", "MW2")
 DEFAULT_STEPS_PER_PERIOD = 200
 MIN_STEPS_PER_PERIOD = 50
 # The period is integrated in one stack of about 1.6 KB a step and its
-# memo entry keeps (n + 2) * 144 bytes, so this cap bounds one integration
-# at about 26 MB and one entry at about 2.4 MB (about 150 MB for a full
-# memo).  The package uses the default 200; its tests pass at most 1,600.
+# memo entry keeps (n + 19) * 144 + 48 bytes, so this cap bounds one
+# integration at about 26 MB and one entry at about 2.4 MB (about 150 MB
+# for a full memo).  The package uses the default 200; its tests pass at most 1,600.
 MAX_STEPS_PER_PERIOD = 16_384
 # Longest pulse, in whole drive periods, whose propagator is trusted: the
 # roundoff of U(T)**N grows about linearly in N.  At 2**15 every measured
@@ -79,14 +85,18 @@ _DRIVEN_LEVEL = {"MW1": 2, "MW2": 0}
 # step, two exact 3x3 exponentials); plain midpoint stepping carries a
 # secular (omega*dt)^2/24 amplitude error too large for the convergence
 # contract at the default resolution.
-_CF4_NODE_A = 0.5 - math.sqrt(3.0) / 6.0
-_CF4_NODE_B = 0.5 + math.sqrt(3.0) / 6.0
+_CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _CF4_W_SMALL = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_W_BIG = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+# the weights of the early and the late node on (first, second) exponential
+_CF4_W_EARLY = np.array([_CF4_W_BIG, _CF4_W_SMALL])
+_CF4_W_LATE = np.array([_CF4_W_SMALL, _CF4_W_BIG])
 
-# An entry holds U(T) and the n + 1 prefix products, (n + 2) * 144 bytes:
-# about 29 KB at 200 steps, so about 1.9 MB for 64 entries, which cover
-# both channels at 32 (params, steps, detuning) tuples.
+# An entry holds the n + 1 prefix products, the 16 squares of U(T), the
+# half H0 and the drive operator (144 bytes each) and the 48-byte frame
+# diagonal, (n + 19) * 144 + 48 bytes: about 32 KB at 200 steps, so about
+# 2.0 MB for 64 entries, which cover both channels at 32 (params, steps,
+# detuning) tuples.
 _PERIOD_MEMO_SIZE = 64
 
 
@@ -218,63 +228,93 @@ def _batch_expm(h_stack: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _cf4_steps(
-    h0: np.ndarray, drive: np.ndarray, omega_d: float, start: float, dt: float, n_steps: int
+    h0_half: np.ndarray, drive: np.ndarray, omega_d: float, start: float, dt: float, n_steps: int
 ) -> np.ndarray:
-    """CF4 propagators of diag(h0) + cos(omega_d t) * drive over n_steps steps.
+    """CF4 propagators of 2*h0_half + cos(omega_d t) * drive over n_steps steps.
 
     Step j covers [start + j*dt, start + (j + 1)*dt] and is two exact 3x3
     exponentials; the result stacks the steps in time order, (n_steps, 3, 3).
+    One cos call takes both node phases of every step and one eigh the
+    (n_steps, 2, 3, 3) stack of half-step Hamiltonians, so the period's
+    n steps and a pulse's one partial step take the same path.
     """
-    k = np.arange(n_steps)
-    g_a = np.cos(omega_d * start + omega_d * (k + _CF4_NODE_A) * dt)
-    g_b = np.cos(omega_d * start + omega_d * (k + _CF4_NODE_B) * dt)
+    k = np.arange(float(n_steps))[:, None]
+    g = np.cos(omega_d * start + omega_d * (k + _CF4_NODES) * dt)
     # first (right) factor weights the early node more, second the late
-    c_first = _CF4_W_BIG * g_a + _CF4_W_SMALL * g_b
-    c_second = _CF4_W_SMALL * g_a + _CF4_W_BIG * g_b
-    h0_half = 0.5 * np.diag(h0).astype(complex)
-    h_stack = np.empty((n_steps, 2, 3, 3), dtype=complex)
-    h_stack[:, 0] = h0_half + c_first[:, None, None] * drive
-    h_stack[:, 1] = h0_half + c_second[:, None, None] * drive
-    exps = _batch_expm(h_stack.reshape(-1, 3, 3), dt).reshape(n_steps, 2, 3, 3)
+    c = _CF4_W_EARLY * g[:, :1] + _CF4_W_LATE * g[:, 1:]
+    exps = _batch_expm(h0_half + c[..., None, None] * drive, dt)
     return np.matmul(exps[:, 1], exps[:, 0])
 
 
-def _drive_terms(
-    params: HamiltonianParams, channel: str, detuning_hz: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(diagonal of H0 with the detuning, drive operator, omega_d) of a channel."""
-    _, sy = spin1_matrices()
-    h0 = np.array([TWO_PI * params.omega_mw2_hz, 0.0, TWO_PI * params.omega_mw1_hz])
-    h0[_DRIVEN_LEVEL[channel]] += TWO_PI * detuning_hz
-    drive_op = _DRIVE_SIGN[channel] * math.sqrt(2.0) * (TWO_PI * params.omega1_hz) * sy
-    return h0, drive_op, TWO_PI * params.drive_frequency_hz(channel)
+class _Period(NamedTuple):
+    """One read-only memo entry of _period_propagator."""
+
+    prefix: np.ndarray  # (n + 1, 3, 3): P[m], the first m steps of the period
+    squares: np.ndarray  # U(T)**(2**k) for k < 16, U(T) the polar factor of P[n]
+    h0_half: np.ndarray  # 0.5 * diag(H0), detuning included, complex 3x3
+    drive: np.ndarray  # drive operator, the coefficient of cos(omega_d t)
+    dt: float  # T / n
+    frame_rate: np.ndarray  # 1j * the nominal (undetuned) diagonal of H0
 
 
 @functools.lru_cache(maxsize=_PERIOD_MEMO_SIZE)
 def _period_propagator(
     params: HamiltonianParams, channel: str, steps_per_drive_period: int, detuning_hz: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (U(T), prefix) of the CF4 stepping over one drive period.
+) -> _Period:
+    """The CF4 stepping over one drive period and the constants a pulse needs.
 
     prefix[m] = S[m-1] @ ... @ S[0], m = 0..n, is the propagator over the
     first m of the n = steps_per_drive_period steps of dt = T/n.  U(T) is
     the polar factor of prefix[n]: it is raised to the N-th power, so the
     period's roundoff departure from unitarity, about 1e-13, would grow
-    N-fold.  A pure function of its four hashable arguments, memoised per
-    process.
+    N-fold.  squares[k] = U(T)**(2**k) is formed as z @ z, exactly as
+    np.linalg.matrix_power forms its squares, for every bit of a period
+    count up to MAX_DRIVE_PERIODS.  A pure function of its four hashable
+    arguments, memoised per process; every array is read-only.
     """
-    h0, drive_op, omega_d = _drive_terms(params, channel, detuning_hz)
+    _, sy = spin1_matrices()
+    h0 = np.array([TWO_PI * params.omega_mw2_hz, 0.0, TWO_PI * params.omega_mw1_hz])
+    h0[_DRIVEN_LEVEL[channel]] += TWO_PI * detuning_hz
+    h0_half = 0.5 * np.diag(h0).astype(complex)
+    drive = _DRIVE_SIGN[channel] * math.sqrt(2.0) * (TWO_PI * params.omega1_hz) * sy
+    omega_d = TWO_PI * params.drive_frequency_hz(channel)
     n = steps_per_drive_period
-    steps = _cf4_steps(h0, drive_op, omega_d, 0.0, TWO_PI / omega_d / n, n)
+    dt = TWO_PI / omega_d / n
+    steps = _cf4_steps(h0_half, drive, omega_d, 0.0, dt, n)
     prefix = np.empty((n + 1, 3, 3), dtype=complex)
     prefix[0] = np.eye(3)
     for m in range(n):
         prefix[m + 1] = steps[m] @ prefix[m]
+    squares = np.empty((MAX_DRIVE_PERIODS.bit_length(), 3, 3), dtype=complex)
     w, _, vh = np.linalg.svd(prefix[n])
-    polar = w @ vh
-    polar.setflags(write=False)
-    prefix.setflags(write=False)
-    return polar, prefix
+    squares[0] = w @ vh
+    for k in range(1, len(squares)):
+        squares[k] = squares[k - 1] @ squares[k - 1]
+    # interaction picture of the nominal (undetuned) static Hamiltonian
+    h0_nominal = h0.copy()
+    h0_nominal[_DRIVEN_LEVEL[channel]] -= TWO_PI * detuning_hz
+    period = _Period(prefix, squares, h0_half, drive, dt, 1j * h0_nominal)
+    for array in period:
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return period
+
+
+def _period_power(squares: np.ndarray, n: int) -> np.ndarray:
+    """U(T)**n from the memoised squares, bit-identical to
+    np.linalg.matrix_power(squares[0], n): its shortcuts up to n = 3, then
+    the squares of n's set bits multiplied in from the lowest."""
+    if n == 0:
+        return _IDENTITY
+    if n <= 2:
+        return squares[n - 1]
+    if n == 3:
+        return squares[1] @ squares[0]
+    power = None
+    for k in range(n.bit_length()):
+        if n >> k & 1:
+            power = squares[k] if power is None else power @ squares[k]
+    return power
 
 
 def lab_frame_propagator(
@@ -291,11 +331,12 @@ def lab_frame_propagator(
     for a duration N*T + tau the propagator is U(tau) @ U(T)**N (Shirley,
     Phys. Rev. 138, B979, 1965).  One period is integrated with the CF4
     scheme on n = steps_per_drive_period steps of dt = T/n, once per
-    (params, channel, steps, detuning) per process, keeping U(T) (its polar
-    factor) and the prefix products P[m] of its first m steps.  A pulse
-    writes tau = m*dt + r, 0 <= r < dt (m at most n - 1), and returns
+    (params, channel, steps, detuning) per process, keeping the squares
+    U(T)**(2**k) of U(T) (its polar factor), the prefix products P[m] of
+    its first m steps and the channel's constants.  A pulse writes
+    tau = m*dt + r, 0 <= r < dt (m at most n - 1), and returns
     CF4(r, from m*dt) @ P[m] @ U(T)**N: one partial step, one lookup and
-    log2(N) matrix products by repeated squaring, whatever its length.
+    one product per set bit of N past the lowest, whatever its length.
     The result is left-multiplied by exp(+i H0 duration) so it is directly
     comparable with the rotating-frame rotation of _rotate, and takes the
     full Unitary3 check.  The pulse lasts seg.angle / omega_1.  detuning_hz
@@ -321,7 +362,7 @@ def lab_frame_propagator(
     if duration == 0.0:
         return Unitary3.identity()
 
-    h0, drive_op, omega_d = _drive_terms(params, seg.channel, detuning_hz)
+    omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
     n_periods, tau = divmod(duration, TWO_PI / omega_d)
     if n_periods > MAX_DRIVE_PERIODS:
         raise StepResolutionError(
@@ -329,21 +370,15 @@ def lab_frame_propagator(
             f"drive periods, more than the maximum {MAX_DRIVE_PERIODS}; the "
             "propagator's roundoff grows with the period count and is not trusted past it"
         )
-    one_period, prefix = _period_propagator(
-        params, seg.channel, steps_per_drive_period, detuning_hz
-    )
-    dt = TWO_PI / omega_d / steps_per_drive_period
+    period = _period_propagator(params, seg.channel, steps_per_drive_period, detuning_hz)
+    dt = period.dt
     # tau < T and floor division is exact, so the bound only states m < n
     m = min(int(tau // dt), steps_per_drive_period - 1)
     r = tau - m * dt
-    total = prefix[m] @ np.linalg.matrix_power(one_period, int(n_periods))
+    total = period.prefix[m] @ _period_power(period.squares, int(n_periods))
     if r > 0.0:
-        total = _cf4_steps(h0, drive_op, omega_d, m * dt, r, 1)[0] @ total
-
-    # interaction picture of the nominal (undetuned) static Hamiltonian
-    h0_nominal = h0.copy()
-    h0_nominal[_DRIVEN_LEVEL[seg.channel]] -= TWO_PI * detuning_hz
-    frame = np.exp(1j * h0_nominal * duration)
+        total = _cf4_steps(period.h0_half, period.drive, omega_d, m * dt, r, 1)[0] @ total
+    frame = np.exp(period.frame_rate * duration)
     return Unitary3(frame[:, None] * total, atol=1e-8)
 
 

@@ -98,9 +98,9 @@ class Unitary3:
         m = np.array(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        if not np.isfinite(m).all():
             raise UnitarityError("matrix entries must be finite")
-        err = np.max(np.abs(m.conj().T @ m - np.eye(3)))
+        err = np.max(np.abs(m.conj().T @ m - _IDENTITY))
         if err > atol:
             raise UnitarityError(
                 f"U^dag U deviates from identity by {err:.3e} (atol {atol:g})"
@@ -110,7 +110,7 @@ class Unitary3:
 
     @classmethod
     def identity(cls) -> "Unitary3":
-        return cls(np.eye(3, dtype=complex))
+        return cls(_IDENTITY)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -145,6 +145,8 @@ def _locked(array) -> np.ndarray:
     a.setflags(write=False)
     return a
 
+
+_IDENTITY = _locked(np.eye(3))
 
 # Spin-1 operators in the (|+1>, |0>, |-1>) basis, hbar = 1.
 _SZ = _locked(np.diag([1.0, 0.0, -1.0]))

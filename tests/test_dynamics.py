@@ -20,6 +20,7 @@ from sorkin_lab.dynamics import (
     MAX_STEPS_PER_PERIOD,
     TWO_PI,
     _cf4_steps,
+    _period_power,
     _period_propagator,
     _rotate,
 )
@@ -262,9 +263,12 @@ def test_period_power_equals_stepping_every_period():
     period = TWO_PI / omega_d
     n_periods = int(PulseSegment("MW2", math.pi).duration_s(p.omega1_hz) // period)
     assert n_periods > 400
-    one_period = _ordered(_cf4_steps(h0, drive, omega_d, 0.0, period / steps, steps))
+    h0_half = 0.5 * np.diag(h0)
+    one_period = _ordered(_cf4_steps(h0_half, drive, omega_d, 0.0, period / steps, steps))
     powered = np.linalg.matrix_power(one_period, n_periods)
-    stepped = _ordered(_cf4_steps(h0, drive, omega_d, 0.0, period / steps, n_periods * steps))
+    stepped = _ordered(
+        _cf4_steps(h0_half, drive, omega_d, 0.0, period / steps, n_periods * steps)
+    )
     assert np.max(np.abs(powered - stepped)) < 1e-12
 
 
@@ -303,12 +307,49 @@ def test_shared_period_is_bit_equal_cold_and_warm(omega1_hz, channel, detuning_h
 
 
 def test_memoised_period_is_read_only():
-    period, prefix = _period_propagator(HamiltonianParams(), "MW1", 200, 0.0)
-    assert period.shape == (3, 3) and prefix.shape == (201, 3, 3)
-    for array in (period, prefix):
+    entry = _period_propagator(HamiltonianParams(), "MW1", 200, 0.0)
+    assert entry.prefix.shape == (201, 3, 3)
+    assert entry.squares.shape == (MAX_DRIVE_PERIODS.bit_length(), 3, 3)
+    arrays = [field for field in entry if isinstance(field, np.ndarray)]
+    assert len(arrays) == 5
+    for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0, 0] = 0.0
+            array[(0,) * array.ndim] = 0.0
+
+
+_POWERS = sorted(
+    set(range(65))
+    | {2**k + d for k in range(1, MAX_DRIVE_PERIODS.bit_length()) for d in (-1, 0, 1)}
+    | {MAX_DRIVE_PERIODS}
+)
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_period_power_is_matrix_power_bit_for_bit(channel):
+    # the memoised squares, multiplied at call time, against numpy's own
+    # repeated squaring of U(T): same products in the same order
+    squares = _period_propagator(HamiltonianParams(), channel, 200, 0.0).squares
+    for n in _POWERS:
+        expected = np.linalg.matrix_power(squares[0], n)
+        assert _period_power(squares, n).tobytes() == expected.tobytes(), n
+
+
+@pytest.mark.parametrize("detuning_hz", [0.0, 1e6])
+@pytest.mark.parametrize("channel", CHANNELS)
+@given(data=st.data())
+def test_remainder_step_is_the_period_paths_step_bit_for_bit(channel, detuning_hz, data):
+    # a pulse's one partial step against the first step of the stack the
+    # period is integrated in, for the same start and length
+    p = HamiltonianParams()
+    entry = _period_propagator(p, channel, 200, detuning_hz)
+    omega_d = TWO_PI * p.drive_frequency_hz(channel)
+    start = data.draw(st.floats(0.0, TWO_PI / omega_d, exclude_max=True))
+    r = data.draw(st.floats(0.0, entry.dt, exclude_min=True, exclude_max=True))
+    lone = _cf4_steps(entry.h0_half, entry.drive, omega_d, start, r, 1)
+    stacked = _cf4_steps(entry.h0_half, entry.drive, omega_d, start, r, 200)
+    assert lone.shape == (1, 3, 3)
+    assert lone[0].tobytes() == stacked[0].tobytes()
 
 
 def _split(p, seg):

@@ -173,6 +173,16 @@ def test_public_constructors_keep_their_checks():
         apply_unitary(loose, QutritState(0.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_unitary_refuses_one_non_finite_part(part, bad):
+    # a NaN makes err > atol false, so only the finiteness check refuses it
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(UnitarityError, match="must be finite"):
+        Unitary3(m)
+
+
 def test_states_are_slotted_and_frozen():
     state = QutritState(0.6, 0.8j, 0)
     assert not hasattr(state, "__dict__")
