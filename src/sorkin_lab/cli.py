@@ -40,13 +40,13 @@ from .detection import (
     SUMMARY_JSON_SCHEMA,
     DetectionParams,
     batch_csv_text,
+    estimate_kappa,
     exact_probabilities,
     expected_estimates,
     predicted_kappa_std,
     sample_batches,
     sensitivity_scan,
     sorkin_report,
-    summarize,
 )
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
 from .errors import (
@@ -333,8 +333,8 @@ def cmd_ideal(config: ExperimentConfig) -> CommandResult:
 def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     t, det = config.amplitudes, config.detection
     report = sample_batches(t, config.p, det, config.batches, config.master_seed)
-    est = summarize(report)
-    rejected = config.rule.kind == "born" and born_null_rejected(est)
+    est = estimate_kappa(report)
+    rejected = config.rule.kind == "born" and est.excludes_zero(5.0)
     # exact mode has no counting noise to predict
     predicted = None if det is None else predicted_kappa_std(t, config.p, det)
     summary = _report_json(
@@ -352,11 +352,6 @@ def cmd_simulate(config: ExperimentConfig) -> CommandResult:
         ],
         EXIT_NULL_REJECTED if rejected else EXIT_OK,
     )
-
-
-def born_null_rejected(est) -> bool:
-    """True when |mean kappa| exceeds 5 standard errors (plus a float floor)."""
-    return abs(est.mean) > 5.0 * est.stderr + 1e-12
 
 
 def cmd_schedule(config: ExperimentConfig) -> CommandResult:

@@ -18,9 +18,10 @@ cancels from kappa exactly.  A run's report is sorkin_report(t, P) of its
 (M, 7) estimates P, as an exact run's is of p_true in every row: row b of
 each column is batch b's, and the report records neither seed nor shots.
 
-summarize is the one summary of a run's kappa column, for simulate, every
-sensitivity row and every shot-ladder rung alike; a simulated run has at
-least two batches, since one has no spread.
+estimate_kappa is the one summary of a run's kappa column, for simulate,
+every sensitivity row and every shot-ladder rung alike, and
+KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
+Born null of simulate, 3 sigma for a scan row.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
@@ -117,6 +118,11 @@ class KappaEstimate:
     std: float
     stderr: float
     ci95: tuple[float, float]
+
+    def excludes_zero(self, sigmas: float) -> bool:
+        """True when |mean| exceeds sigmas standard errors plus a float floor
+        of 1e-12, which a run with no spread must clear on its own."""
+        return abs(self.mean) > sigmas * self.stderr + 1e-12
 
 
 def _entropy(seed) -> list[int]:
@@ -273,7 +279,9 @@ def _t975(df: int) -> float:
 
 def estimate_kappa(report, *, seed=None) -> KappaEstimate:
     """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr
-    of a run's kappa column; M equal kappas k, as in an exact run, give k, std 0.
+    of a run's kappa column; M equal kappas k, as in an exact run or the one
+    batch only an exact run may have, give k with no spread.  A run of no
+    batches is refused.
 
     A pure O(M) function of the M batch kappas: it draws no random numbers.
     seed is ignored; callers of the seeded bootstrap this replaced
@@ -281,10 +289,8 @@ def estimate_kappa(report, *, seed=None) -> KappaEstimate:
     """
     k = np.asarray(report.kappa, dtype=float)
     m = k.size
-    if m < 2:
-        raise InsufficientBatchesError(
-            f"need at least 2 batches for a spread estimate, got {m}"
-        )
+    if m == 0:
+        raise InsufficientBatchesError("a run needs at least 1 batch, got 0")
     if (k == k[0]).all():
         first = float(k[0])
         return KappaEstimate(first, 0.0, 0.0, (first, first))
@@ -293,15 +299,6 @@ def estimate_kappa(report, *, seed=None) -> KappaEstimate:
     stderr = std / math.sqrt(m)
     half = _t975(m - 1) * stderr
     return KappaEstimate(mean=mean, std=std, stderr=stderr, ci95=(mean - half, mean + half))
-
-
-def summarize(report) -> KappaEstimate:
-    """The kappa summary of a run: estimate_kappa of its batches, or, for
-    the one batch only an exact run may have, its kappa with no spread."""
-    if report.kappa.size == 1:
-        k = float(report.kappa[0])
-        return KappaEstimate(k, 0.0, 0.0, (k, k))
-    return estimate_kappa(report)
 
 
 def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
@@ -340,10 +337,10 @@ class SensitivityScan:
 
 
 def _grid_summaries(t, runs, n_batches, master_seed):
-    """summarize of each grid row; row j samples its (p_true, det) under [*master_seed, j]."""
+    """estimate_kappa of each grid row; row j samples its (p_true, det) under [*master_seed, j]."""
     prefix = _entropy(master_seed)
     for j, (p_true, det) in enumerate(runs):
-        yield summarize(sample_batches(t, p_true, det, n_batches, (*prefix, j)))
+        yield estimate_kappa(sample_batches(t, p_true, det, n_batches, (*prefix, j)))
 
 
 def sensitivity_scan(
@@ -357,8 +354,8 @@ def sensitivity_scan(
 ) -> SensitivityScan:
     """kappa statistics per deformation strength, with a 3-sigma detection flag.
 
-    Each row's mean and std are summarize of its batches, and the row is
-    detected when |mean kappa| exceeds 3 * std / sqrt(M).  Grid row j
+    Each row's mean and std are estimate_kappa of its batches, and the row
+    is detected when that estimate excludes zero at 3 sigma.  Grid row j
     draws from seed prefix [*master_seed, j].
 
     The same rule predicts the detectable strength 3 sigma / (sqrt(M) |slope|):
@@ -377,9 +374,9 @@ def sensitivity_scan(
     runs = ((p_true, det) for p_true in p_grid)
     rows = []
     smallest = None
+    sigmas = 3.0
     for eps, est in zip(eps_grid, _grid_summaries(t, runs, n_batches, master_seed)):
-        threshold = max(3.0 * est.std / math.sqrt(n_batches), 1e-12)
-        detected = abs(est.mean) > threshold
+        detected = est.excludes_zero(sigmas)
         rows.append(SensitivityRow(eps, est.mean, est.std, detected))
         if detected and smallest is None:
             smallest = eps
@@ -390,7 +387,7 @@ def sensitivity_scan(
         slope_kappa = sorkin_report(t, p_true).kappa
         if slope_kappa != 0.0:
             sigma = predicted_kappa_std(t, exact_probabilities(t, spec, born), det)
-            predicted = 3.0 * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
+            predicted = sigmas * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
     return SensitivityScan(tuple(rows), smallest, predicted)
 
 
@@ -402,8 +399,8 @@ def scaling_check(
     n_batches: int,
     master_seed,
 ) -> list[tuple[int, float]]:
-    """Empirical kappa std per shot count N, the std of summarize of each
-    rung's batches, for shot-noise scaling checks.
+    """Empirical kappa std per shot count N, the std of estimate_kappa of
+    each rung's batches, for shot-noise scaling checks.
 
     Grid row j draws from seed prefix [*master_seed, j].
     """

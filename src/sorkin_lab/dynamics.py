@@ -177,9 +177,6 @@ class PulseSchedule:
     def __iter__(self):
         return iter(self.segments)
 
-    def __len__(self):
-        return len(self.segments)
-
     def angle_pair(self) -> tuple[float, float]:
         """(phi1, phi2): summed rotation angles on MW1 and MW2, each summed
         in schedule order from the integer 0, as ``sum`` would."""

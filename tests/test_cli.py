@@ -15,7 +15,6 @@ from sorkin_lab.cli import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     EXIT_UNWRITABLE,
-    born_null_rejected,
     cmd_ideal,
     cmd_rwa_check,
     cmd_sensitivity,
@@ -557,12 +556,13 @@ def test_rwa_check_skips_a_tiny_negative_measurement_angle(tmp_path, capsys):
 
 
 def test_born_null_decision():
+    # simulate's verdict is the one significance rule at 5 sigma
     est = KappaEstimate(0.001, 0.01, 0.0001, (0.0, 0.002))
-    assert born_null_rejected(est)
+    assert est.excludes_zero(5.0)
     est2 = KappaEstimate(0.0004, 0.01, 0.0001, (0.0, 0.002))
-    assert not born_null_rejected(est2)
+    assert not est2.excludes_zero(5.0)
     exact = KappaEstimate(0.0, 0.0, 0.0, (0.0, 0.0))
-    assert not born_null_rejected(exact)
+    assert not exact.excludes_zero(5.0)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sensitivity"])

@@ -214,8 +214,9 @@ def test_run_batches_follow_the_batch_stream_layout(det):
     other = run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
     assert _bits(_table(report)) == _bits(_table(other))
     row = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, 6, 5).rows[0]
-    est = detection.summarize(report)
+    est = estimate_kappa(report)
     assert (row.kappa_mean, row.kappa_std) == (est.mean, est.std)
+    assert row.detected == est.excludes_zero(3.0)
 
 
 @pytest.mark.parametrize("grid", [[0.1, 0.0, -0.05], [0.05, 0.1]])
@@ -382,10 +383,42 @@ def test_identical_exact_batches_have_no_spread():
     assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k))
 
 
-def test_estimate_kappa_needs_two_batches():
-    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
-    with pytest.raises(InsufficientBatchesError):
+def test_estimate_kappa_refuses_an_empty_run():
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 0, 0)
+    with pytest.raises(InsufficientBatchesError, match="at least 1 batch, got 0"):
         estimate_kappa(report)
+
+
+def test_estimate_kappa_of_one_exact_batch():
+    exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
+    p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    k = detection.sorkin_report(_target(), p_true).kappa
+    est = estimate_kappa(exact)
+    assert est == KappaEstimate(k, 0.0, 0.0, (k, k))
+    assert type(est.mean) is float  # the summary JSON writes it
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(QuantumRegimeError, AssertionError),
+    reason="the mean of batch kappas is biased at low shot counts, and a batch "
+    "whose pairwise terms cancel is refused; ROADMAP direction 3's pooled "
+    "kappa estimate removes both",
+)
+def test_born_null_holds_at_the_fewest_shots():
+    # simulate's verdict at the README's least shot count, 412, on the
+    # default config with 20,000 batches, seeds 1-8
+    t, det = _target(), DetectionParams(shots=412)
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    verdicts = {}
+    for seed in range(1, 9):
+        try:
+            est = estimate_kappa(detection.sample_batches(t, p_true, det, 20_000, seed))
+        except QuantumRegimeError:
+            verdicts[seed] = "refused"
+        else:
+            verdicts[seed] = "rejected" if est.excludes_zero(5.0) else "held"
+    assert verdicts == dict.fromkeys(range(1, 9), "held")
 
 
 def test_estimate_kappa_ci_contains_mean():
@@ -469,10 +502,10 @@ def _assert_one_shot_interval(report, est):
     assert width == pytest.approx(half, rel=_t975_error(m - 1) + 1e-12)
 
 
-# The name and case ids are those of the blocked bootstrap the closed form
-# replaced: m batches and the seed, now ignored.  In place of the resample
-# block, rows counts calls on other kappas made first (None: none), which
-# must leave no trace, as the interval is neither cached nor drawn.
+# The closed-form interval keeps no state across calls: rows counts calls
+# on other kappas made first (None: none), which must leave no trace, and
+# seed is ignored.  The name and case ids are those of the blocked
+# bootstrap the closed form replaced.
 @pytest.mark.parametrize("rows", [None, 1, 3])
 @pytest.mark.parametrize("seed", [42, (7, 1 << 40)])
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 1001])
@@ -607,19 +640,6 @@ def test_one_exact_batch_per_rung_has_no_spread():
         warnings.simplefilter("error")
         rows = scaling_check(_target(), MEASUREMENT_M1, None, [20_000, 200_000], 1, 3)
     assert rows == [(20_000, 0.0), (200_000, 0.0)]
-
-
-def test_summarize_is_estimate_kappa_or_one_exact_batch():
-    report = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(shots=50_000), 5, 1)
-    assert detection.summarize(report) == estimate_kappa(report)
-    exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
-    p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
-    k = detection.sorkin_report(_target(), p_true).kappa
-    est = detection.summarize(exact)
-    assert est == KappaEstimate(k, 0.0, 0.0, (k, k))
-    assert type(est.mean) is float  # the summary JSON writes it
-    with pytest.raises(InsufficientBatchesError):
-        detection.summarize(run_batches(_target(), MEASUREMENT_M1, BORN, None, 0, 0))
 
 
 def test_scaling_check_noise_shrinks_with_brightness():
