@@ -141,7 +141,7 @@ class HamiltonianParams:
         raise ValueError(f"unknown channel {channel!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PulseSegment:
     """One resonant pulse: channel plus rotation angle theta = omega_1 * t.
 
@@ -153,26 +153,29 @@ class PulseSegment:
     channel: str
     angle: float
 
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if not math.isfinite(self.angle):
-            raise ValueError(f"angle must be finite, got {self.angle!r}")
-        angle = float(self.angle) % TWO_PI
-        object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
+    def __init__(self, channel: str, angle: float):
+        if channel not in CHANNELS:
+            raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+        if not math.isfinite(angle):
+            raise ValueError(f"angle must be finite, got {angle!r}")
+        angle = float(angle) % TWO_PI
+        # frozen: the fields are stored past __setattr__, each once
+        fields = self.__dict__
+        fields["channel"] = channel
+        fields["angle"] = 0.0 if angle == TWO_PI else angle
 
     def duration_s(self, omega1_hz: float) -> float:
         return self.angle / (TWO_PI * omega1_hz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PulseSchedule:
     """Ordered pulse list, earliest first; empty for a trivial preparation."""
 
     segments: tuple[PulseSegment, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments=()):
+        self.__dict__["segments"] = tuple(segments)
 
     def __iter__(self):
         return iter(self.segments)

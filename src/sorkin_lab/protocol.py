@@ -97,6 +97,21 @@ def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:
     return ab, ac, bc
 
 
+# The target-independent objects of the protocol, built (and so checked)
+# once at import and shared, as they are immutable.  _BASIS[level][sign] is
+# the basis state (|+1>, |0>, |-1>)[level] times sign, keyed by the
+# math.copysign(1.0, x) of its amplitude, so that -0.0 keeps its sign.
+_BASIS = (
+    {s: QutritState(s, 0.0, 0.0) for s in (1.0, -1.0)},
+    {s: QutritState(0.0, s, 0.0) for s in (1.0, -1.0)},
+    {s: QutritState(0.0, 0.0, s) for s in (1.0, -1.0)},
+)
+_MW2_PI = PulseSegment("MW2", math.pi)
+_SCHEDULE_NONE = PulseSchedule(())
+_SCHEDULE_MW2_PI = PulseSchedule((_MW2_PI,))
+_SCHEDULE_MW1_PI = PulseSchedule((PulseSegment("MW1", math.pi),))
+
+
 def prepare_states(t: TargetAmplitudes) -> tuple[QutritState, ...]:
     """The seven protocol states for target amplitudes (a, b, c).
 
@@ -111,9 +126,9 @@ def prepare_states(t: TargetAmplitudes) -> tuple[QutritState, ...]:
         QutritState(b / ab, a / ab, 0.0),
         QutritState(0.0, a / ac, c / ac),
         QutritState(b / bc, 0.0, c / bc),
-        QutritState(0.0, math.copysign(1.0, a), 0.0),
-        QutritState(math.copysign(1.0, b), 0.0, 0.0),
-        QutritState(0.0, 0.0, math.copysign(1.0, c)),
+        _BASIS[1][math.copysign(1.0, a)],
+        _BASIS[0][math.copysign(1.0, b)],
+        _BASIS[2][math.copysign(1.0, c)],
     )
 
 
@@ -225,31 +240,26 @@ def solve_schedule(t: TargetAmplitudes, omega1_hz: float) -> tuple[PulseSchedule
     s4 = -_sign(c) if c != 0.0 else -_sign(b)
     th4 = 2.0 * math.atan2(-s4 * c, -s4 * b)
 
-    pi = math.pi
-
-    def sched(*pairs) -> PulseSchedule:
-        segs = [
-            PulseSegment(channel, angle)
-            for channel, angle in pairs
-            if angle != 0.0
-        ]
-        return PulseSchedule(tuple(segs))
-
     return (
-        sched(("MW1", th1), ("MW2", th1p)),
-        sched(("MW2", th2p)),
-        sched(("MW1", th3)),
-        sched(("MW1", th4), ("MW2", pi)),
-        sched(),
-        sched(("MW2", pi)),
-        sched(("MW1", pi)),
+        PulseSchedule(_pulse("MW1", th1) + _pulse("MW2", th1p)),
+        PulseSchedule(_pulse("MW2", th2p)),
+        PulseSchedule(_pulse("MW1", th3)),
+        PulseSchedule(_pulse("MW1", th4) + _SCHEDULE_MW2_PI.segments),
+        _SCHEDULE_NONE,
+        _SCHEDULE_MW2_PI,
+        _SCHEDULE_MW1_PI,
     )
+
+
+def _pulse(channel: str, angle: float) -> tuple[PulseSegment, ...]:
+    """The segments of one pulse: none for a zero angle."""
+    return (PulseSegment(channel, angle),) if angle != 0.0 else ()
 
 
 def apply_schedule(schedule: PulseSchedule) -> QutritState:
     """Run a schedule's rotations on |0> and return the prepared state."""
     amplitudes = (0.0, 1.0, 0.0)
-    for seg in schedule:
+    for seg in schedule.segments:
         amplitudes = _rotate(seg.channel, seg.angle, amplitudes)
     return QutritState(*amplitudes)
 

@@ -10,9 +10,12 @@ that still covers it:
 
   * ``QutritState(...)`` checks that its amplitudes are finite and
     normalized within NORM_ATOL, on every construction, including the
-    states ``from_vector`` and ``apply_unitary`` return, the seven
+    states ``from_vector`` and ``apply_unitary`` return, the first four
     protocol states, the scheduled preparations, the measurement ket and
-    ``rwa_fidelity``'s ideal state;
+    ``rwa_fidelity``'s ideal state; the six signed basis states of the
+    protocol (psi5, psi6, psi7) and its constant pi pulse schedules are
+    built, and so checked, once at import, then shared as immutable
+    instances;
   * ``Unitary3(matrix)`` checks shape, finiteness and max|U^dag U - I|
     within UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product;
   * a plane rotation that ``dynamics`` applies in closed form to a
@@ -50,15 +53,16 @@ class QutritState:
     def __init__(self, c_plus, c_zero, c_minus):
         c_plus, c_zero, c_minus = complex(c_plus), complex(c_zero), complex(c_minus)
         n2 = abs(c_plus) ** 2 + abs(c_zero) ** 2 + abs(c_minus) ** 2
-        if not math.isfinite(n2):
-            raise NormalizationError("state amplitudes must be finite")
-        if abs(n2 - 1.0) > NORM_ATOL:
+        # a non-finite amplitude makes n2 inf or NaN, which fails this test
+        if not abs(n2 - 1.0) <= NORM_ATOL:
+            if not math.isfinite(n2):
+                raise NormalizationError("state amplitudes must be finite")
             raise NormalizationError(
                 f"squared amplitudes sum to {n2!r}, expected 1 within {NORM_ATOL}"
             )
-        object.__setattr__(self, "c_plus", c_plus)
-        object.__setattr__(self, "c_zero", c_zero)
-        object.__setattr__(self, "c_minus", c_minus)
+        _set_c_plus(self, c_plus)
+        _set_c_zero(self, c_zero)
+        _set_c_minus(self, c_minus)
 
     @classmethod
     def from_vector(cls, vec) -> "QutritState":
@@ -76,6 +80,11 @@ class QutritState:
     def vector(self) -> np.ndarray:
         return np.array([self.c_plus, self.c_zero, self.c_minus])
 
+
+# The slots' own setters, which a frozen instance's __setattr__ would refuse.
+_set_c_plus = QutritState.__dict__["c_plus"].__set__
+_set_c_zero = QutritState.__dict__["c_zero"].__set__
+_set_c_minus = QutritState.__dict__["c_minus"].__set__
 
 _STATE_ZERO = QutritState(0.0, 1.0, 0.0)
 

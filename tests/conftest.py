@@ -2,7 +2,11 @@
 
 The oracle helpers below deliberately duplicate the physics with plain
 numpy (no package imports) so the tests check the implementation against
-an independent computation path.
+an independent computation path.  The two ``fresh_*`` oracles are the
+exception: they build every protocol object through the package's own
+constructors, one fresh object per state and pulse, so that the shared
+constant objects of ``prepare_states`` and ``solve_schedule`` can be
+compared with them bit for bit.
 """
 
 import math
@@ -110,6 +114,68 @@ def sorkin_term(k, path_weights):
             amp = sum(weights[j] for j in subset)
             total += sign * abs(amp) ** 2
     return total
+
+
+def fresh_prepare_states(t):
+    """prepare_states(t), each of the seven states built by its own
+    QutritState call."""
+    from sorkin_lab import QutritState
+    from sorkin_lab.protocol import _pair_norms
+
+    ab, ac, bc = _pair_norms(t)
+    a, b, c = t.a, t.b, t.c
+    return (
+        QutritState(b, a, c),
+        QutritState(b / ab, a / ab, 0.0),
+        QutritState(0.0, a / ac, c / ac),
+        QutritState(b / bc, 0.0, c / bc),
+        QutritState(0.0, math.copysign(1.0, a), 0.0),
+        QutritState(math.copysign(1.0, b), 0.0, 0.0),
+        QutritState(0.0, 0.0, math.copysign(1.0, c)),
+    )
+
+
+def fresh_solve_schedule(t, omega1_hz):
+    """solve_schedule(t, omega1_hz), every PulseSegment and PulseSchedule
+    built fresh: a pulse of nonzero angle is one segment, in schedule order."""
+    from sorkin_lab import PulseSchedule, PulseSegment, UnreachableStateError
+    from sorkin_lab.protocol import _DEGENERATE_ATOL, _pair_norms, _solve_psi1
+
+    if omega1_hz <= 0:
+        raise ValueError("omega1_hz must be positive")
+    _pair_norms(t)
+    a, b, c = t.a, t.b, t.c
+    if abs(a) <= _DEGENERATE_ATOL:
+        raise UnreachableStateError(
+            "a = 0 makes the psi2 and psi3 pulse conditions singular; "
+            "those states cannot be scheduled"
+        )
+
+    def sign(x):
+        return math.copysign(1.0, x)
+
+    th1, th1p = _solve_psi1(a, b, c)
+    s2 = -sign(b) if b != 0.0 else sign(a)
+    th2p = 2.0 * math.atan2(-s2 * b, s2 * a)
+    s3 = -sign(c) if c != 0.0 else sign(a)
+    th3 = 2.0 * math.atan2(-s3 * c, s3 * a)
+    s4 = -sign(c) if c != 0.0 else -sign(b)
+    th4 = 2.0 * math.atan2(-s4 * c, -s4 * b)
+
+    def sched(*pairs):
+        segs = [PulseSegment(channel, angle) for channel, angle in pairs if angle != 0.0]
+        return PulseSchedule(tuple(segs))
+
+    pi = math.pi
+    return (
+        sched(("MW1", th1), ("MW2", th1p)),
+        sched(("MW2", th2p)),
+        sched(("MW1", th3)),
+        sched(("MW1", th4), ("MW2", pi)),
+        sched(),
+        sched(("MW2", pi)),
+        sched(("MW1", pi)),
+    )
 
 
 def random_target_triple(rng, min_component=1e-3):

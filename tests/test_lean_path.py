@@ -3,9 +3,13 @@
 The measurement ket, the scheduled preparations and rwa_fidelity's ideal
 state are rotated in closed form with no matrix at all, under a
 closed-form unitarity check; these tests rebuild each one through the
-public, fully checked constructors and require the same bits.
+public, fully checked constructors and require the same bits.  The
+protocol's target-independent states and schedules are shared constants,
+compared bit for bit with freshly built ones, and the lean constructors
+of QutritState and PulseSegment are pinned to their checks and messages.
 """
 
+import dataclasses
 import math
 import sys
 from dataclasses import FrozenInstanceError
@@ -13,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from sorkin_lab import (
@@ -22,18 +26,22 @@ from sorkin_lab import (
     PulseSchedule,
     PulseSegment,
     QutritState,
+    SorkinLabError,
+    TargetAmplitudes,
     UnitarityError,
     Unitary3,
     apply_schedule,
     apply_unitary,
     inner_product,
     measurement_ket,
+    prepare_states,
     rwa_fidelity,
+    solve_schedule,
 )
 from sorkin_lab.dynamics import CHANNELS, HamiltonianParams, _rotate
 from sorkin_lab.qutrit import _check_plane_rotation
 
-from conftest import r1_rows, r2_rows
+from conftest import PAPER_ABC, fresh_prepare_states, fresh_solve_schedule, r1_rows, r2_rows
 
 # Every finite float, with the large magnitudes drawn on purpose: there
 # cos and sin of the half angle carry the most argument-reduction error.
@@ -190,3 +198,91 @@ def test_states_are_slotted_and_frozen():
         state.c_plus = 1.0
     assert state == QutritState(0.6 + 0j, 0.8j, 0j)
     assert QutritState.ket_zero() == QutritState(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_state_refuses_one_non_finite_part(index, part, bad):
+    # a NaN fails the norm test as well; the finiteness message must win
+    amplitudes = [0j, 1 + 0j, 0j]
+    x = amplitudes[index]
+    amplitudes[index] = complex(bad, x.imag) if part == "real" else complex(x.real, bad)
+    with pytest.raises(NormalizationError, match="state amplitudes must be finite"):
+        QutritState(*amplitudes)
+
+
+def test_state_off_norm_names_its_squared_sum():
+    message = r"^squared amplitudes sum to 2\.0, expected 1 within 1e-09$"
+    with pytest.raises(NormalizationError, match=message):
+        QutritState(1.0, 1.0, 0.0)
+    with pytest.raises(NormalizationError, match="squared amplitudes sum to 0.0,"):
+        QutritState(0.0, 0.0, 0.0)
+    QutritState(math.sqrt(1.0 + 5e-10), 0.0, 0.0)  # inside NORM_ATOL
+    with pytest.raises(NormalizationError, match=r"squared amplitudes sum to 1\.00000000"):
+        QutritState(math.sqrt(1.0 + 2e-9), 0.0, 0.0)
+
+
+def test_pulse_segment_constructor_contract():
+    seg = PulseSegment(channel="MW2", angle=1.5)
+    assert seg == PulseSegment("MW2", 1.5) and hash(seg) == hash(PulseSegment("MW2", 1.5))
+    assert dataclasses.replace(seg, channel="MW1") == PulseSegment("MW1", 1.5)
+    for angle in (-1e-17, 2.0 * math.pi):
+        for moved in (PulseSegment("MW1", angle), dataclasses.replace(seg, angle=angle)):
+            assert moved.angle == 0.0 and math.copysign(1.0, moved.angle) == 1.0
+    with pytest.raises(ValueError, match=r"^channel must be one of \('MW1', 'MW2'\), got 'MW3'$"):
+        PulseSegment("MW3", 1.0)
+    with pytest.raises(ValueError, match="channel must be one of"):
+        dataclasses.replace(seg, channel="mw2")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$"):
+            PulseSegment("MW1", bad)
+    with pytest.raises(FrozenInstanceError):
+        seg.angle = 0.0
+    schedule = PulseSchedule(segments=[seg])
+    assert schedule.segments == (seg,) and type(schedule.segments) is tuple
+    assert PulseSchedule() == PulseSchedule(()) and PulseSchedule().segments == ()
+    with pytest.raises(FrozenInstanceError):
+        schedule.segments = ()
+
+
+def _schedule_bits(schedule: PulseSchedule) -> list:
+    assert type(schedule.segments) is tuple
+    assert all(type(seg.angle) is float for seg in schedule.segments)
+    return [(seg.channel, np.float64(seg.angle).tobytes()) for seg in schedule.segments]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SorkinLabError as exc:
+        return (type(exc), str(exc))
+
+
+_component = st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([0.0, -0.0]))
+
+
+@given(_component, _component, _component)
+@example(*PAPER_ABC)
+@example(0.6, 0.8, 0.0)  # c = 0: psi4's MW1 angle is +0.0 and is dropped
+@example(0.6, -0.8, 0.0)  # ... and here -0.0
+@example(0.6, 0.8, -0.0)
+@example(-0.6, -0.8, -0.0)
+@example(0.6, 0.0, -0.8)
+@example(-0.6, -0.0, 0.8)
+@example(-0.0, 0.6, -0.8)  # prepare_states only: a = 0 is unreachable
+@example(1.0, 0.0, -0.0)  # degenerate: both refuse it
+def test_shared_protocol_objects_equal_fresh_ones(a, b, c):
+    n = math.sqrt(a * a + b * b + c * c)
+    assume(n > 1e-3)
+    t = TargetAmplitudes(a / n, b / n, c / n)
+
+    got, want = _outcome(prepare_states, t), _outcome(fresh_prepare_states, t)
+    assert got == want
+    if isinstance(want, tuple) and len(want) == 7:
+        assert [_bits(s) for s in got] == [_bits(s) for s in want]
+
+    got, want = _outcome(solve_schedule, t, 5e6), _outcome(fresh_solve_schedule, t, 5e6)
+    assert got == want
+    if isinstance(want, tuple) and len(want) == 7:
+        assert [_schedule_bits(s) for s in got] == [_schedule_bits(s) for s in want]
