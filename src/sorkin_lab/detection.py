@@ -23,6 +23,15 @@ every sensitivity row and every shot-ladder rung alike, and
 KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
 Born null of simulate, 3 sigma for a scan row.
 
+A grid (a sensitivity scan or a shot ladder) draws each row on its own
+stream, exactly as a run of its own, then stacks the rows' (M, 7)
+estimates C-contiguously into (J, M, 7) blocks of at most 2**16 batches
+(a block always holds at least one row).  Each block gets one report and
+its (J, M) kappas one row-wise summary, of which a single run is the
+(1, M) case.  The layout keeps the bits: over the last axis of a
+C-contiguous block numpy sums each row pairwise, exactly as it sums the
+row alone, so each row's mean and std equal its run's bit for bit.
+
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
 master seed, or [*master_seed, j] for row j of a sensitivity scan or shot
@@ -159,16 +168,23 @@ def exact_probabilities(
     t: TargetAmplitudes, spec: MeasurementSpec, rule: ProbabilityRule
 ) -> tuple[float, ...]:
     """The seven rule probabilities of the protocol, the first step of every run."""
-    m = measurement_ket(spec)
-    return tuple(probability(rule, m, psi) for psi in prepare_states(t))
+    return _rule_probabilities(t, spec, (rule,))[0]
+
+
+def _rule_probabilities(t, spec, rules) -> list[tuple[float, ...]]:
+    """exact_probabilities of each rule, from one measurement ket and one set of states."""
+    m, states = measurement_ket(spec), prepare_states(t)
+    return [tuple(probability(rule, m, psi) for psi in states) for rule in rules]
 
 
 def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
     """The interference terms and kappa of seven probabilities p, or, as
-    columns, of each row of a run's (M, 7) array p: the last step of every
-    run, exact or simulated; kappa refuses an I2 at or below KAPPA_FLOOR."""
-    stack = isinstance(p, np.ndarray) and p.ndim == 2
-    cols = p.T if stack else p
+    arrays, of every batch of a (..., 7) stack p, the last axis the
+    experiment: a run's (M, 7) estimates or a grid's (J, M, 7) block.  The
+    last step of every run, exact or simulated; kappa refuses an I2 at or
+    below KAPPA_FLOOR, naming the batch within its run."""
+    stack = isinstance(p, np.ndarray) and p.ndim >= 2
+    cols = np.moveaxis(p, -1, 0) if stack else p
     terms = second_order_terms(cols, t)
     i3 = third_order_term(cols, t)
     kap = kappa(i3, terms)
@@ -210,13 +226,18 @@ def sample_batches(
     _read_out).  A simulated run of fewer than 2 batches, which has no
     spread to summarize, is refused before its stream is set up.
     """
+    return sorkin_report(t, _estimates(p_true, det, n_batches, master_seed))
+
+
+def _estimates(p_true, det, n_batches, master_seed) -> np.ndarray:
+    """The (n_batches, 7) estimates of a run (see sample_batches)."""
     if det is None:
-        return sorkin_report(t, np.broadcast_to(p_true, (n_batches, 7)))
+        return np.broadcast_to(p_true, (n_batches, 7))
     if n_batches < 2:
         raise InsufficientBatchesError(
             f"a simulated run needs at least 2 batches for a spread estimate, got {n_batches}"
         )
-    return sorkin_report(t, _read_out(p_true, det, n_batches, _entropy(master_seed)))
+    return _read_out(p_true, det, n_batches, _entropy(master_seed))
 
 
 def run_protocol_batch(
@@ -285,20 +306,38 @@ def estimate_kappa(report, *, seed=None) -> KappaEstimate:
 
     A pure O(M) function of the M batch kappas: it draws no random numbers.
     seed is ignored; callers of the seeded bootstrap this replaced
-    (perfbench/workloads.py) still pass one.
+    (perfbench/workloads.py) still pass one.  The run is summarized as a
+    (1, M) block of _kappa_estimates, the summary of every grid row too.
     """
-    k = np.asarray(report.kappa, dtype=float)
-    m = k.size
+    return _kappa_estimates(np.asarray(report.kappa, dtype=float).reshape(1, -1))[0]
+
+
+def _kappa_estimates(k) -> list[KappaEstimate]:
+    """estimate_kappa of each row of a (J, M) block of batch kappas, one run a row.
+
+    The block is reduced over its last axis in C order, in which numpy sums
+    each row as it sums the row alone; an F-ordered block's sums may differ
+    in the last bits.
+    """
+    k = np.ascontiguousarray(k)
+    m = k.shape[-1]
     if m == 0:
         raise InsufficientBatchesError("a run needs at least 1 batch, got 0")
-    if (k == k[0]).all():
-        first = float(k[0])
-        return KappaEstimate(first, 0.0, 0.0, (first, first))
-    mean = float(k.mean())
-    std = float(k.std(ddof=1))
-    stderr = std / math.sqrt(m)
-    half = _t975(m - 1) * stderr
-    return KappaEstimate(mean=mean, std=std, stderr=stderr, ci95=(mean - half, mean + half))
+    firsts = k[:, 0].tolist()
+    flat = (k == k[:, :1]).all(axis=-1)
+    if flat.all():  # no row has a spread, as no run of one batch has: skip std's warning
+        return [KappaEstimate(x, 0.0, 0.0, (x, x)) for x in firsts]
+    root, t = math.sqrt(m), _t975(m - 1)
+    out = []
+    rows = zip(firsts, flat.tolist(), k.mean(axis=-1).tolist(), k.std(axis=-1, ddof=1).tolist())
+    for first, same, mean, std in rows:
+        if same:
+            out.append(KappaEstimate(first, 0.0, 0.0, (first, first)))
+        else:
+            stderr = std / root
+            half = t * stderr
+            out.append(KappaEstimate(mean, std, stderr, (mean - half, mean + half)))
+    return out
 
 
 def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
@@ -336,11 +375,38 @@ class SensitivityScan:
     predicted_detectable_eps: float | None
 
 
+# A grid's rows are reported and summarized together in blocks of at most
+# this many batches, and a block always holds at least one row, so a grid's
+# peak memory stays that of one large row.  At 2**16 batches a row, the
+# per-row overhead of a report and a summary is already below 1% of the draws.
+_BLOCK_BATCHES = 2**16
+
+
 def _grid_summaries(t, runs, n_batches, master_seed):
-    """estimate_kappa of each grid row; row j samples its (p_true, det) under [*master_seed, j]."""
+    """estimate_kappa of each grid row; row j samples its (p_true, det) under [*master_seed, j].
+
+    A block's rows are all drawn before any is reported (see the module
+    docstring), so a later row's refusal to sample fires before an earlier
+    row's kappa floor.
+    """
     prefix = _entropy(master_seed)
-    for j, (p_true, det) in enumerate(runs):
-        yield estimate_kappa(sample_batches(t, p_true, det, n_batches, (*prefix, j)))
+    runs = list(runs)
+    per_block = max(1, _BLOCK_BATCHES // max(n_batches, 1))
+    for start in range(0, len(runs), per_block):
+        rows = runs[start : start + per_block]
+        yield from _kappa_estimates(_block_kappas(t, rows, start, n_batches, prefix))
+
+
+def _block_kappas(t, rows, start, n_batches, prefix) -> np.ndarray:
+    """The (J, M) kappas of the grid rows start, start + 1, ...; the block's
+    estimates are freed on return, before the next block is drawn."""
+    ests = [
+        _estimates(p_true, det, n_batches, (*prefix, j))
+        for j, (p_true, det) in enumerate(rows, start)
+    ]
+    # a row in a block of its own is reported in place, not copied
+    block = ests[0][None] if len(ests) == 1 else np.stack(ests)
+    return sorkin_report(t, block).kappa
 
 
 def sensitivity_scan(
@@ -370,7 +436,7 @@ def sensitivity_scan(
     eps_grid = [float(eps) for eps in eps_grid]
     born = ProbabilityRule.born()
     rules = [born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid]
-    p_grid = [exact_probabilities(t, spec, rule) for rule in rules]
+    p_grid = _rule_probabilities(t, spec, rules)
     runs = ((p_true, det) for p_true in p_grid)
     rows = []
     smallest = None
@@ -386,7 +452,8 @@ def sensitivity_scan(
         eps, p_true = min(nonzero, key=lambda pair: pair[0])
         slope_kappa = sorkin_report(t, p_true).kappa
         if slope_kappa != 0.0:
-            sigma = predicted_kappa_std(t, exact_probabilities(t, spec, born), det)
+            born_p = p_grid[rules.index(born)] if born in rules else None
+            sigma = predicted_kappa_std(t, born_p or exact_probabilities(t, spec, born), det)
             predicted = sigmas * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
     return SensitivityScan(tuple(rows), smallest, predicted)
 

@@ -11,9 +11,10 @@ interference terms, the third-order term
 
 and the normalized ratio kappa = I3 / (|I_ab| + |I_ac| + |I_bc|) are
 extracted.  Under Born's rule I3 vanishes identically, so kappa is a
-violation figure of merit.  The functions only index p[0]..p[6], so on a
-run's (M, 7) stack transposed they compute every batch at once, in the
-same operation order.  A SorkinReport holds those numbers for one run, a
+violation figure of merit.  The functions only index p[0]..p[6], so on
+any (..., 7) stack, its last axis the experiment moved to the front (a
+run's (M, 7) estimates or a grid's (J, M, 7) block), they compute every
+batch at once, in the same operation order.  A SorkinReport holds those numbers for one run, a
 function of the target and the probabilities alone, exact or a readout's
 estimates.  Everything here is pure and reentrant.
 """
@@ -175,7 +176,10 @@ def kappa(i3, terms):
     where, low = "", i2
     if isinstance(i2, np.ndarray):
         b = np.flatnonzero(i2 <= KAPPA_FLOOR)
-        where, low = (f"batch {b[0]}: ", i2[b[0]]) if b.size else ("", math.inf)
+        if b.size:  # b[0] is a flat index; the batch is counted within its run
+            where, low = f"batch {b[0] % i2.shape[-1]}: ", i2.flat[b[0]]
+        else:
+            where, low = "", math.inf
     if low <= KAPPA_FLOOR:
         raise QuantumRegimeError(
             f"{where}second-order interference {float(low)!r} is at or below the floor "

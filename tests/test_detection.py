@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from sorkin_lab import (
     MEASUREMENT_M2,
     ProbabilityRule,
     QuantumRegimeError,
+    SensitivityRow,
     TargetAmplitudes,
     UnphysicalParameterError,
     estimate_kappa,
@@ -29,7 +31,13 @@ from sorkin_lab import (
 )
 from sorkin_lab import detection
 from sorkin_lab.detection import batch_csv_text
-from conftest import I2_EXPECTED, M1_VECTOR, PAPER_ABC, oracle_born_probabilities
+from conftest import (
+    I2_EXPECTED,
+    M1_VECTOR,
+    PAPER_ABC,
+    grid_rows_alone,
+    oracle_born_probabilities,
+)
 
 BORN = ProbabilityRule.born()
 
@@ -253,6 +261,162 @@ def test_grid_row_j_runs_batches_under_seed_prefix_j():
         det_n = replace(det, shots=n)
         k = run_batches(_target(), MEASUREMENT_M1, BORN, det_n, 4, (7, j)).kappa
         assert (n, std) == (ladder[j], float(np.std(k, ddof=1)))
+
+
+_SIM = DetectionParams(shots=50_000)
+
+
+def _scan_runs(grid, det):
+    """The (p_true, det) of each row of a triple scan over grid at M1."""
+    rules = [BORN if eps == 0 else ProbabilityRule("triple", eps) for eps in grid]
+    return [(detection.exact_probabilities(_target(), MEASUREMENT_M1, r), det) for r in rules]
+
+
+def _estimate_floats(est):
+    return [est.mean, est.std, est.stderr, *est.ci95]
+
+
+def _block_rows(monkeypatch, rows, m):
+    """Bound a grid's blocks to `rows` rows of m batches (None: the default bound)."""
+    if rows is not None:
+        monkeypatch.setattr(detection, "_BLOCK_BATCHES", rows * m)
+
+
+# M = 1 only in exact mode, where one batch is allowed
+_MODES = [(None, m) for m in (1, 2, 3, 50, 129)] + [(_SIM, m) for m in (2, 3, 50, 129)]
+_MODE_IDS = [f"{'exact' if det is None else 'simulated'}-M{m}" for det, m in _MODES]
+
+
+@pytest.mark.parametrize(
+    "block_rows", [None, 1, 2], ids=["one-block", "row-blocks", "pair-blocks"]
+)
+@pytest.mark.parametrize("det, m", _MODES, ids=_MODE_IDS)
+@pytest.mark.parametrize(
+    "grid", [[0.05], [0.0, 0.1, 0.1, -0.05, 0.02]], ids=["one-row", "repeated-eps"]
+)
+def test_scan_rows_equal_each_row_run_alone(monkeypatch, grid, det, m, block_rows):
+    # a scan's rows, drawn one stream each and summarized as stacked blocks,
+    # are bit for bit each row's run summarized alone
+    _block_rows(monkeypatch, block_rows, m)
+    scan = sensitivity_scan(_target(), MEASUREMENT_M1, "triple", grid, det, m, (7, 2))
+    alone = grid_rows_alone(_target(), _scan_runs(grid, det), m, (7, 2))
+    assert len(scan.rows) == len(alone) == len(grid)
+    for eps, row, (k, est) in zip(grid, scan.rows, alone):
+        one_run = estimate_kappa(SimpleNamespace(kappa=k))
+        assert one_run == est
+        assert _bits(_estimate_floats(one_run)) == _bits(_estimate_floats(est))
+        want = SensitivityRow(eps, est.mean, est.std, est.excludes_zero(3.0))
+        assert row == want
+        assert _bits([row.epsilon, row.kappa_mean, row.kappa_std]) == _bits(
+            [want.epsilon, want.kappa_mean, want.kappa_std]
+        )
+
+
+@pytest.mark.parametrize(
+    "block_rows", [None, 1, 3], ids=["one-block", "row-blocks", "triple-blocks"]
+)
+@pytest.mark.parametrize("det, m", _MODES, ids=_MODE_IDS)
+def test_ladder_rungs_equal_each_rung_run_alone(monkeypatch, det, m, block_rows):
+    _block_rows(monkeypatch, block_rows, m)
+    ladder = [20_000, 50_000, 50_000, 200_000]
+    rungs = scaling_check(_target(), MEASUREMENT_M1, det, ladder, m, 11)
+    p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    runs = [(p_true, None if det is None else replace(det, shots=n)) for n in ladder]
+    want = [(n, est.std) for n, (_, est) in zip(ladder, grid_rows_alone(_target(), runs, m, 11))]
+    assert rungs == want
+    assert _bits([std for _, std in rungs]) == _bits([std for _, std in want])
+
+
+@pytest.mark.parametrize(
+    "block_rows", [None, 1, 2], ids=["one-block", "row-blocks", "pair-blocks"]
+)
+@pytest.mark.parametrize("m", [2, 3, 50, 129])
+def test_an_exact_row_with_no_spread_beside_rows_with_spread(monkeypatch, m, block_rows):
+    # row 1 reads out its exact probabilities: its M equal kappas give no
+    # spread, whatever the simulated rows around it in its block give
+    _block_rows(monkeypatch, block_rows, m)
+    runs = _scan_runs([0.0, 0.07, 0.1, 0.0], _SIM)
+    runs[1] = (runs[1][0], None)
+    got = list(detection._grid_summaries(_target(), runs, m, 5))
+    want = [est for _, est in grid_rows_alone(_target(), runs, m, 5)]
+    assert got == want
+    assert _bits([_estimate_floats(e) for e in got]) == _bits([_estimate_floats(e) for e in want])
+    assert got[1].std == 0.0 and got[0].std > 0.0 and got[2].std > 0.0
+
+
+def _near_floor_runs():
+    """Row 0 reads out the paper's probabilities; rows 1 and 2 read out
+    0.5 + 1e-5 p at 1e13 shots, whose I2 of about 2e-6 sits near KAPPA_FLOOR
+    with a spread of about 1e-6, so a few of their 8 batches reach it."""
+    p = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    near, bright = [0.5 + 1e-5 * x for x in p], DetectionParams(shots=10**13)
+    return [(p, DetectionParams()), (near, bright), (near, bright)]
+
+
+@pytest.mark.parametrize("block_rows", [None, 1], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("seed, floor_rows", [(1, [1]), (2, [1, 2])])
+def test_a_grid_names_the_floor_batch_within_its_row(monkeypatch, seed, floor_rows, block_rows):
+    # the grid is refused as its lowest row at the floor is refused alone:
+    # "batch b: ...", b counted within that row
+    m = 8
+    _block_rows(monkeypatch, block_rows, m)
+    runs = _near_floor_runs()
+    alone = {}
+    for j, (p_true, det) in enumerate(runs):
+        try:
+            detection.sample_batches(_target(), p_true, det, m, (seed, j))
+        except QuantumRegimeError as exc:
+            alone[j] = str(exc)
+    assert sorted(alone) == floor_rows
+    with pytest.raises(QuantumRegimeError) as refused:
+        list(detection._grid_summaries(_target(), runs, m, seed))
+    message = str(refused.value)
+    assert message == alone[floor_rows[0]]
+    assert re.match(r"^batch [1-7]: second-order interference", message)
+    assert len(set(alone.values())) == len(alone)  # each row's refusal differs
+
+
+@pytest.mark.parametrize(
+    "block_rows, error", [(None, UnphysicalParameterError), (1, QuantumRegimeError)]
+)
+def test_a_later_rows_unphysical_p_fires_before_an_earlier_rows_floor(
+    monkeypatch, block_rows, error
+):
+    # a block draws all its rows before it reports any: row 1's p outside
+    # [0, 1] is refused before row 0's kappa floor, unless row 0 is reported
+    # first in a block of its own
+    m = 2
+    _block_rows(monkeypatch, block_rows, m)
+    flat = [0.5] * 7  # I2 = 0: exact row 0 is at the floor
+    runs = [(flat, None), ([1.5] + [0.5] * 6, DetectionParams())]
+    with pytest.raises(error):
+        list(detection._grid_summaries(_target(), runs, m, 3))
+
+
+def test_a_grid_of_no_batches_is_refused():
+    for det, match in [(None, "at least 1 batch, got 0"), (_SIM, "at least 2 batches")]:
+        with pytest.raises(InsufficientBatchesError, match=match):
+            sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [0.0, 0.1], det, 0, 3)
+        with pytest.raises(InsufficientBatchesError, match=match):
+            scaling_check(_target(), MEASUREMENT_M1, det, [20_000, 200_000], 0, 3)
+
+
+def test_a_grid_peaks_at_one_block(monkeypatch):
+    # six rows of one block each peak as one row does
+    m = 1000
+    monkeypatch.setattr(detection, "_BLOCK_BATCHES", 1024)
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            sensitivity_scan(_target(), MEASUREMENT_M1, "triple", grid, _SIM, m, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak([0.0])  # the first scan also allocates one-off objects
+    one = peak([0.0])
+    assert peak([0.0, 0.02, 0.04, 0.06, 0.08, 0.1]) <= 1.5 * one
 
 
 def test_run_batches_builds_the_measurement_once(monkeypatch):
