@@ -6,7 +6,8 @@ Usage:
 
 Subcommands:
     ideal        exact seven-experiment report (no detection noise)
-    simulate     M noisy batches; per-batch CSV plus JSON summary
+    simulate     M noisy batches; JSON summary plus, in simulated mode, the
+                 batch CSV of the counts drawn
     rwa-check    per-pulse rotating-wave fidelities for the solved schedules
     schedule     solved pulse schedules with durations at omega_1
     sensitivity  deformation-strength detection scan
@@ -340,12 +341,14 @@ def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     summary = _report_json(
         "simulate",
         config,
-        csv_schema=BATCH_CSV_SCHEMA,
+        # an exact run draws no counts, so it writes no batch CSV
+        csv_schema=None if det is None else BATCH_CSV_SCHEMA,
         kappa=asdict(est) | {"std_predicted": predicted},
         born_null_rejected_5sigma=rejected,
     )
+    artifacts = {} if det is None else {"simulate_batches.csv": batch_csv_text(report)}
     return CommandResult(
-        {"simulate_batches.csv": batch_csv_text(report), "simulate_summary.json": summary},
+        artifacts | {"simulate_summary.json": summary},
         [
             f"kappa = {est.mean:.6g} +/- {est.std:.3g} "
             f"(stderr {est.stderr:.3g}, {config.batches} batches)"

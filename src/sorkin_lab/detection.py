@@ -17,6 +17,11 @@ normalization is one bright reference trace), so common reference noise
 cancels from kappa exactly.  A run's report is sorkin_report(t, P) of its
 (M, 7) estimates P, as an exact run's is of p_true in every row: row b of
 each column is batch b's, and the report records neither seed nor shots.
+A simulated run's report also keeps the counts it drew, the (M, 7) signals
+and the M references, and P = signals / ref[:, None]; int64 / int64 rounds
+as Python's int / int does below 2**53, so the counts rebuild P bit for
+bit.  They are the run's batch CSV (sorkin-lab.batches/2): an exact run
+draws no counts and has none.
 
 estimate_kappa is the one summary of a run's kappa column, for simulate,
 every sensitivity row and every shot-ladder rung alike, and
@@ -24,13 +29,14 @@ KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
 Born null of simulate, 3 sigma for a scan row.
 
 A grid (a sensitivity scan or a shot ladder) draws each row on its own
-stream, exactly as a run of its own, then stacks the rows' (M, 7)
-estimates C-contiguously into (J, M, 7) blocks of at most 2**16 batches
-(a block always holds at least one row).  Each block gets one report and
-its (J, M) kappas one row-wise summary, of which a single run is the
-(1, M) case.  The layout keeps the bits: over the last axis of a
-C-contiguous block numpy sums each row pairwise, exactly as it sums the
-row alone, so each row's mean and std equal its run's bit for bit.
+stream, exactly as a run of its own, divides its counts and keeps none of
+them, then stacks the rows' (M, 7) estimates C-contiguously into
+(J, M, 7) blocks of at most 2**16 batches (a block always holds at least
+one row).  Each block gets one report and its (J, M) kappas one row-wise
+summary, of which a single run is the (1, M) case.  The layout keeps the
+bits: over the last axis of a C-contiguous block numpy sums each row
+pairwise, exactly as it sums the row alone, so each row's mean and std
+equal its run's bit for bit.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
@@ -70,10 +76,8 @@ MIN_REFERENCE_PHOTONS = 50.0
 # to 2**53 are exact in float64 (numpy's Poisson sampler stops near 9.2e18).
 MAX_COUNT = 2**53
 
-BATCH_CSV_SCHEMA = "sorkin-lab.batches/1"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/6"
-
-_CSV_COLUMNS = "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
+BATCH_CSV_SCHEMA = "sorkin-lab.batches/2"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/7"
 
 
 @dataclass(frozen=True)
@@ -203,41 +207,51 @@ def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
     )
 
 
-def _read_out(p_true, det, n_batches, prefix) -> np.ndarray:
-    """The (n_batches, 7) estimates of a simulated run, every count drawn
-    from the one stream default_rng(SeedSequence(prefix)) in three array
-    calls: the (n_batches, 7) bright counts, the signals of the same shape,
-    then each batch's shared reference.  int64 / int64 rounds as Python's
-    int / int does for counts below 2**53."""
+def _read_out(p_true, det, n_batches, prefix) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 counts of a simulated run, (signals, ref) of shapes
+    (n_batches, 7) and (n_batches,), every count drawn from the one stream
+    default_rng(SeedSequence(prefix)) in three array calls: the
+    (n_batches, 7) bright counts, the signals of the same shape, then each
+    batch's shared reference."""
     mu_dark, bg, ref_mean = _readout_constants(p_true, det)
     rng = np.random.default_rng(np.random.SeedSequence(prefix))
     bright = rng.binomial(det.shots, np.broadcast_to(p_true, (n_batches, 7)))
     signals = rng.poisson(bright * det.mu_bright + (det.shots - bright) * mu_dark + bg)
-    ref = rng.poisson(ref_mean, size=n_batches)
-    return signals / ref[:, None]
+    return signals, rng.poisson(ref_mean, size=n_batches)
 
 
 def sample_batches(
     t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
 ) -> SorkinReport:
     """The report of n_batches readouts of any seven true probabilities
-    p_true, one row a batch; det=None reads out p_true itself in every row.
+    p_true, one row a batch, with the counts its p was divided from;
+    det=None reads out p_true itself in every row and draws no counts.
     The run draws from the one stream SeedSequence([*master_seed]) (see
     _read_out).  A simulated run of fewer than 2 batches, which has no
     spread to summarize, is refused before its stream is set up.
     """
-    return sorkin_report(t, _estimates(p_true, det, n_batches, master_seed))
-
-
-def _estimates(p_true, det, n_batches, master_seed) -> np.ndarray:
-    """The (n_batches, 7) estimates of a run (see sample_batches)."""
     if det is None:
-        return np.broadcast_to(p_true, (n_batches, 7))
+        return sorkin_report(t, np.broadcast_to(p_true, (n_batches, 7)))
+    signals, ref = _counts(p_true, det, n_batches, master_seed)
+    return replace(sorkin_report(t, signals / ref[:, None]), counts=(signals, ref))
+
+
+def _counts(p_true, det, n_batches, master_seed) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of a simulated run (see sample_batches)."""
     if n_batches < 2:
         raise InsufficientBatchesError(
             f"a simulated run needs at least 2 batches for a spread estimate, got {n_batches}"
         )
     return _read_out(p_true, det, n_batches, _entropy(master_seed))
+
+
+def _estimates(p_true, det, n_batches, master_seed) -> np.ndarray:
+    """The (n_batches, 7) estimates of a run (see sample_batches), its
+    counts divided and dropped."""
+    if det is None:
+        return np.broadcast_to(p_true, (n_batches, 7))
+    signals, ref = _counts(p_true, det, n_batches, master_seed)
+    return signals / ref[:, None]
 
 
 def run_protocol_batch(
@@ -251,7 +265,8 @@ def run_protocol_batch(
     probabilities, else a run of one on its own stream SeedSequence([*seed])."""
     p = exact_probabilities(t, spec, rule)
     if det is not None:
-        p = _read_out(p, det, 1, _entropy(seed))[0].tolist()
+        signals, ref = _read_out(p, det, 1, _entropy(seed))
+        p = (signals[0] / ref[0]).tolist()
     return sorkin_report(t, p)
 
 
@@ -481,10 +496,15 @@ def scaling_check(
 
 
 def batch_csv_text(report) -> str:
-    """Per-batch CSV series of a run's report; floats use repr so reruns
-    are byte-identical."""
-    r = report
-    table = np.column_stack((r.p, r.I_ab, r.I_ac, r.I_bc, r.I2, r.I3, r.kappa)).tolist()
-    lines = [_CSV_COLUMNS]
-    lines += [",".join([str(b), *map(repr, row)]) for b, row in enumerate(table)]
-    return "\n".join(lines) + "\n"
+    """The batch CSV (sorkin-lab.batches/2) of a simulated run's report:
+    the header batch,s1..s7,ref, then a line of integers per batch, its
+    index, seven signal counts and reference count, each printed as str
+    prints a Python int.  Batch b's p is signals[b] / ref[b].  An exact
+    run's report, which holds no counts, is refused."""
+    if report.counts is None:
+        raise ValueError("an exact run draws no counts, so it has no batch CSV")
+    signals, ref = report.counts
+    table = np.column_stack((np.arange(ref.size), signals, ref)).ravel().tolist()
+    # one format for the whole table; %d prints a Python int as str does
+    lines = "%d,%d,%d,%d,%d,%d,%d,%d,%d\n" * ref.size
+    return "batch,s1,s2,s3,s4,s5,s6,s7,ref\n" + lines % tuple(table)

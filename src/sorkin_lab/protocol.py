@@ -14,9 +14,11 @@ extracted.  Under Born's rule I3 vanishes identically, so kappa is a
 violation figure of merit.  The functions only index p[0]..p[6], so on
 any (..., 7) stack, its last axis the experiment moved to the front (a
 run's (M, 7) estimates or a grid's (J, M, 7) block), they compute every
-batch at once, in the same operation order.  A SorkinReport holds those numbers for one run, a
-function of the target and the probabilities alone, exact or a readout's
-estimates.  Everything here is pure and reentrant.
+batch at once, in the same operation order.  A SorkinReport holds those
+numbers for one run, a function of the target and the probabilities
+alone, exact or a readout's estimates; a readout's report also keeps the
+photon counts its estimates were divided from.  Everything here is pure
+and reentrant.
 """
 
 from __future__ import annotations
@@ -72,7 +74,10 @@ MEASUREMENT_M2 = MeasurementSpec(3 * math.pi / 2, math.pi / 2)
 @dataclass(frozen=True)
 class SorkinReport:
     """p and what (t, p) determine (detection.sorkin_report builds it): of
-    seven floats, floats; of a run's (M, 7) p, columns, row b batch b's."""
+    seven floats, floats; of a run's (M, 7) p, columns, row b batch b's.
+    A simulated run's report also holds counts, the int64 (signals, ref)
+    of shapes (M, 7) and (M,) that p is signals / ref[:, None] of; an
+    exact run's, and a report of seven floats, hold None."""
 
     p: tuple[float, ...] | np.ndarray
     q_a: float
@@ -84,6 +89,7 @@ class SorkinReport:
     I2: float
     I3: float
     kappa: float
+    counts: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,14 @@ from sorkin_lab.cli import (
     parse_config,
 )
 from sorkin_lab.born import ProbabilityRule
-from sorkin_lab.detection import KappaEstimate, exact_probabilities, predicted_kappa_std
+from sorkin_lab.detection import (
+    KappaEstimate,
+    batch_csv_text,
+    estimate_kappa,
+    exact_probabilities,
+    predicted_kappa_std,
+    sample_batches,
+)
 from sorkin_lab.dynamics import _period_propagator
 from sorkin_lab.errors import ConfigError
 
@@ -433,15 +441,27 @@ def test_simulate_outputs_and_determinism(tmp_path):
     summary = json.loads((out_a / "simulate_summary.json").read_text())
     assert summary["master_seed"] == 5
     assert summary["config"]["batches"] == 10
-    assert len(csv_a.decode().strip().split("\n")) == 11
-    assert "kappa" in summary and "ci95" in summary["kappa"]
+    assert summary["csv_schema"] == "sorkin-lab.batches/2"
+    # the CSV is the run's counts, from which its kappa summary follows
     config = parse_config(path)
+    report = sample_batches(config.amplitudes, config.p, config.detection, 10, 5)
+    assert csv_a.decode() == batch_csv_text(report)
+    assert csv_a.decode().split("\n")[0] == "batch,s1,s2,s3,s4,s5,s6,s7,ref"
+    assert len(csv_a.decode().strip().split("\n")) == 11
     p = exact_probabilities(config.amplitudes, config.measurement, config.rule)
     predicted = predicted_kappa_std(config.amplitudes, p, config.detection)
-    assert summary["kappa"]["std_predicted"] == predicted
+    kappa = asdict(estimate_kappa(report)) | {"std_predicted": predicted}
+    assert summary["kappa"] == json.loads(json.dumps(kappa))
+
+
+def test_exact_simulate_writes_no_batch_csv(tmp_path):
+    # an exact run draws no counts: its summary alone, with no CSV schema
     exact = _write(tmp_path, "batches = 3\ndetection.mode = exact\n", "exact.cfg")
-    assert main(["simulate", "--config", exact, "--out", str(tmp_path / "x")]) == EXIT_OK
-    summary = json.loads((tmp_path / "x" / "simulate_summary.json").read_text())
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", exact, "--out", str(out)]) == EXIT_OK
+    assert [f.name for f in out.iterdir()] == ["simulate_summary.json"]
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["csv_schema"] is None
     assert summary["kappa"]["std_predicted"] is None
 
 
@@ -524,7 +544,7 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/6"
+    assert payload["schema"] == "sorkin-lab.summary/7"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels

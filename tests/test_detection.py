@@ -20,6 +20,7 @@ from sorkin_lab import (
     ProbabilityRule,
     QuantumRegimeError,
     SensitivityRow,
+    SorkinReport,
     TargetAmplitudes,
     UnphysicalParameterError,
     estimate_kappa,
@@ -127,15 +128,19 @@ def test_simulated_batch_determinism():
     assert r1.kappa == r2.kappa
 
 
+# the fields (t, p) determine, in field order: all but p and the counts
+_DERIVED = [f.name for f in fields(SorkinReport) if f.name not in ("p", "counts")]
+
+
 def _table(report):
     """A run's report as one (M, 16) array: p, then each derived column in
     field order."""
-    return np.column_stack([report.p] + [getattr(report, f.name) for f in fields(report)[1:]])
+    return np.column_stack([report.p] + [getattr(report, name) for name in _DERIVED])
 
 
 def _one_batch_floats(report):
     """p and each derived field of a report of seven probabilities, in field order."""
-    return [*report.p] + [getattr(report, f.name) for f in fields(report)[1:]]
+    return [*report.p] + [getattr(report, name) for name in _DERIVED]
 
 
 def _bits(values):
@@ -152,15 +157,6 @@ def test_batch_report_is_a_function_of_its_probabilities(det):
     assert len({tuple(p) for p in rows}) == (1 if det is None else 4)
     for got, p in zip(_table(report), rows):
         assert _bits(got) == _bits(_one_batch_floats(detection.sorkin_report(t, p)))
-
-
-def _per_batch_csv(reports):
-    """The batch CSV written from one report per batch, as a reference."""
-    lines = ["batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"]
-    for b, r in enumerate(reports):
-        values = (*r.p, r.I_ab, r.I_ac, r.I_bc, r.I2, r.I3, r.kappa)
-        lines.append(",".join([str(b)] + [repr(float(x)) for x in values]))
-    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -197,7 +193,10 @@ def test_each_row_of_a_run_report_is_its_batch_report(abc, batches):
     for row, one in zip(_table(report), reports):
         assert all(type(x) is float for x in _one_batch_floats(one))
         assert _bits(row) == _bits(_one_batch_floats(one))
-    assert batch_csv_text(report) == _per_batch_csv(reports)
+    # probabilities alone carry no counts, so they have no batch CSV
+    assert report.counts is None
+    with pytest.raises(ValueError, match="no counts"):
+        batch_csv_text(report)
 
 
 def test_floor_refusal_names_the_first_batch_at_the_floor():
@@ -221,6 +220,8 @@ def test_run_batches_follow_the_batch_stream_layout(det):
     report = run_batches(t, MEASUREMENT_M1, BORN, det, 6, 5)
     other = run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
     assert _bits(_table(report)) == _bits(_table(other))
+    if det is not None:
+        assert batch_csv_text(report) == batch_csv_text(other)
     row = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, 6, 5).rows[0]
     est = estimate_kappa(report)
     assert (row.kappa_mean, row.kappa_std) == (est.mean, est.std)
@@ -816,10 +817,53 @@ def test_scaling_check_noise_shrinks_with_brightness():
 
 
 def test_batch_csv_layout():
-    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 2, 0)
+    # a header, then one line of integers a batch: its index, seven signal
+    # counts and one reference count, with a trailing newline
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, 0)
     text = batch_csv_text(report)
-    lines = text.strip().split("\n")
-    assert lines[0] == "batch,p1,p2,p3,p4,p5,p6,p7,I_ab,I_ac,I_bc,I2,I3,kappa"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,")
+    lines = text.split("\n")
+    assert lines[0] == "batch,s1,s2,s3,s4,s5,s6,s7,ref"
+    assert len(lines) == 4 and lines[-1] == ""
+    for b, line in enumerate(lines[1:3]):
+        assert re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){8}", line)
+        assert line.startswith(f"{b},")
     assert batch_csv_text(report) == text
+    exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 2, 0)
+    assert exact.counts is None
+    with pytest.raises(ValueError, match="^an exact run draws no counts"):
+        batch_csv_text(exact)
+
+
+# the edge rates: the fewest shots the defaults allow, no background, and
+# no background at full contrast, whose p2 = 0 reads zero signal photons
+_COUNT_RATES = [
+    DetectionParams(),
+    DetectionParams(shots=412),
+    DetectionParams(mu_bg=0.0),
+    DetectionParams(mu_bg=0.0, contrast=1.0),
+]
+
+
+@pytest.mark.parametrize("m", [2, 1000])
+@pytest.mark.parametrize(
+    "det", _COUNT_RATES, ids=["defaults", "shots-412", "mu_bg-0", "mu_bg-0-contrast-1"]
+)
+def test_counts_rebuild_the_run_bit_for_bit(det, m):
+    # a run's counts are its record: signals / ref[:, None] is its p, Python
+    # int / int on the CSV's integers is the same p, and sorkin_report of
+    # that p gives the run's kappa, each bit for bit
+    t = _target()
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    for seed in np.random.default_rng(26).integers(2**63, size=3).tolist():
+        report = detection.sample_batches(t, p_true, det, m, seed)
+        signals, ref = report.counts
+        assert (signals.dtype, signals.shape) == (np.int64, (m, 7))
+        assert (ref.dtype, ref.shape) == (np.int64, (m,))
+        assert _bits(signals / ref[:, None]) == _bits(report.p)
+        lines = batch_csv_text(report).split("\n")
+        assert lines[0] == "batch,s1,s2,s3,s4,s5,s6,s7,ref" and lines[-1] == ""
+        rows = [[int(x) for x in line.split(",")] for line in lines[1:-1]]
+        assert [row[0] for row in rows] == list(range(m))
+        p = [[s / row[8] for s in row[1:8]] for row in rows]
+        assert _bits(p) == _bits(report.p)
+        assert _bits(detection.sorkin_report(t, np.array(p)).kappa) == _bits(report.kappa)
