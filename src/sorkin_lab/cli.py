@@ -41,6 +41,7 @@ from .detection import (
     SUMMARY_JSON_SCHEMA,
     DetectionParams,
     batch_csv_text,
+    check_batches,
     estimate_kappa,
     exact_probabilities,
     expected_estimates,
@@ -52,6 +53,7 @@ from .detection import (
 from .dynamics import HamiltonianParams, PulseSegment, rwa_fidelity
 from .errors import (
     ConfigError,
+    InsufficientBatchesError,
     QuantumRegimeError,
     SorkinLabError,
     UnphysicalParameterError,
@@ -155,16 +157,14 @@ def _read_pairs(path: str) -> dict:
                 )
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key not in _DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}", key=key)
+                raise ConfigError(f"unknown config key {key!r}")
             if key in values:
-                raise ConfigError(f"duplicate config key {key!r}", key=key)
+                raise ConfigError(f"duplicate config key {key!r}")
             kind = type(_DEFAULTS[key])
             try:
                 values[key] = _PARSERS.get(kind, kind)(raw)
             except ValueError as exc:
-                raise ConfigError(
-                    f"key {key!r}: cannot parse {raw!r} ({exc})", key=key
-                ) from None
+                raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from None
     return values
 
 
@@ -196,47 +196,33 @@ def _resolve(values: dict) -> ExperimentConfig:
     preset = resolved["measurement.preset"]
     if preset is not None:
         if "measurement.theta1" in values or "measurement.theta2" in values:
-            raise ConfigError(
-                "measurement.preset conflicts with explicit measurement angles",
-                key="measurement.preset",
-            )
+            raise ConfigError("measurement.preset conflicts with explicit measurement angles")
         if preset not in _MEASUREMENT_PRESETS:
-            raise ConfigError(
-                f"measurement.preset must be M1 or M2, got {preset!r}",
-                key="measurement.preset",
-            )
+            raise ConfigError(f"measurement.preset must be M1 or M2, got {preset!r}")
         angles = asdict(_MEASUREMENT_PRESETS[preset])
         resolved |= {f"measurement.{name}": value for name, value in angles.items()}
 
     mode = resolved["detection.mode"]
     if mode not in ("simulated", "exact"):
-        raise ConfigError(
-            f"detection.mode must be 'simulated' or 'exact', got {mode!r}",
-            key="detection.mode",
-        )
+        raise ConfigError(f"detection.mode must be 'simulated' or 'exact', got {mode!r}")
 
     master_seed = resolved["master_seed"]
     if master_seed < 0:
-        raise ConfigError("master_seed must be a non-negative integer", key="master_seed")
+        raise ConfigError("master_seed must be a non-negative integer")
     batches = resolved["batches"]
-    # one noisy batch has no spread: kappa_std would read 0 and every
-    # detection threshold would collapse to its float floor
-    min_batches = 2 if mode == "simulated" else 1
-    if batches < min_batches:
-        raise ConfigError(
-            f"batches must be >= {min_batches} when detection.mode = {mode}",
-            key="batches",
-        )
+    try:
+        check_batches(batches, exact=mode == "exact")
+    except InsufficientBatchesError as exc:
+        raise ConfigError(f"batches: {exc}") from exc
 
     family = resolved["sensitivity.rule_family"]
     if family not in DEFORMATIONS:
         raise ConfigError(
-            f"sensitivity.rule_family must be one of {DEFORMATIONS}, got {family!r}",
-            key="sensitivity.rule_family",
+            f"sensitivity.rule_family must be one of {DEFORMATIONS}, got {family!r}"
         )
     eps_grid = resolved["sensitivity.eps_grid"]
     if not eps_grid:
-        raise ConfigError("sensitivity.eps_grid is empty", key="sensitivity.eps_grid")
+        raise ConfigError("sensitivity.eps_grid is empty")
 
     try:
         grid_rules = [ProbabilityRule(family, eps) for eps in eps_grid]
@@ -264,7 +250,7 @@ def _resolve(values: dict) -> ExperimentConfig:
             sorkin_report(t, readout)
         except (UnphysicalParameterError, QuantumRegimeError) as exc:
             where = "" if det is None else " (simulated mode: of the expected readout)"
-            raise ConfigError(f"{key}: {exc}{where}", key=key) from exc
+            raise ConfigError(f"{key}: {exc}{where}") from exc
         checked.append(p)
     return ExperimentConfig(
         hamiltonian=built["hamiltonian"],

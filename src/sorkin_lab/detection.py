@@ -14,29 +14,31 @@ identical for this model and O(1) per estimate.
 
 Within one batch the seven signals share a single reference draw (the
 normalization is one bright reference trace), so common reference noise
-cancels from kappa exactly.  A run's report is sorkin_report(t, P) of its
-(M, 7) estimates P, as an exact run's is of p_true in every row: row b of
-each column is batch b's, and the report records neither seed nor shots.
-A simulated run's report also keeps the counts it drew, the (M, 7) signals
-and the M references, and P = signals / ref[:, None]; int64 / int64 rounds
-as Python's int / int does below 2**53, so the counts rebuild P bit for
-bit.  They are the run's batch CSV (sorkin-lab.batches/2): an exact run
-draws no counts and has none.
+cancels from kappa exactly.  A simulated run's report is sorkin_report(t, P)
+of its (M, 7) estimates P, M >= 2: row b of each column is batch b's, and
+the report records neither seed nor shots.  It also keeps the counts it
+drew, the (M, 7) signals and the M references, and P = signals /
+ref[:, None]; int64 / int64 rounds as Python's int / int does below 2**53,
+so the counts rebuild P bit for bit.  They are the run's batch CSV
+(sorkin-lab.batches/2).  An exact run is sorkin_report(t, p_true) of seven
+floats, whatever its batch count beyond the check that it is at least 1:
+it draws nothing, has no counts and no CSV, and its kappa has no spread.
 
 estimate_kappa is the one summary of a run's kappa column, for simulate,
 every sensitivity row and every shot-ladder rung alike, and
 KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
 Born null of simulate, 3 sigma for a scan row.
 
-A grid (a sensitivity scan or a shot ladder) draws each row on its own
-stream, exactly as a run of its own, divides its counts and keeps none of
-them, then stacks the rows' (M, 7) estimates C-contiguously into
-(J, M, 7) blocks of at most 2**16 batches (a block always holds at least
-one row).  Each block gets one report and its (J, M) kappas one row-wise
-summary, of which a single run is the (1, M) case.  The layout keeps the
-bits: over the last axis of a C-contiguous block numpy sums each row
-pairwise, exactly as it sums the row alone, so each row's mean and std
-equal its run's bit for bit.
+A grid (a sensitivity scan or a shot ladder) reports each exact row from
+its seven floats.  It draws each simulated row on its own stream, exactly
+as a run of its own, divides its counts and keeps none of them, then
+stacks the rows' (M, 7) estimates C-contiguously into (J, M, 7) blocks of
+at most 2**16 batches (a block always holds at least one row).  Each
+block gets one report and its (J, M) kappas one row-wise summary, of
+which a single run is the (1, M) case.  The layout keeps the bits: over
+the last axis of a C-contiguous block numpy sums each row pairwise,
+exactly as it sums the row alone, so each row's mean and std equal its
+run's bit for bit.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -72,9 +75,12 @@ from .protocol import (
 
 # Least expected reference count per estimate: P(zero reference) = e^-50.
 MIN_REFERENCE_PHOTONS = 50.0
-# Most shots, and most expected reference photons, per estimate: counts up
-# to 2**53 are exact in float64 (numpy's Poisson sampler stops near 9.2e18).
+# Most shots, and most photons drawn, per estimate: counts up to 2**53 are
+# exact in float64 (numpy's Poisson sampler stops near 9.2e18).  No draw
+# exceeds its mean lam by 10 sqrt(lam), and the reference mean is the
+# largest, so it may be at most the lam of lam + 10 sqrt(lam) = 2**53.
 MAX_COUNT = 2**53
+_MAX_MEAN = (math.sqrt(MAX_COUNT + 25.0) - 5.0) ** 2
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/2"
 SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/7"
@@ -110,12 +116,12 @@ class DetectionParams:
                 f"reference photons, fewer than {MIN_REFERENCE_PHOTONS:g}; "
                 f"these rates need shots >= {math.ceil(MIN_REFERENCE_PHOTONS / rate)}"
             )
-        most = min(MAX_COUNT, math.floor(MAX_COUNT / rate))
+        most = min(MAX_COUNT, math.floor(_MAX_MEAN / rate))
         if self.shots > most:
             raise ValueError(
                 f"shots = {self.shots} gives {self.shots * rate:.6g} expected "
-                f"reference photons; counts must stay at most 2**53, so these "
-                f"rates allow shots <= {most}"
+                f"reference photons; drawn counts must stay at most 2**53, 10 "
+                f"sigma above their mean, so these rates allow shots <= {most}"
             )
 
     @property
@@ -136,6 +142,15 @@ class KappaEstimate:
         """True when |mean| exceeds sigmas standard errors plus a float floor
         of 1e-12, which a run with no spread must clear on its own."""
         return abs(self.mean) > sigmas * self.stderr + 1e-12
+
+
+def check_batches(n_batches: int, *, exact: bool) -> None:
+    """The batch minimum of a run: 1 for an exact run, 2 for a simulated
+    run, since one noisy batch has no spread to summarize."""
+    least = 1 if exact else 2
+    if n_batches < least:
+        run, noun = ("an exact", "batch") if exact else ("a simulated", "batches")
+        raise InsufficientBatchesError(f"{run} run needs at least {least} {noun}, got {n_batches}")
 
 
 def _entropy(seed) -> list[int]:
@@ -224,34 +239,17 @@ def sample_batches(
     t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
 ) -> SorkinReport:
     """The report of n_batches readouts of any seven true probabilities
-    p_true, one row a batch, with the counts its p was divided from;
-    det=None reads out p_true itself in every row and draws no counts.
-    The run draws from the one stream SeedSequence([*master_seed]) (see
-    _read_out).  A simulated run of fewer than 2 batches, which has no
-    spread to summarize, is refused before its stream is set up.
+    p_true, one row a batch, with the counts its p was divided from, drawn
+    from the one stream SeedSequence([*master_seed]) (see _read_out).
+    det=None is an exact run, the float report sorkin_report(t, p_true):
+    it draws nothing and ignores n_batches beyond check_batches.  A run
+    below check_batches' minimum is refused before any stream is set up.
     """
+    check_batches(n_batches, exact=det is None)
     if det is None:
-        return sorkin_report(t, np.broadcast_to(p_true, (n_batches, 7)))
-    signals, ref = _counts(p_true, det, n_batches, master_seed)
+        return sorkin_report(t, p_true)
+    signals, ref = _read_out(p_true, det, n_batches, _entropy(master_seed))
     return replace(sorkin_report(t, signals / ref[:, None]), counts=(signals, ref))
-
-
-def _counts(p_true, det, n_batches, master_seed) -> tuple[np.ndarray, np.ndarray]:
-    """The counts of a simulated run (see sample_batches)."""
-    if n_batches < 2:
-        raise InsufficientBatchesError(
-            f"a simulated run needs at least 2 batches for a spread estimate, got {n_batches}"
-        )
-    return _read_out(p_true, det, n_batches, _entropy(master_seed))
-
-
-def _estimates(p_true, det, n_batches, master_seed) -> np.ndarray:
-    """The (n_batches, 7) estimates of a run (see sample_batches), its
-    counts divided and dropped."""
-    if det is None:
-        return np.broadcast_to(p_true, (n_batches, 7))
-    signals, ref = _counts(p_true, det, n_batches, master_seed)
-    return signals / ref[:, None]
 
 
 def run_protocol_batch(
@@ -315,20 +313,27 @@ def _t975(df: int) -> float:
 
 def estimate_kappa(report, *, seed=None) -> KappaEstimate:
     """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr
-    of a run's kappa column; M equal kappas k, as in an exact run or the one
-    batch only an exact run may have, give k with no spread.  A run of no
-    batches is refused.
+    of a simulated run's kappa column of M >= 2 batches (see check_batches;
+    a shorter column is refused).  An exact run's report, whose kappa is one
+    float k, gives k with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
 
     A pure O(M) function of the M batch kappas: it draws no random numbers.
     seed is ignored; callers of the seeded bootstrap this replaced
     (perfbench/workloads.py) still pass one.  The run is summarized as a
-    (1, M) block of _kappa_estimates, the summary of every grid row too.
+    (1, M) block of _kappa_estimates, the summary of every simulated grid
+    row too.
     """
-    return _kappa_estimates(np.asarray(report.kappa, dtype=float).reshape(1, -1))[0]
+    k = report.kappa
+    if isinstance(k, float):
+        return KappaEstimate(k, 0.0, 0.0, (k, k))
+    k = np.asarray(k, dtype=float).reshape(1, -1)
+    check_batches(k.size, exact=False)
+    return _kappa_estimates(k)[0]
 
 
 def _kappa_estimates(k) -> list[KappaEstimate]:
-    """estimate_kappa of each row of a (J, M) block of batch kappas, one run a row.
+    """estimate_kappa of each row of a (J, M) block of batch kappas, one
+    simulated run a row, M >= 2.
 
     The block is reduced over its last axis in C order, in which numpy sums
     each row as it sums the row alone; an F-ordered block's sums may differ
@@ -336,22 +341,12 @@ def _kappa_estimates(k) -> list[KappaEstimate]:
     """
     k = np.ascontiguousarray(k)
     m = k.shape[-1]
-    if m == 0:
-        raise InsufficientBatchesError("a run needs at least 1 batch, got 0")
-    firsts = k[:, 0].tolist()
-    flat = (k == k[:, :1]).all(axis=-1)
-    if flat.all():  # no row has a spread, as no run of one batch has: skip std's warning
-        return [KappaEstimate(x, 0.0, 0.0, (x, x)) for x in firsts]
     root, t = math.sqrt(m), _t975(m - 1)
     out = []
-    rows = zip(firsts, flat.tolist(), k.mean(axis=-1).tolist(), k.std(axis=-1, ddof=1).tolist())
-    for first, same, mean, std in rows:
-        if same:
-            out.append(KappaEstimate(first, 0.0, 0.0, (first, first)))
-        else:
-            stderr = std / root
-            half = t * stderr
-            out.append(KappaEstimate(mean, std, stderr, (mean - half, mean + half)))
+    for mean, std in zip(k.mean(axis=-1).tolist(), k.std(axis=-1, ddof=1).tolist()):
+        stderr = std / root
+        half = t * stderr
+        out.append(KappaEstimate(mean, std, stderr, (mean - half, mean + half)))
     return out
 
 
@@ -390,35 +385,44 @@ class SensitivityScan:
     predicted_detectable_eps: float | None
 
 
-# A grid's rows are reported and summarized together in blocks of at most
-# this many batches, and a block always holds at least one row, so a grid's
-# peak memory stays that of one large row.  At 2**16 batches a row, the
-# per-row overhead of a report and a summary is already below 1% of the draws.
+# A simulated grid's rows are reported and summarized together in blocks
+# of at most this many batches, and a block always holds at least one row,
+# so a grid's peak memory stays that of one large row.  At 2**16 batches a
+# row, the per-row overhead of a report and a summary is already below 1%
+# of the draws.
 _BLOCK_BATCHES = 2**16
 
 
 def _grid_summaries(t, runs, n_batches, master_seed):
-    """estimate_kappa of each grid row; row j samples its (p_true, det) under [*master_seed, j].
+    """estimate_kappa of each grid row, row j a (p_true, det) pair.
 
-    A block's rows are all drawn before any is reported (see the module
-    docstring), so a later row's refusal to sample fires before an earlier
-    row's kappa floor.
+    An exact row (det None) is summarized from sorkin_report(t, p_true) and
+    draws nothing.  A simulated row j samples its batches under
+    [*master_seed, j], in blocks of consecutive simulated rows, all drawn
+    before any is reported (see the module docstring), so a later row's
+    refusal to sample fires before an earlier row's kappa floor.
     """
-    prefix = _entropy(master_seed)
     runs = list(runs)
-    per_block = max(1, _BLOCK_BATCHES // max(n_batches, 1))
-    for start in range(0, len(runs), per_block):
-        rows = runs[start : start + per_block]
-        yield from _kappa_estimates(_block_kappas(t, rows, start, n_batches, prefix))
+    check_batches(n_batches, exact=all(det is None for _, det in runs))
+    prefix = _entropy(master_seed)
+    per_block = max(1, _BLOCK_BATCHES // n_batches)
+    for exact, group in groupby(enumerate(runs), key=lambda row: row[1][1] is None):
+        rows = list(group)
+        if exact:
+            yield from (estimate_kappa(sorkin_report(t, p_true)) for _, (p_true, _) in rows)
+            continue
+        for start in range(0, len(rows), per_block):
+            block = rows[start : start + per_block]
+            yield from _kappa_estimates(_block_kappas(t, block, n_batches, prefix))
 
 
-def _block_kappas(t, rows, start, n_batches, prefix) -> np.ndarray:
-    """The (J, M) kappas of the grid rows start, start + 1, ...; the block's
-    estimates are freed on return, before the next block is drawn."""
-    ests = [
-        _estimates(p_true, det, n_batches, (*prefix, j))
-        for j, (p_true, det) in enumerate(rows, start)
-    ]
+def _block_kappas(t, rows, n_batches, prefix) -> np.ndarray:
+    """The (J, M) kappas of the simulated grid rows (j, (p_true, det)); the
+    block's estimates are freed on return, before the next block is drawn."""
+    ests = []
+    for j, (p_true, det) in rows:
+        signals, ref = _read_out(p_true, det, n_batches, [*prefix, j])
+        ests.append(signals / ref[:, None])
     # a row in a block of its own is reported in place, not copied
     block = ests[0][None] if len(ests) == 1 else np.stack(ests)
     return sorkin_report(t, block).kappa

@@ -44,7 +44,3 @@ class StepResolutionError(SorkinLabError):
 
 class ConfigError(SorkinLabError):
     """Configuration file violates the documented schema."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key

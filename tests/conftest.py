@@ -182,24 +182,23 @@ def fresh_solve_schedule(t, omega1_hz):
 
 def grid_rows_alone(t, runs, n_batches, seed):
     """Each grid row run alone: row j's (p_true, det) through sample_batches
-    under (*seed, j), then its kappa column summarized on its own with 1-D
-    numpy reductions.  A list of (kappa column, KappaEstimate), row by row."""
+    under (*seed, j), then a simulated row's kappa column summarized on its
+    own with 1-D numpy reductions.  A list of (kappa, KappaEstimate), row by
+    row."""
     from sorkin_lab import KappaEstimate
     from sorkin_lab.detection import _t975, sample_batches
 
     prefix = [seed] if isinstance(seed, int) else list(seed)
     rows = []
     for j, (p_true, det) in enumerate(runs):
-        k = np.asarray(sample_batches(t, p_true, det, n_batches, (*prefix, j)).kappa)
-        if (k == k[0]).all():
-            first = float(k[0])
-            est = KappaEstimate(first, 0.0, 0.0, (first, first))
-        else:
-            mean, std = float(k.mean()), float(k.std(ddof=1))
-            stderr = std / math.sqrt(k.size)
-            half = _t975(k.size - 1) * stderr
-            est = KappaEstimate(mean, std, stderr, (mean - half, mean + half))
-        rows.append((k, est))
+        k = sample_batches(t, p_true, det, n_batches, (*prefix, j)).kappa
+        if det is None:  # an exact run: one float kappa, with no spread
+            rows.append((k, KappaEstimate(k, 0.0, 0.0, (k, k))))
+            continue
+        mean, std = float(k.mean()), float(k.std(ddof=1))
+        stderr = std / math.sqrt(k.size)
+        half = _t975(k.size - 1) * stderr
+        rows.append((k, KappaEstimate(mean, std, stderr, (mean - half, mean + half))))
     return rows
 
 

@@ -118,16 +118,24 @@ def test_config_rejections(tmp_path):
         out = tmp_path / f"tiny-{command}"
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert not out.exists()
-    # counts must stay exact in float64: at most 2**53 shots, and at most
-    # 2**53 expected reference photons
+    # drawn counts must stay exact in float64: at most 2**53 shots, and an
+    # expected reference count lam with lam + 10 sqrt(lam) <= 2**53; at an
+    # expected count of exactly 2**53 about half the references exceed it,
+    # and at mu_bright = 1 the most shots is the largest n with
+    # n + 10 sqrt(n) <= 2**53
     huge = [
         "detection.mu_bg = 1e9\ndetection.shots = 10000000000\n",
         "detection.mu_bright = 1e-12\ndetection.mu_bg = 0\n"
         "detection.shots = 10000000000000000000\n",
+        "detection.mu_bright = 1\ndetection.mu_bg = 0\ndetection.shots = 9007199254740992\n",
     ]
-    for i, (text, most) in enumerate(zip(huge, (9007199, 2**53))):
+    for i, (text, most) in enumerate(zip(huge, (9007198, 2**53, 9007198305678385))):
+        path = _write(tmp_path, text, f"huge{i}.cfg")
         with pytest.raises(ConfigError, match=f"allow shots <= {most}$"):
-            parse_config(_write(tmp_path, text, f"huge{i}.cfg"))
+            parse_config(path)
+        out = tmp_path / f"huge{i}"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
     # simulated mode reads out the expected estimates C*p + d, and their I2
     # must clear the floor too: this background makes C about 3.6e-11 and
     # the expected I2 about 2.3e-11, though the exact I2 is 0.64
@@ -592,6 +600,10 @@ def test_single_simulated_batch_rejected_at_parse_time(tmp_path, command):
         tmp_path,
         "batches = 1\ndetection.shots = 50000\nsensitivity.eps_grid = 0,0.05\n",
     )
+    # the rule of detection.check_batches, named as the key it checks
+    one = "^batches: a simulated run needs at least 2 batches, got 1$"
+    with pytest.raises(ConfigError, match=one):
+        parse_config(path)
     out = tmp_path / "o"
     assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
     assert not out.exists()

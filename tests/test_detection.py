@@ -149,12 +149,18 @@ def _bits(values):
 
 @pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
 def test_batch_report_is_a_function_of_its_probabilities(det):
-    # a batch carries nothing beyond what (t, p) determines
+    # a batch carries nothing beyond what (t, p) determines, and an exact
+    # run is the one float report of its seven probabilities
     t = _target()
     p_true = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", 0.05))
     report = detection.sample_batches(t, p_true, det, 4, 11)
+    if det is None:
+        one = detection.sorkin_report(t, p_true)
+        assert all(type(x) is float for x in _one_batch_floats(report))
+        assert _bits(_one_batch_floats(report)) == _bits(_one_batch_floats(one))
+        return
     rows = report.p.tolist()
-    assert len({tuple(p) for p in rows}) == (1 if det is None else 4)
+    assert len({tuple(p) for p in rows}) == 4
     for got, p in zip(_table(report), rows):
         assert _bits(got) == _bits(_one_batch_floats(detection.sorkin_report(t, p)))
 
@@ -219,7 +225,8 @@ def test_run_batches_follow_the_batch_stream_layout(det):
     t = _target()
     report = run_batches(t, MEASUREMENT_M1, BORN, det, 6, 5)
     other = run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
-    assert _bits(_table(report)) == _bits(_table(other))
+    floats = _one_batch_floats if det is None else _table  # an exact run is one report
+    assert _bits(floats(report)) == _bits(floats(other))
     if det is not None:
         assert batch_csv_text(report) == batch_csv_text(other)
     row = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, 6, 5).rows[0]
@@ -283,7 +290,8 @@ def _block_rows(monkeypatch, rows, m):
         monkeypatch.setattr(detection, "_BLOCK_BATCHES", rows * m)
 
 
-# M = 1 only in exact mode, where one batch is allowed
+# M = 1 only in exact mode, where one batch is allowed; an exact row draws
+# nothing, so it is in no block
 _MODES = [(None, m) for m in (1, 2, 3, 50, 129)] + [(_SIM, m) for m in (2, 3, 50, 129)]
 _MODE_IDS = [f"{'exact' if det is None else 'simulated'}-M{m}" for det, m in _MODES]
 
@@ -333,8 +341,8 @@ def test_ladder_rungs_equal_each_rung_run_alone(monkeypatch, det, m, block_rows)
 )
 @pytest.mark.parametrize("m", [2, 3, 50, 129])
 def test_an_exact_row_with_no_spread_beside_rows_with_spread(monkeypatch, m, block_rows):
-    # row 1 reads out its exact probabilities: its M equal kappas give no
-    # spread, whatever the simulated rows around it in its block give
+    # row 1 reads out its exact probabilities: it is its one report's kappa
+    # with no spread, and the simulated rows around it are blocked without it
     _block_rows(monkeypatch, block_rows, m)
     runs = _scan_runs([0.0, 0.07, 0.1, 0.0], _SIM)
     runs[1] = (runs[1][0], None)
@@ -388,14 +396,19 @@ def test_a_later_rows_unphysical_p_fires_before_an_earlier_rows_floor(
     # first in a block of its own
     m = 2
     _block_rows(monkeypatch, block_rows, m)
-    flat = [0.5] * 7  # I2 = 0: exact row 0 is at the floor
-    runs = [(flat, None), ([1.5] + [0.5] * 6, DetectionParams())]
+    near_floor = _near_floor_runs()[1]  # at seed 3, one of its 2 batches reaches the floor
+    with pytest.raises(QuantumRegimeError):
+        detection.sample_batches(_target(), *near_floor, m, (3, 0))
+    runs = [near_floor, ([1.5] + [0.5] * 6, DetectionParams())]
     with pytest.raises(error):
         list(detection._grid_summaries(_target(), runs, m, 3))
 
 
 def test_a_grid_of_no_batches_is_refused():
-    for det, match in [(None, "at least 1 batch, got 0"), (_SIM, "at least 2 batches")]:
+    for det, match in [
+        (None, "^an exact run needs at least 1 batch, got 0$"),
+        (_SIM, "^a simulated run needs at least 2 batches, got 0$"),
+    ]:
         with pytest.raises(InsufficientBatchesError, match=match):
             sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [0.0, 0.1], det, 0, 3)
         with pytest.raises(InsufficientBatchesError, match=match):
@@ -471,7 +484,7 @@ def test_sampler_reads_out_any_true_probabilities(prefix):
     report = detection.sample_batches(_target(), p_true, det, 30, seed)
     assert [tuple(p) for p in report.p.tolist()] == _one_stream_p(p_true, det, 30, prefix)
     exact = detection.sample_batches(_target(), p_true, None, 3, seed)
-    assert [tuple(p) for p in exact.p.tolist()] == [p_true] * 3
+    assert exact.p == p_true and exact.counts is None
 
 
 @pytest.mark.parametrize("n_batches", [2, 30, 1000])
@@ -532,35 +545,83 @@ def test_estimate_kappa_draws_no_random_numbers(monkeypatch):
 
 
 def test_estimate_kappa_exact_batches():
+    # an exact Born run's one kappa vanishes to rounding, with no spread
     report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 5, 0)
-    est = estimate_kappa(report)
-    assert est.mean == pytest.approx(0.0, abs=1e-12)
-    assert est.std == 0.0
-    assert est.ci95 == (est.mean, est.mean)
+    k = report.kappa
+    assert type(k) is float and abs(k) < 1e-12
+    assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k))
 
 
 def test_identical_exact_batches_have_no_spread():
-    # exact-triple's sensitivity row at exponent eps 0.07: the float mean of
-    # three equal kappas need not equal them
-    report = run_batches(_target(), MEASUREMENT_M1, ProbabilityRule("exponent", 0.07), None, 3, 1)
-    k = float(report.kappa[0])
+    # exact-triple's sensitivity row at exponent eps 0.07: its run of 3
+    # batches is the report of its probabilities, one kappa with no spread
+    rule = ProbabilityRule("exponent", 0.07)
+    report = run_batches(_target(), MEASUREMENT_M1, rule, None, 3, 1)
+    p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, rule)
+    assert report == detection.sorkin_report(_target(), p_true)
+    k = report.kappa
     assert k != 0.0
     assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k))
 
 
 def test_estimate_kappa_refuses_an_empty_run():
-    report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 0, 0)
-    with pytest.raises(InsufficientBatchesError, match="at least 1 batch, got 0"):
-        estimate_kappa(report)
+    # an exact run of no batches is refused before it is read out, and a
+    # kappa column of fewer than 2 batches has no spread to summarize
+    empty = "^an exact run needs at least 1 batch, got 0$"
+    with pytest.raises(InsufficientBatchesError, match=empty):
+        run_batches(_target(), MEASUREMENT_M1, BORN, None, 0, 0)
+    for m in (0, 1):
+        with pytest.raises(InsufficientBatchesError, match=f"at least 2 batches, got {m}$"):
+            estimate_kappa(SimpleNamespace(kappa=np.zeros(m)))
 
 
 def test_estimate_kappa_of_one_exact_batch():
     exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 1, 0)
     p_true = detection.exact_probabilities(_target(), MEASUREMENT_M1, BORN)
+    assert exact == run_batches(_target(), MEASUREMENT_M1, BORN, None, 7, 0)
     k = detection.sorkin_report(_target(), p_true).kappa
     est = estimate_kappa(exact)
     assert est == KappaEstimate(k, 0.0, 0.0, (k, k))
     assert type(est.mean) is float  # the summary JSON writes it
+
+
+@pytest.mark.parametrize("m", [1, 3, 5840])
+def test_an_exact_run_row_and_rung_are_one_report(monkeypatch, m):
+    # at exponent eps 0.07 the float mean of three equal kappas is not the
+    # kappa: an exact run, scan row and ladder rung are the no-spread
+    # estimate of sorkin_report(t, p) bit for bit, and set up no stream
+    t, rule = _target(), ProbabilityRule("exponent", 0.07)
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, rule)
+    k = detection.sorkin_report(t, p_true).kappa
+    assert float(np.mean([k, k, k])) != k
+    want = _bits(_estimate_floats(KappaEstimate(k, 0.0, 0.0, (k, k))))
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("an exact path set up a stream")
+
+    monkeypatch.setattr(np.random, "default_rng", no_stream)
+    run = estimate_kappa(run_batches(t, MEASUREMENT_M1, rule, None, m, 3))
+    assert _bits(_estimate_floats(run)) == want
+    grid = [(p_true, None)] * 3  # the rows of a scan, or the rungs of a ladder
+    for est in detection._grid_summaries(t, grid, m, 3):
+        assert _bits(_estimate_floats(est)) == want
+    row = sensitivity_scan(t, MEASUREMENT_M1, "exponent", [0.07], None, m, 3).rows[0]
+    assert _bits([row.kappa_mean, row.kappa_std]) == want[:2]
+    rungs = scaling_check(t, MEASUREMENT_M1, None, [20_000, 200_000], m, 3)
+    assert _bits([std for _, std in rungs]) == _bits([0.0, 0.0])
+
+
+def test_an_exact_run_allocates_no_batches():
+    t = _target()
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    detection.sample_batches(t, p_true, None, 10**6, 3)  # any one-off objects first
+    tracemalloc.start()
+    try:
+        detection.sample_batches(t, p_true, None, 10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 @pytest.mark.xfail(
@@ -828,8 +889,9 @@ def test_batch_csv_layout():
         assert re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){8}", line)
         assert line.startswith(f"{b},")
     assert batch_csv_text(report) == text
+    # an exact run of any batch count is one report of seven floats, with no counts
     exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 2, 0)
-    assert exact.counts is None
+    assert type(exact.p) is tuple and len(exact.p) == 7 and exact.counts is None
     with pytest.raises(ValueError, match="^an exact run draws no counts"):
         batch_csv_text(exact)
 
