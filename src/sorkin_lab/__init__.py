@@ -54,7 +54,6 @@ from .protocol import (
 from .qutrit import (
     QutritState,
     Unitary3,
-    apply_unitary,
     inner_product,
     spin1_matrices,
 )

@@ -33,6 +33,14 @@ np.linalg.matrix_power multiplies them: a warm pulse squares nothing and
 rebuilds no constant, and its cost grows with neither its length nor its
 remainder.  The roundoff of U(T)**N does grow with N, so a pulse may span
 at most MAX_DRIVE_PERIODS whole periods.
+
+The period's n steps and a pulse's one partial step form their node
+phases apart.  `_cf4_steps` takes all 2n phases in one stacked cos and
+one broadcast weight sum, which for a single step would be mostly array
+set-up on every warm pulse; `_cf4_step` forms its two phases and two
+weights as Python floats in the same operation order and takes one numpy
+cos of the pair.  Both exponentiate through the one `_batch_expm`, so the
+partial step is bit for bit the n = 1 case of `_cf4_steps`.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .qutrit import (
     QutritState,
     Unitary3,
     _check_plane_rotation,
-    apply_unitary,
     inner_product,
     spin1_matrices,
 )
@@ -85,7 +92,9 @@ _DRIVEN_LEVEL = {"MW1": 2, "MW2": 0}
 # step, two exact 3x3 exponentials); plain midpoint stepping carries a
 # secular (omega*dt)^2/24 amplitude error too large for the convergence
 # contract at the default resolution.
-_CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_CF4_NODE_EARLY = 0.5 - math.sqrt(3.0) / 6.0
+_CF4_NODE_LATE = 0.5 + math.sqrt(3.0) / 6.0
+_CF4_NODES = np.array([_CF4_NODE_EARLY, _CF4_NODE_LATE])
 _CF4_W_SMALL = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_W_BIG = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 # the weights of the early and the late node on (first, second) exponential
@@ -235,8 +244,7 @@ def _cf4_steps(
     Step j covers [start + j*dt, start + (j + 1)*dt] and is two exact 3x3
     exponentials; the result stacks the steps in time order, (n_steps, 3, 3).
     One cos call takes both node phases of every step and one eigh the
-    (n_steps, 2, 3, 3) stack of half-step Hamiltonians, so the period's
-    n steps and a pulse's one partial step take the same path.
+    (n_steps, 2, 3, 3) stack of half-step Hamiltonians.
     """
     k = np.arange(float(n_steps))[:, None]
     g = np.cos(omega_d * start + omega_d * (k + _CF4_NODES) * dt)
@@ -244,6 +252,23 @@ def _cf4_steps(
     c = _CF4_W_EARLY * g[:, :1] + _CF4_W_LATE * g[:, 1:]
     exps = _batch_expm(h0_half + c[..., None, None] * drive, dt)
     return np.matmul(exps[:, 1], exps[:, 0])
+
+
+def _cf4_step(
+    h0_half: np.ndarray, drive: np.ndarray, omega_d: float, start: float, dt: float
+) -> np.ndarray:
+    """The one CF4 step of _cf4_steps(h0_half, drive, omega_d, start, dt, 1),
+    bit for bit, without its stacking: the node phases and weights are
+    Python floats in the same operation order ((0.0 + node) is node), one
+    numpy cos call takes the pair, and the two exponentials are one
+    _batch_expm of a (2, 3, 3) stack."""
+    phase = omega_d * start
+    g0, g1 = np.cos(
+        (phase + omega_d * _CF4_NODE_EARLY * dt, phase + omega_d * _CF4_NODE_LATE * dt)
+    ).tolist()
+    c = np.array((_CF4_W_BIG * g0 + _CF4_W_SMALL * g1, _CF4_W_SMALL * g0 + _CF4_W_BIG * g1))
+    exps = _batch_expm(h0_half + c[:, None, None] * drive, dt)
+    return np.matmul(exps[1:], exps[:1])[0]
 
 
 class _Period(NamedTuple):
@@ -339,7 +364,9 @@ def lab_frame_propagator(
     one product per set bit of N past the lowest, whatever its length.
     The result is left-multiplied by exp(+i H0 duration) so it is directly
     comparable with the rotating-frame rotation of _rotate, and takes the
-    full Unitary3 check.  The pulse lasts seg.angle / omega_1.  detuning_hz
+    full Unitary3 check.  The pulse lasts seg.angle / omega_1 and starts
+    at drive phase zero: t is counted from the pulse's own start, so no
+    drive phase carries over from an earlier pulse of a schedule.  detuning_hz
     shifts the driven level's diagonal entry, modelling a quasi-static
     dephasing draw; a static shift keeps H periodic.  steps_per_drive_period
     must lie in [MIN_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD], and the pulse
@@ -377,7 +404,7 @@ def lab_frame_propagator(
     r = tau - m * dt
     total = period.prefix[m] @ _period_power(period.squares, int(n_periods))
     if r > 0.0:
-        total = _cf4_steps(period.h0_half, period.drive, omega_d, m * dt, r, 1)[0] @ total
+        total = _cf4_step(period.h0_half, period.drive, omega_d, m * dt, r) @ total
     frame = np.exp(period.frame_rate * duration)
     return Unitary3(frame[:, None] * total, atol=1e-8)
 
@@ -390,6 +417,7 @@ def rwa_fidelity(
     """|<psi_RWA|psi_full>|^2 for the pulse applied to |0>."""
     full = lab_frame_propagator(params, seg, steps_per_drive_period)
     ideal = QutritState(*_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
-    overlap = inner_product(ideal, apply_unitary(full, QutritState.ket_zero()))
+    # U|0> is U's |0> column
+    overlap = inner_product(ideal, QutritState(*full.matrix[:, 1].tolist()))
     return min(1.0, max(0.0, abs(overlap) ** 2))
 

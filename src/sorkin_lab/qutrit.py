@@ -10,12 +10,13 @@ that still covers it:
 
   * ``QutritState(...)`` checks that its amplitudes are finite and
     normalized within NORM_ATOL, on every construction, including the
-    states ``from_vector`` and ``apply_unitary`` return, the first four
-    protocol states, the scheduled preparations, the measurement ket and
-    ``rwa_fidelity``'s ideal state; the six signed basis states of the
-    protocol (psi5, psi6, psi7) and its constant pi pulse schedules are
-    built, and so checked, once at import, then shared as immutable
-    instances;
+    states ``from_vector`` returns, the first four protocol states, the
+    scheduled preparations, the measurement ket, and ``rwa_fidelity``'s
+    ideal state and U|0> (the propagator's |0> column); the six signed
+    basis states of the protocol (psi5, psi6, psi7), its three constant
+    schedules (no pulse, the MW2 and the MW1 pi pulse) and the states they
+    prepare are built, and so checked, once at import, then shared as
+    immutable instances;
   * ``Unitary3(matrix)`` checks shape, finiteness and max|U^dag U - I|
     within UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product;
   * a plane rotation that ``dynamics`` applies in closed form to a
@@ -109,7 +110,7 @@ class Unitary3:
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise UnitarityError("matrix entries must be finite")
-        err = np.max(np.abs(m.conj().T @ m - _IDENTITY))
+        err = np.abs(m.conj().T @ m - _IDENTITY).max()
         if err > atol:
             raise UnitarityError(
                 f"U^dag U deviates from identity by {err:.3e} (atol {atol:g})"
@@ -142,11 +143,6 @@ def _check_plane_rotation(c: float, s: float) -> None:
         raise UnitarityError(
             f"U^dag U deviates from identity by {err:.3e} (atol {UNITARY_ATOL:g})"
         )
-
-
-def apply_unitary(unitary: Unitary3, state: QutritState) -> QutritState:
-    """Matrix-vector product U|state>."""
-    return QutritState(*(unitary.matrix @ state.vector).tolist())
 
 
 def _locked(array) -> np.ndarray:

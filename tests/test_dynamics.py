@@ -19,6 +19,7 @@ from sorkin_lab.dynamics import (
     MAX_DRIVE_PERIODS,
     MAX_STEPS_PER_PERIOD,
     TWO_PI,
+    _cf4_step,
     _cf4_steps,
     _period_power,
     _period_propagator,
@@ -339,8 +340,9 @@ def test_period_power_is_matrix_power_bit_for_bit(channel):
 @pytest.mark.parametrize("channel", CHANNELS)
 @given(data=st.data())
 def test_remainder_step_is_the_period_paths_step_bit_for_bit(channel, detuning_hz, data):
-    # a pulse's one partial step against the first step of the stack the
-    # period is integrated in, for the same start and length
+    # a one-step stack and the lean step a pulse takes against the first
+    # step of the stack the period is integrated in, for the same start
+    # and length
     p = HamiltonianParams()
     entry = _period_propagator(p, channel, 200, detuning_hz)
     omega_d = TWO_PI * p.drive_frequency_hz(channel)
@@ -350,6 +352,8 @@ def test_remainder_step_is_the_period_paths_step_bit_for_bit(channel, detuning_h
     stacked = _cf4_steps(entry.h0_half, entry.drive, omega_d, start, r, 200)
     assert lone.shape == (1, 3, 3)
     assert lone[0].tobytes() == stacked[0].tobytes()
+    step = _cf4_step(entry.h0_half, entry.drive, omega_d, start, r)
+    assert step.tobytes() == stacked[0].tobytes()
 
 
 def _split(p, seg):

@@ -4,9 +4,12 @@ The measurement ket, the scheduled preparations and rwa_fidelity's ideal
 state are rotated in closed form with no matrix at all, under a
 closed-form unitarity check; these tests rebuild each one through the
 public, fully checked constructors and require the same bits.  The
-protocol's target-independent states and schedules are shared constants,
-compared bit for bit with freshly built ones, and the lean constructors
-of QutritState and PulseSegment are pinned to their checks and messages.
+protocol's target-independent states, schedules and the states those
+schedules prepare are shared constants, compared bit for bit with freshly
+built ones, and the lean constructors of QutritState and PulseSegment are
+pinned to their checks and messages.  A pulse's one partial CF4 step and
+rwa_fidelity's read of U|0> as a column are pinned bit for bit to the
+stacked step and the matrix-vector product they replace.
 """
 
 import dataclasses
@@ -21,6 +24,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from sorkin_lab import (
+    MEASUREMENT_M1,
+    MEASUREMENT_M2,
     MeasurementSpec,
     NormalizationError,
     PulseSchedule,
@@ -31,14 +36,23 @@ from sorkin_lab import (
     UnitarityError,
     Unitary3,
     apply_schedule,
-    apply_unitary,
     inner_product,
+    lab_frame_propagator,
     measurement_ket,
     prepare_states,
+    protocol,
     rwa_fidelity,
     solve_schedule,
 )
-from sorkin_lab.dynamics import CHANNELS, HamiltonianParams, _rotate
+from sorkin_lab.dynamics import (
+    CHANNELS,
+    TWO_PI,
+    HamiltonianParams,
+    _cf4_step,
+    _cf4_steps,
+    _period_propagator,
+    _rotate,
+)
 from sorkin_lab.qutrit import _check_plane_rotation
 
 from conftest import PAPER_ABC, fresh_prepare_states, fresh_solve_schedule, r1_rows, r2_rows
@@ -147,7 +161,8 @@ def test_rwa_ideal_state_equals_the_rotation_applied_to_ket_zero(theta):
             for channel, rows in (("MW1", r1_rows), ("MW2", r2_rows)):
                 seg = PulseSegment(channel, theta)
                 rwa_fidelity(HamiltonianParams(), seg)
-                expected = apply_unitary(Unitary3(rows(seg.angle)), QutritState.ket_zero())
+                u = Unitary3(rows(seg.angle))
+                expected = QutritState.from_vector(u.matrix @ QutritState.ket_zero().vector)
                 assert _bits(bras[-1]) == _bits(expected)
     assert len(bras) == 2
 
@@ -175,10 +190,14 @@ def test_public_constructors_keep_their_checks():
         Unitary3(1.1 * np.eye(3))
     with pytest.raises(UnitarityError):
         Unitary3(np.full((3, 3), math.nan))
-    # a state built by apply_unitary still gets the norm check
+    # a state built from a matrix-vector product still gets the norm check
     loose = Unitary3(1.01 * np.eye(3), atol=0.1)
     with pytest.raises(NormalizationError):
-        apply_unitary(loose, QutritState(0.0, 1.0, 0.0))
+        QutritState.from_vector(loose.matrix @ QutritState(0.0, 1.0, 0.0).vector)
+    # ... and so does rwa_fidelity's U|0>, read as the |0> column
+    with mock.patch("sorkin_lab.dynamics.lab_frame_propagator", return_value=loose):
+        with pytest.raises(NormalizationError):
+            rwa_fidelity(HamiltonianParams(), PulseSegment("MW1", 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -286,3 +305,61 @@ def test_shared_protocol_objects_equal_fresh_ones(a, b, c):
     assert got == want
     if isinstance(want, tuple) and len(want) == 7:
         assert [_schedule_bits(s) for s in got] == [_schedule_bits(s) for s in want]
+
+
+_SHARED_SCHEDULES = (protocol._SCHEDULE_NONE, protocol._SCHEDULE_MW2_PI, protocol._SCHEDULE_MW1_PI)
+
+
+def test_shared_schedules_return_their_prepared_states():
+    # psi5..psi7's schedules are the shared constants, each of whose states
+    # is prepared once; an equal schedule built by a caller is rotated afresh
+    singles = solve_schedule(TargetAmplitudes(*PAPER_ABC), 5e6)[4:]
+    assert all(got is shared for got, shared in zip(singles, _SHARED_SCHEDULES, strict=True))
+    for shared in _SHARED_SCHEDULES:
+        state = apply_schedule(shared)
+        assert apply_schedule(shared) is state
+        equal = PulseSchedule(shared.segments)
+        assert equal == shared and equal is not shared
+        fresh = apply_schedule(equal)
+        assert fresh is not state
+        assert _bits(state) == _bits(fresh) == _bits(_validated_preparation(equal))
+
+
+@pytest.mark.parametrize("steps", [50, 200, 1600])
+@pytest.mark.parametrize("omega1_hz", [1e5, 5e6, 2e7, 5e7])
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_partial_step_is_the_one_step_stack_bit_for_bit(channel, omega1_hz, steps):
+    # the lean step a pulse takes against _cf4_steps(..., 1)[0], for the
+    # first and last prefix and seeded random ones, r next to 0 and dt
+    p = HamiltonianParams(omega1_hz=omega1_hz)
+    entry = _period_propagator(p, channel, steps, 0.0)
+    omega_d = TWO_PI * p.drive_frequency_hz(channel)
+    dt = entry.dt
+    rng = np.random.default_rng([CHANNELS.index(channel), int(omega1_hz), steps])
+    ms = [0, steps - 1, 0, steps - 1, *rng.integers(0, steps, 20).tolist()]
+    rs = [dt * 1e-12, math.nextafter(dt, 0.0), dt * (1.0 - 1e-12), dt * 2.0**-40]
+    rs += (dt * rng.random(20)).tolist()
+    for m, r in zip(ms, rs):
+        want = _cf4_steps(entry.h0_half, entry.drive, omega_d, m * dt, r, 1)[0]
+        got = _cf4_step(entry.h0_half, entry.drive, omega_d, m * dt, r)
+        assert got.tobytes() == want.tobytes(), (m, r)
+
+
+@pytest.mark.parametrize("omega1_hz", [5e6, 5e7])
+def test_rwa_fidelity_equals_the_overlap_with_the_applied_propagator(omega1_hz):
+    # every pulse of the paper point's schedules and both measurements: U's
+    # |0> column equals U @ |0> (up to the sign of a zero), and the fidelity
+    # has the bits of the overlap with the checked matrix-vector product
+    p = HamiltonianParams(omega1_hz=omega1_hz)
+    pulses = [seg for s in solve_schedule(TargetAmplitudes(*PAPER_ABC), omega1_hz) for seg in s]
+    for spec in (MEASUREMENT_M1, MEASUREMENT_M2):
+        pulses += [PulseSegment("MW2", spec.theta2), PulseSegment("MW1", spec.theta1)]
+    assert len(pulses) == 12
+    for seg in pulses:
+        full = lab_frame_propagator(p, seg)
+        product = full.matrix @ QutritState.ket_zero().vector
+        assert np.array_equal(full.matrix[:, 1], product)
+        ideal = QutritState(*_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
+        overlap = inner_product(ideal, QutritState.from_vector(product))
+        want = min(1.0, max(0.0, abs(overlap) ** 2))
+        assert rwa_fidelity(p, seg).hex() == want.hex(), seg

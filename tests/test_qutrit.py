@@ -10,7 +10,6 @@ from sorkin_lab import (
     QutritState,
     UnitarityError,
     Unitary3,
-    apply_unitary,
     inner_product,
     spin1_matrices,
 )
@@ -73,18 +72,18 @@ def test_state_rejects_unnormalized():
 
 def test_apply_identity():
     psi = QutritState(-1 / SQRT3, 1 / SQRT3, -1 / SQRT3)
-    out = apply_unitary(Unitary3.identity(), psi)
+    out = QutritState.from_vector(Unitary3.identity().matrix @ psi.vector)
     assert np.allclose(out.vector, psi.vector)
 
 
 def test_apply_pi_pulse_sends_zero_to_minus():
-    out = apply_unitary(Unitary3(r1_rows(math.pi)), KET_ZERO)
+    out = QutritState.from_vector(Unitary3(r1_rows(math.pi)).matrix @ KET_ZERO.vector)
     assert np.allclose(out.vector, [0, 0, -1], atol=1e-15)
 
 
 def test_apply_prepares_paper_superposition():
     u = Unitary3(r2_rows(math.pi / 2)).matrix @ Unitary3(r1_rows(math.acos(1 / 3))).matrix
-    out = apply_unitary(Unitary3(u), KET_ZERO)
+    out = QutritState.from_vector(Unitary3(u).matrix @ KET_ZERO.vector)
     assert np.allclose(out.vector, [-1 / SQRT3, 1 / SQRT3, -1 / SQRT3], atol=1e-15)
 
 
