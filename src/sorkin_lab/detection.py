@@ -31,25 +31,26 @@ Born null of simulate, 3 sigma for a scan row.
 
 A grid (a sensitivity scan or a shot ladder) reports each exact row from
 its seven floats.  It draws each simulated row on its own stream, exactly
-as a run of its own, divides its counts and keeps none of them, then
-stacks the rows' (M, 7) estimates C-contiguously into (J, M, 7) blocks of
-at most 2**16 batches (a block always holds at least one row).  Each
-block gets one report and its (J, M) kappas one row-wise summary, of
-which a single run is the (1, M) case.  The layout keeps the bits: over
-the last axis of a C-contiguous block numpy sums each row pairwise,
-exactly as it sums the row alone, so each row's mean and std equal its
-run's bit for bit.
+as a run of its own, and divides its counts straight into the row's
+(M, 7) slice of a C-contiguous (J, M, 7) block of at most 2**16 batches
+(a block always holds at least one row), keeping none of them.  No report
+is built for a block: its (J, M) kappas are taken from its columns by the
+calls sorkin_report makes, and get one row-wise summary, of which a
+single run is the (1, M) case.  The layout keeps the bits: over the last
+axis of a C-contiguous block numpy sums each row pairwise, exactly as it
+sums the row alone, so each row's mean and std equal its run's bit for
+bit.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
 master seed, or [*master_seed, j] for row j of a sensitivity scan or shot
 ladder.  It draws in three array calls, in this order: the bright counts
 of every batch and experiment, Binomial(N, p) over an (M, 7) batch-major
-array; the signals, Poisson over the same shape; then each batch's
-reference, M Poisson draws.  SeedSequence zero-pads entropy shorter than
-four words, so [s] and [s, 0] name one stream: simulate at seed s draws
-what row 0 of a scan at seed s draws.  No run reuses a stream within
-itself.
+operand (a zero-stride view of the seven p, see _read_out); the signals,
+Poisson over the same shape; then each batch's reference, M Poisson
+draws.  SeedSequence zero-pads entropy shorter than four words, so [s]
+and [s, 0] name one stream: simulate at seed s draws what row 0 of a scan
+at seed s draws.  No run reuses a stream within itself.
 """
 
 from __future__ import annotations
@@ -199,9 +200,10 @@ def _rule_probabilities(t, spec, rules) -> list[tuple[float, ...]]:
 def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
     """The interference terms and kappa of seven probabilities p, or, as
     arrays, of every batch of a (..., 7) stack p, the last axis the
-    experiment: a run's (M, 7) estimates or a grid's (J, M, 7) block.  The
-    last step of every run, exact or simulated; kappa refuses an I2 at or
-    below KAPPA_FLOOR, naming the batch within its run."""
+    experiment, such as a run's (M, 7) estimates.  The last step of every
+    run, exact or simulated; kappa refuses an I2 at or below KAPPA_FLOOR,
+    naming the batch within its run.  A grid's block takes only its kappas,
+    by the same calls (see _block_kappas)."""
     stack = isinstance(p, np.ndarray) and p.ndim >= 2
     cols = np.moveaxis(p, -1, 0) if stack else p
     terms = second_order_terms(cols, t)
@@ -227,10 +229,23 @@ def _read_out(p_true, det, n_batches, prefix) -> tuple[np.ndarray, np.ndarray]:
     (n_batches, 7) and (n_batches,), every count drawn from the one stream
     default_rng(SeedSequence(prefix)) in three array calls: the
     (n_batches, 7) bright counts, the signals of the same shape, then each
-    batch's shared reference."""
+    batch's shared reference.  p_true must be exactly seven values.
+
+    The bright counts are drawn over a zero-stride (n_batches, 7) view of
+    the seven probabilities, the operand np.broadcast_to gives, built
+    without broadcast_to's iterator set-up.  numpy checks and draws it in
+    C order, as it would a materialised array, so the counts are the same.
+    Neither size= nor a materialised array is used: both draw these counts
+    too, but right after a complex 3x3 matmul (the benchmark's reference
+    kernel ends with one) their draws ran over twice as long, while the
+    view's did not slow.
+    """
+    p = np.ascontiguousarray(p_true, dtype=float)
+    if p.shape != (7,):
+        raise ValueError(f"expected seven true probabilities, got shape {p.shape}")
     mu_dark, bg, ref_mean = _readout_constants(p_true, det)
     rng = np.random.default_rng(np.random.SeedSequence(prefix))
-    bright = rng.binomial(det.shots, np.broadcast_to(p_true, (n_batches, 7)))
+    bright = rng.binomial(det.shots, np.ndarray((n_batches, 7), buffer=p, strides=(0, 8)))
     signals = rng.poisson(bright * det.mu_bright + (det.shots - bright) * mu_dark + bg)
     return signals, rng.poisson(ref_mean, size=n_batches)
 
@@ -417,15 +432,18 @@ def _grid_summaries(t, runs, n_batches, master_seed):
 
 
 def _block_kappas(t, rows, n_batches, prefix) -> np.ndarray:
-    """The (J, M) kappas of the simulated grid rows (j, (p_true, det)); the
-    block's estimates are freed on return, before the next block is drawn."""
-    ests = []
-    for j, (p_true, det) in rows:
+    """The (J, M) kappas of the simulated grid rows (j, (p_true, det)).
+
+    Each row's counts are divided straight into its slice of one
+    C-contiguous (J, M, 7) block, freed on return, before the next block
+    is drawn; the kappas are taken from the block's columns by the calls
+    sorkin_report makes, with no report built."""
+    block = np.empty((len(rows), n_batches, 7))
+    for i, (j, (p_true, det)) in enumerate(rows):
         signals, ref = _read_out(p_true, det, n_batches, [*prefix, j])
-        ests.append(signals / ref[:, None])
-    # a row in a block of its own is reported in place, not copied
-    block = ests[0][None] if len(ests) == 1 else np.stack(ests)
-    return sorkin_report(t, block).kappa
+        np.divide(signals, ref[:, None], out=block[i])
+    cols = np.moveaxis(block, -1, 0)
+    return kappa(third_order_term(cols, t), second_order_terms(cols, t))
 
 
 def sensitivity_scan(

@@ -72,11 +72,6 @@ class QutritState:
             raise ValueError(f"expected a length-3 vector, got shape {v.shape}")
         return cls(*v.tolist())
 
-    @classmethod
-    def ket_zero(cls) -> "QutritState":
-        """|0>, one shared instance: states are immutable."""
-        return _STATE_ZERO
-
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.c_plus, self.c_zero, self.c_minus])
@@ -86,8 +81,6 @@ class QutritState:
 _set_c_plus = QutritState.__dict__["c_plus"].__set__
 _set_c_zero = QutritState.__dict__["c_zero"].__set__
 _set_c_minus = QutritState.__dict__["c_minus"].__set__
-
-_STATE_ZERO = QutritState(0.0, 1.0, 0.0)
 
 
 def inner_product(bra: QutritState, ket: QutritState) -> complex:

@@ -487,6 +487,34 @@ def test_sampler_reads_out_any_true_probabilities(prefix):
     assert exact.p == p_true and exact.counts is None
 
 
+# At 412 shots, the fewest the default rates allow, these rows reach every
+# branch of numpy's binomial sampler: p = 0 and p = 1; p <= 0.5 with
+# n p <= 30 (inversion) and above (BTPE); and p > 0.5, which draws from
+# q = 1 - p, with n q <= 30 and above.
+SAMPLER_BRANCH_ROWS = {
+    "zero-and-one": (0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5),
+    "inversion": (0.001, 0.07, 0.02, 0.05, 0.0, 0.0728, 0.03),
+    "above-one-half": (0.6, 0.9, 0.97, 0.75, 0.99, 0.55, 0.93),
+    "every-branch": (0.0, 1.0, 0.3, 0.97, 0.01, 0.6, 0.5),
+}
+
+
+@pytest.mark.parametrize("n_batches", [2, 1000])
+@pytest.mark.parametrize("row", SAMPLER_BRANCH_ROWS, ids=str)
+def test_sampler_draws_what_the_oracle_draws_on_every_binomial_branch(row, n_batches):
+    p_true = SAMPLER_BRANCH_ROWS[row]
+    det = DetectionParams(shots=412)
+    report = detection.sample_batches(_target(), p_true, det, n_batches, (7, 3))
+    assert [tuple(p) for p in report.p.tolist()] == _one_stream_p(p_true, det, n_batches, (7, 3))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_sampler_refuses_anything_but_seven_probabilities(n):
+    p_true = (_paper_probabilities() * 2)[:n]
+    with pytest.raises(ValueError):
+        detection.sample_batches(_target(), p_true, DetectionParams(), 30, 0)
+
+
 @pytest.mark.parametrize("n_batches", [2, 30, 1000])
 def test_a_simulated_run_constructs_one_seed_sequence(monkeypatch, n_batches):
     made = []

@@ -520,6 +520,6 @@ def test_detuned_propagation_dephases():
     seg = PulseSegment("MW1", math.pi)
     u = lab_frame_propagator(p, seg, detuning_hz=1e6).matrix
     ideal = _rotate("MW1", math.pi, (0.0, 1.0, 0.0))
-    psi0 = QutritState.ket_zero().vector
+    psi0 = QutritState(0.0, 1.0, 0.0).vector
     overlap = abs(np.vdot(ideal, u @ psi0)) ** 2
     assert overlap < 0.9
