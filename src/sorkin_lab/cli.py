@@ -212,7 +212,7 @@ def _resolve(values: dict) -> ExperimentConfig:
     batches = resolved["batches"]
     try:
         check_batches(batches, exact=mode == "exact")
-    except InsufficientBatchesError as exc:
+    except (InsufficientBatchesError, ValueError) as exc:
         raise ConfigError(f"batches: {exc}") from exc
 
     family = resolved["sensitivity.rule_family"]

@@ -145,13 +145,26 @@ class KappaEstimate:
         return abs(self.mean) > sigmas * self.stderr + 1e-12
 
 
+# The most batches a simulated run draws.  simulate peaks at about 500
+# bytes a batch at the defaults and 790 at 16-digit counts (tracemalloc,
+# 200,000 batches), so this bound keeps a run within about 0.8 GB; an
+# exact run draws nothing and has no bound.
+MAX_BATCHES = 2**20
+
+
 def check_batches(n_batches: int, *, exact: bool) -> None:
-    """The batch minimum of a run: 1 for an exact run, 2 for a simulated
-    run, since one noisy batch has no spread to summarize."""
+    """The batch bounds of a run: at least 1 for an exact run, and from 2,
+    since one noisy batch has no spread to summarize, to MAX_BATCHES for a
+    simulated run.  Too few is an InsufficientBatchesError, too many a
+    ValueError."""
     least = 1 if exact else 2
     if n_batches < least:
         run, noun = ("an exact", "batch") if exact else ("a simulated", "batches")
         raise InsufficientBatchesError(f"{run} run needs at least {least} {noun}, got {n_batches}")
+    if not exact and n_batches > MAX_BATCHES:
+        raise ValueError(
+            f"a simulated run draws at most MAX_BATCHES = {MAX_BATCHES} batches, got {n_batches}"
+        )
 
 
 def _entropy(seed) -> list[int]:
@@ -258,7 +271,7 @@ def sample_batches(
     from the one stream SeedSequence([*master_seed]) (see _read_out).
     det=None is an exact run, the float report sorkin_report(t, p_true):
     it draws nothing and ignores n_batches beyond check_batches.  A run
-    below check_batches' minimum is refused before any stream is set up.
+    outside check_batches' bounds is refused before any stream is set up.
     """
     check_batches(n_batches, exact=det is None)
     if det is None:
@@ -328,9 +341,9 @@ def _t975(df: int) -> float:
 
 def estimate_kappa(report, *, seed=None) -> KappaEstimate:
     """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr
-    of a simulated run's kappa column of M >= 2 batches (see check_batches;
-    a shorter column is refused).  An exact run's report, whose kappa is one
-    float k, gives k with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
+    of a simulated run's kappa column of M >= 2 batches (a column outside
+    check_batches' bounds is refused).  An exact run's report, whose kappa
+    is one float k, gives k with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
 
     A pure O(M) function of the M batch kappas: it draws no random numbers.
     seed is ignored; callers of the seeded bootstrap this replaced
@@ -522,11 +535,46 @@ def batch_csv_text(report) -> str:
     the header batch,s1..s7,ref, then a line of integers per batch, its
     index, seven signal counts and reference count, each printed as str
     prints a Python int.  Batch b's p is signals[b] / ref[b].  An exact
-    run's report, which holds no counts, is refused."""
+    run's report, which holds no counts, is refused, and so is a negative
+    count; a report of no batches gives the header alone.
+
+    The digits of all fields are formed at once.  Each field gets a row of
+    width + 1 bytes, width the digit count of the largest value, and digit
+    k (from the right) of a value x is (x // 10**k) % 10, taken as
+    part - 10 * (part // 10) over the running quotient part, exact in
+    integer arithmetic; values wider than 8 digits are first split into
+    8-digit pieces below 2**32.  Digit k is kept when x >= 10**k, and the
+    units digit always, so x prints with no leading zero and 0 as "0":
+    the decimal form str gives a non-negative Python int.  The last byte of
+    each row is its separator, "," or "\\n" after every ninth field."""
     if report.counts is None:
         raise ValueError("an exact run draws no counts, so it has no batch CSV")
     signals, ref = report.counts
-    table = np.column_stack((np.arange(ref.size), signals, ref)).ravel().tolist()
-    # one format for the whole table; %d prints a Python int as str does
-    lines = "%d,%d,%d,%d,%d,%d,%d,%d,%d\n" * ref.size
-    return "batch,s1,s2,s3,s4,s5,s6,s7,ref\n" + lines % tuple(table)
+    x = np.column_stack((np.arange(ref.size), signals, ref)).reshape(-1)
+    least = int(x.min(initial=0))
+    if least < 0:
+        raise ValueError(f"a batch CSV holds counts, which are never negative, got {least}")
+    width = len(str(int(x.max(initial=0))))
+    # a row per field: its digits right-aligned in width bytes, then its separator
+    cells = np.empty((x.size, width + 1), np.uint8)
+    keep = np.ones(cells.shape, bool)
+    for j in range(width - 1):
+        np.greater_equal(x, 10 ** (width - 1 - j), out=keep[:, j])
+    for end in range(width, 0, -8):
+        # eight digits at a time, from the right, in uint32, whose division
+        # by 10 is faster than int64's; 10**8 - 1 < 2**32
+        if end > 8:
+            high = x // 10**8
+            part, x = (x - high * 10**8).astype(np.uint32), high
+        else:
+            part = x.astype(np.uint32)
+        for j in range(end - 1, max(end - 8, 0) - 1, -1):
+            q = part // 10
+            np.subtract(part, q * 10, out=cells[:, j], casting="unsafe")
+            part = q
+    cells += ord("0")
+    cells[:, width] = ord(",")
+    cells[8::9, width] = ord("\n")
+    text = cells[keep]
+    del cells, keep  # freed before the text is decoded and joined to the header
+    return "batch,s1,s2,s3,s4,s5,s6,s7,ref\n" + str(text, "ascii")

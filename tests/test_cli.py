@@ -136,6 +136,24 @@ def test_config_rejections(tmp_path):
         out = tmp_path / f"huge{i}"
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert not out.exists()
+    # a simulated run draws at most MAX_BATCHES = 2**20 batches; beyond it
+    # these counts ran out of memory or past numpy's largest dimension in
+    # the draws, a traceback with exit 1, the code of a rejected Born null
+    for i, many in enumerate((10**15, 10**20)):
+        path = _write(tmp_path, f"batches = {many}\n", f"many{i}.cfg")
+        too_many = (
+            f"^batches: a simulated run draws at most MAX_BATCHES = 1048576 batches, got {many}$"
+        )
+        with pytest.raises(ConfigError, match=too_many):
+            parse_config(path)
+        for command in ("simulate", "sensitivity"):
+            out = tmp_path / f"many{i}-{command}"
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+            assert not out.exists()
+    # an exact run draws nothing, so it keeps only its at-least-one rule
+    text = "detection.mode = exact\nbatches = 1000000000000000\n"
+    exact = _write(tmp_path, text, "many-exact.cfg")
+    assert parse_config(exact).batches == 10**15
     # simulated mode reads out the expected estimates C*p + d, and their I2
     # must clear the floor too: this background makes C about 3.6e-11 and
     # the expected I2 about 2.3e-11, though the exact I2 is 0.64

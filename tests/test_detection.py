@@ -889,6 +889,23 @@ def test_one_simulated_batch_refused_before_any_stream(monkeypatch, run):
         run(DetectionParams())
 
 
+def test_too_many_simulated_batches_refused_before_any_stream(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was set up")
+
+    t = _target()
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    monkeypatch.setattr(np.random, "SeedSequence", no_stream)
+    monkeypatch.setattr(np.random, "default_rng", no_stream)
+    too_many = f"^a simulated run draws at most MAX_BATCHES = {2**20} batches, got {2**20 + 1}$"
+    with pytest.raises(ValueError, match=too_many):
+        detection.sample_batches(t, p_true, DetectionParams(), detection.MAX_BATCHES + 1, 3)
+    detection.check_batches(detection.MAX_BATCHES, exact=False)
+    # an exact run draws nothing, so it has no upper bound
+    exact = detection.sample_batches(t, p_true, None, 10**15, 3)
+    assert exact == detection.sorkin_report(t, p_true)
+
+
 def test_one_exact_batch_per_rung_has_no_spread():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -922,6 +939,83 @@ def test_batch_csv_layout():
     assert type(exact.p) is tuple and len(exact.p) == 7 and exact.counts is None
     with pytest.raises(ValueError, match="^an exact run draws no counts"):
         batch_csv_text(exact)
+
+
+def _counts(rows):
+    """A report holding hand-built counts, one row of 7 signals and a reference a batch."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, 8)
+    return SimpleNamespace(counts=(table[:, :7], table[:, 7]))
+
+
+def _oracle_csv(report):
+    """The batch CSV written field by field with str of a Python int."""
+    signals, ref = report.counts
+    lines = ["batch,s1,s2,s3,s4,s5,s6,s7,ref"]
+    for b, (row, r) in enumerate(zip(signals.tolist(), ref.tolist())):
+        lines.append(",".join(str(int(x)) for x in [b, *row, r]))
+    return "\n".join(lines) + "\n"
+
+
+# 0, then 10**k - 1 and 10**k for k from 0 to 15, and 2**53, the most a
+# run's config lets a drawn count reach
+_EDGE_COUNTS = [0, *(v for k in range(16) for v in (10**k - 1, 10**k)), 2**53]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the edge counts, eight a batch, padded to whole batches with 7s;
+        # reversed, most of them land in another column
+        _EDGE_COUNTS + [7] * (-len(_EDGE_COUNTS) % 8),
+        _EDGE_COUNTS[::-1] + [7] * (-len(_EDGE_COUNTS) % 8),
+        # the nine fields of each batch have nine different widths: batch 0's
+        # run from 1 to 9 digits, batch 1's signals from 8 down to 2
+        [10**k + k for k in range(1, 9)] + [10**k - 1 for k in range(8, 1, -1)] + [10**9 - 1],
+        # batch indices cross 9 -> 10 and 99 -> 100, next to one-digit counts
+        [b % 10 for b in range(8 * 102)],
+    ],
+    ids=["edges", "edges-reversed", "all-widths", "indices"],
+)
+def test_batch_csv_matches_str_of_each_int(rows):
+    report = _counts(rows)
+    assert batch_csv_text(report) == _oracle_csv(report)
+
+
+@pytest.mark.parametrize("m", [2, 1000, 5840])
+def test_batch_csv_matches_str_at_random_widths(m):
+    # each count has 1 to 16 digits, drawn below 10**width of a random width
+    rng = np.random.default_rng(m)
+    widths = rng.integers(1, 17, size=8 * m)
+    report = _counts(rng.integers(0, 10**widths, dtype=np.int64))
+    assert batch_csv_text(report) == _oracle_csv(report)
+
+
+def test_batch_csv_of_no_batches_and_negative_counts():
+    # a report of no batches has the header alone; a count is never negative
+    empty = _counts([])
+    assert batch_csv_text(empty) == _oracle_csv(empty) == "batch,s1,s2,s3,s4,s5,s6,s7,ref\n"
+    for rows in ([5] * 7 + [-1], [-(2**63)] + [5] * 15):
+        with pytest.raises(ValueError, match="never negative, got -"):
+            batch_csv_text(_counts(rows))
+
+
+# The %-format writer this one replaced ("%d,...\n" % tuple(table.tolist()))
+# peaked at 52,484,066 bytes (tracemalloc) on these counts: M = 100,000
+# batches at the defaults, seed 1, Python 3.11.7, numpy 2.4.6.  This writer
+# peaked at 30.6 MB there, the text itself 6.2 MB.
+_OLD_WRITER_PEAK = 52_484_066
+
+
+def test_batch_csv_peaks_below_the_old_writer():
+    report = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 100_000, 1)
+    batch_csv_text(report)  # any one-off objects first
+    tracemalloc.start()
+    try:
+        batch_csv_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _OLD_WRITER_PEAK
 
 
 # the edge rates: the fewest shots the defaults allow, no background, and
