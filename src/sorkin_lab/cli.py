@@ -300,8 +300,6 @@ def _report_dict(report) -> dict:
         "I2": report.I2,
         "I3": report.I3,
         "kappa": report.kappa,
-        # only ideal writes a report, and it is always of exact probabilities
-        "provenance": "exact",
     }
 
 
@@ -332,13 +330,15 @@ def cmd_simulate(config: ExperimentConfig) -> CommandResult:
         kappa=asdict(est) | {"std_predicted": predicted},
         born_null_rejected_5sigma=rejected,
     )
-    artifacts = {} if det is None else {"simulate_batches.csv": batch_csv_text(report)}
+    line = f"kappa = {est.mean:.6g}"
+    if det is None:  # an exact run draws nothing: no CSV, no spread, no batch count
+        artifacts, line = {}, line + " (exact)"
+    else:
+        artifacts = {"simulate_batches.csv": batch_csv_text(report)}
+        line += f" +/- {est.std:.3g} (stderr {est.stderr:.3g}, {config.batches} batches)"
     return CommandResult(
         artifacts | {"simulate_summary.json": summary},
-        [
-            f"kappa = {est.mean:.6g} +/- {est.std:.3g} "
-            f"(stderr {est.stderr:.3g}, {config.batches} batches)"
-        ],
+        [line],
         EXIT_NULL_REJECTED if rejected else EXIT_OK,
     )
 

@@ -14,18 +14,18 @@ identical for this model and O(1) per estimate.
 
 Within one batch the seven signals share a single reference draw (the
 normalization is one bright reference trace), so common reference noise
-cancels from kappa exactly.  A simulated run's report is sorkin_report(t, P)
-of its (M, 7) estimates P, M >= 2: row b of each column is batch b's, and
-the report records neither seed nor shots.  It also keeps the counts it
-drew, the (M, 7) signals and the M references, and P = signals /
-ref[:, None]; int64 / int64 rounds as Python's int / int does below 2**53,
-so the counts rebuild P bit for bit.  They are the run's batch CSV
-(sorkin-lab.batches/2).  An exact run is sorkin_report(t, p_true) of seven
-floats, whatever its batch count beyond the check that it is at least 1:
-it draws nothing, has no counts and no CSV, and its kappa has no spread.
+cancels from kappa exactly.  A simulated run of M >= 2 batches keeps the
+(M, 7) signals and M references it drew, its batch CSV
+(sorkin-lab.batches/2); batch b's estimates are signals[b] / ref[b],
+which int64 / int64 rounds as Python's int / int does below 2**53.  Its
+report is sorkin_report(t, p) of the mean estimates p, holding the
+counts, and records neither seed nor shots.  An exact run is
+sorkin_report(t, p_true) whatever its batch count (at least 1): it draws
+nothing, has no counts and no CSV, and its kappa has no spread.
 
-estimate_kappa is the one summary of a run's kappa column, for simulate,
-every sensitivity row and every shot-ladder rung alike, and
+estimate_kappa is the one summary of a run, for simulate, every
+sensitivity row and every shot-ladder rung alike: kappa of the mean
+estimates, with a delta-method spread (see _pooled_estimates), and
 KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
 Born null of simulate, 3 sigma for a scan row.
 
@@ -33,13 +33,11 @@ A grid (a sensitivity scan or a shot ladder) reports each exact row from
 its seven floats.  It draws each simulated row on its own stream, exactly
 as a run of its own, and divides its counts straight into the row's
 (M, 7) slice of a C-contiguous (J, M, 7) block of at most 2**16 batches
-(a block always holds at least one row), keeping none of them.  No report
-is built for a block: its (J, M) kappas are taken from its columns by the
-calls sorkin_report makes, and get one row-wise summary, of which a
-single run is the (1, M) case.  The layout keeps the bits: over the last
-axis of a C-contiguous block numpy sums each row pairwise, exactly as it
-sums the row alone, so each row's mean and std equal its run's bit for
-bit.
+(a block always holds at least one row), keeping none of them.  The
+block gets one pooled summary, of which a single run is the (1, M, 7)
+case.  Each row's mean adds batch after batch, as its run's does, and
+numpy sums each row of the C-contiguous (J, M) projections pairwise, as
+it sums the row alone, so each row's summary is its run's bit for bit.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
@@ -55,6 +53,7 @@ at seed s draws.  No run reuses a stream within itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -84,7 +83,7 @@ MAX_COUNT = 2**53
 _MAX_MEAN = (math.sqrt(MAX_COUNT + 25.0) - 5.0) ** 2
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/2"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/7"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/8"
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class KappaEstimate:
-    """Mean, spread and Student-t 95% interval of kappa over M batches (see estimate_kappa)."""
+    """A run's kappa, per-batch std, stderr and 95% interval (see _pooled_estimates)."""
 
     mean: float
     std: float
@@ -211,29 +210,24 @@ def _rule_probabilities(t, spec, rules) -> list[tuple[float, ...]]:
 
 
 def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
-    """The interference terms and kappa of seven probabilities p, or, as
-    arrays, of every batch of a (..., 7) stack p, the last axis the
-    experiment, such as a run's (M, 7) estimates.  The last step of every
-    run, exact or simulated; kappa refuses an I2 at or below KAPPA_FLOOR,
-    naming the batch within its run.  A grid's block takes only its kappas,
-    by the same calls (see _block_kappas)."""
-    stack = isinstance(p, np.ndarray) and p.ndim >= 2
-    cols = np.moveaxis(p, -1, 0) if stack else p
-    terms = second_order_terms(cols, t)
-    i3 = third_order_term(cols, t)
-    kap = kappa(i3, terms)
+    """The interference terms and kappa of seven probabilities p, floats:
+    the last step of every exact run, and of a simulated run on its mean
+    estimates.  kappa refuses an I2 at or below KAPPA_FLOOR."""
+    terms = second_order_terms(p, t)
+    i3 = third_order_term(p, t)
     a2, b2, c2 = t.a**2, t.b**2, t.c**2
     return SorkinReport(
-        p=p if stack else tuple(p),
-        q_a=a2 * cols[4],
-        q_b=b2 * cols[5],
-        q_c=c2 * cols[6],
+        t=t,
+        p=tuple(p),
+        q_a=a2 * p[4],
+        q_b=b2 * p[5],
+        q_c=c2 * p[6],
         I_ab=terms[0],
         I_ac=terms[1],
         I_bc=terms[2],
         I2=abs(terms[0]) + abs(terms[1]) + abs(terms[2]),
         I3=i3,
-        kappa=kap,
+        kappa=kappa(i3, terms),
     )
 
 
@@ -267,17 +261,19 @@ def sample_batches(
     t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
 ) -> SorkinReport:
     """The report of n_batches readouts of any seven true probabilities
-    p_true, one row a batch, with the counts its p was divided from, drawn
-    from the one stream SeedSequence([*master_seed]) (see _read_out).
-    det=None is an exact run, the float report sorkin_report(t, p_true):
-    it draws nothing and ignores n_batches beyond check_batches.  A run
-    outside check_batches' bounds is refused before any stream is set up.
+    p_true, drawn from the one stream SeedSequence([*master_seed]) (see
+    _read_out): sorkin_report of the mean p over the batches, holding the
+    counts each batch's p was divided from.  det=None is an exact run, the
+    report sorkin_report(t, p_true): it draws nothing and ignores n_batches
+    beyond check_batches.  A run outside check_batches' bounds is refused
+    before any stream is set up.
     """
     check_batches(n_batches, exact=det is None)
     if det is None:
         return sorkin_report(t, p_true)
     signals, ref = _read_out(p_true, det, n_batches, _entropy(master_seed))
-    return replace(sorkin_report(t, signals / ref[:, None]), counts=(signals, ref))
+    p = (signals / ref[:, None]).mean(axis=0).tolist()
+    return replace(sorkin_report(t, p), counts=(signals, ref))
 
 
 def run_protocol_batch(
@@ -340,61 +336,84 @@ def _t975(df: int) -> float:
 
 
 def estimate_kappa(report, *, seed=None) -> KappaEstimate:
-    """Mean, sample std, stderr and ci95 = mean -/+ t(0.975, M - 1) * stderr
-    of a simulated run's kappa column of M >= 2 batches (a column outside
-    check_batches' bounds is refused).  An exact run's report, whose kappa
-    is one float k, gives k with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
+    """The pooled summary of a simulated run of M >= 2 batches, from its
+    mean estimates report.p and the batch estimates its counts rebuild;
+    its mean is the report's kappa.  An exact run's report (counts None)
+    gives its kappa k with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
 
-    A pure O(M) function of the M batch kappas: it draws no random numbers.
-    seed is ignored; callers of the seeded bootstrap this replaced
-    (perfbench/workloads.py) still pass one.  The run is summarized as a
-    (1, M) block of _kappa_estimates, the summary of every simulated grid
-    row too.
+    It draws no random numbers.  seed is ignored; the benchmark's callers
+    of the seeded bootstrap this replaced still pass one.
     """
-    k = report.kappa
-    if isinstance(k, float):
+    if report.counts is None:
+        k = report.kappa
         return KappaEstimate(k, 0.0, 0.0, (k, k))
-    k = np.asarray(k, dtype=float).reshape(1, -1)
-    check_batches(k.size, exact=False)
-    return _kappa_estimates(k)[0]
+    signals, ref = report.counts
+    check_batches(ref.size, exact=False)
+    return _pooled_estimates(report.t, (signals / ref[:, None])[None], np.array([report.p]))[0]
 
 
-def _kappa_estimates(k) -> list[KappaEstimate]:
-    """estimate_kappa of each row of a (J, M) block of batch kappas, one
-    simulated run a row, M >= 2.
+@functools.lru_cache(maxsize=16)
+def _coefficient_rows(t) -> np.ndarray:
+    """The read-only (4, 7) coefficient rows of I3, I_ab, I_ac and I_bc, the
+    linear terms at the unit vectors; cached, as a grid has one target."""
+    rows = np.array([third_order_term(np.eye(7), t), *second_order_terms(np.eye(7), t)])
+    rows.flags.writeable = False
+    return rows
 
-    The block is reduced over its last axis in C order, in which numpy sums
-    each row as it sums the row alone; an F-ordered block's sums may differ
-    in the last bits.
+
+def _kappa_gradient(t, p) -> tuple[list[float], np.ndarray]:
+    """kappa of each row of a (J, 7) array p, the floats sorkin_report gives
+    (and refuses) for the row, and its gradient g = (c3 - kappa sum_xy
+    sign(I_xy) grad I_xy) / I2, with c3 and grad I_xy the coefficient rows
+    and the signs those of the terms at p.  The rows each sum to zero and
+    g . p = 0, so g . (C p + d) = 0 for any affine map.
     """
-    k = np.ascontiguousarray(k)
-    m = k.shape[-1]
-    root, t = math.sqrt(m), _t975(m - 1)
+    k, terms = [], []
+    for x in p.tolist():
+        pair = second_order_terms(x, t)
+        k.append(kappa(third_order_term(x, t), pair))
+        terms.append(pair)
+    terms, coef = np.array(terms), _coefficient_rows(t)
+    slope = (np.sign(terms)[:, :, None] * coef[1:]).sum(axis=1)
+    return k, (coef[0] - np.array(k)[:, None] * slope) / np.abs(terms).sum(axis=1)[:, None]
+
+
+def _pooled_estimates(t, block, p) -> list[KappaEstimate]:
+    """The summary of each run of a C-contiguous (J, M, 7) block of
+    estimates, a simulated run of M >= 2 batches a row, p its (J, 7) mean.
+
+    The mean is kappa(p), the ratio of means (Cochran, Sampling Techniques,
+    1977, ch. 6), refused at the floor; no single batch is refused.  To
+    first order a batch's kappa moves by g . (x - p), so std is the sample
+    std of block[j] @ g: sqrt(g' S g), S the estimates' sample covariance
+    (the delta method; Efron, SIAM, 1982).  stderr = std / sqrt(M) and
+    ci95 = mean -/+ t(0.975, M - 1) * stderr.
+    """
+    m = block.shape[1]
+    k, g = _kappa_gradient(t, p)
+    std = np.matmul(block, g[:, :, None])[..., 0].std(axis=-1, ddof=1)
+    root, q = math.sqrt(m), _t975(m - 1)
     out = []
-    for mean, std in zip(k.mean(axis=-1).tolist(), k.std(axis=-1, ddof=1).tolist()):
-        stderr = std / root
-        half = t * stderr
-        out.append(KappaEstimate(mean, std, stderr, (mean - half, mean + half)))
+    for mean, s in zip(k, std.tolist()):
+        stderr = s / root
+        half = q * stderr
+        out.append(KappaEstimate(mean, s, stderr, (mean - half, mean + half)))
     return out
 
 
 def predicted_kappa_std(t, p_true, det: DetectionParams) -> float:
-    """Batch kappa std of the counting model on the seven true probabilities
-    p_true, to first order (delta method).
-
-    kappa is invariant under the shared reference and a common affine map
-    of the signals, so sigma_kappa = sqrt(sum_k c3_k^2 Var S_k) / I2(E S),
-    with c3_k the coefficients of I3, E S_k = N (mu_dark + p_k dmu + mu_bg)
-    and Var S_k = E S_k + N p_k (1 - p_k) dmu^2, dmu = mu_bright - mu_dark.
-    The I2 gradient term carries I3(E S), zero under Born, and is dropped.
+    """The per-batch kappa scale std the counting model predicts on the seven
+    true probabilities p_true, to first order: g at the expected estimates
+    (see _kappa_gradient) with the signals' variances.  The estimates are
+    S_k / R, so since g . E[x] = 0 the shared reference R cancels, leaving
+    sqrt(sum_k g_k^2 Var S_k) / E R, Var S_k = E S_k + N p_k (1 - p_k) dmu^2,
+    E S_k = N (mu_dark + p_k dmu + mu_bg) and dmu = mu_bright - mu_dark.
     """
+    _, g = _kappa_gradient(t, np.array([expected_estimates(p_true, det)]))
     p = np.array(p_true)
     n, dmu = det.shots, det.mu_bright - det.mu_dark
-    mean = n * (det.mu_dark + p * dmu + det.mu_bg)
-    var = mean + n * p * (1.0 - p) * dmu**2
-    c3 = third_order_term(np.eye(7), t)
-    i2 = sum(abs(x) for x in second_order_terms(mean, t))
-    return float(math.sqrt(c3**2 @ var) / i2)
+    var = n * (det.mu_dark + p * dmu + det.mu_bg) + n * p * (1.0 - p) * dmu**2
+    return float(math.sqrt(g[0] ** 2 @ var) / (n * (det.mu_bright + det.mu_bg)))
 
 
 @dataclass(frozen=True)
@@ -413,11 +432,10 @@ class SensitivityScan:
     predicted_detectable_eps: float | None
 
 
-# A simulated grid's rows are reported and summarized together in blocks
-# of at most this many batches, and a block always holds at least one row,
-# so a grid's peak memory stays that of one large row.  At 2**16 batches a
-# row, the per-row overhead of a report and a summary is already below 1%
-# of the draws.
+# A simulated grid's rows are summarized together in blocks of at most
+# this many batches, and a block always holds at least one row, so a grid's
+# peak memory stays that of one large row.  At 2**16 batches a row, the
+# per-row overhead of a summary is already below 1% of the draws.
 _BLOCK_BATCHES = 2**16
 
 
@@ -426,9 +444,10 @@ def _grid_summaries(t, runs, n_batches, master_seed):
 
     An exact row (det None) is summarized from sorkin_report(t, p_true) and
     draws nothing.  A simulated row j samples its batches under
-    [*master_seed, j], in blocks of consecutive simulated rows, all drawn
-    before any is reported (see the module docstring), so a later row's
-    refusal to sample fires before an earlier row's kappa floor.
+    [*master_seed, j] into its slice of a block of consecutive simulated
+    rows, freed before the next block is drawn; all of a block's rows are
+    drawn before any is summarized, so a later row's refusal to sample
+    fires before an earlier row's kappa floor.
     """
     runs = list(runs)
     check_batches(n_batches, exact=all(det is None for _, det in runs))
@@ -440,23 +459,12 @@ def _grid_summaries(t, runs, n_batches, master_seed):
             yield from (estimate_kappa(sorkin_report(t, p_true)) for _, (p_true, _) in rows)
             continue
         for start in range(0, len(rows), per_block):
-            block = rows[start : start + per_block]
-            yield from _kappa_estimates(_block_kappas(t, block, n_batches, prefix))
-
-
-def _block_kappas(t, rows, n_batches, prefix) -> np.ndarray:
-    """The (J, M) kappas of the simulated grid rows (j, (p_true, det)).
-
-    Each row's counts are divided straight into its slice of one
-    C-contiguous (J, M, 7) block, freed on return, before the next block
-    is drawn; the kappas are taken from the block's columns by the calls
-    sorkin_report makes, with no report built."""
-    block = np.empty((len(rows), n_batches, 7))
-    for i, (j, (p_true, det)) in enumerate(rows):
-        signals, ref = _read_out(p_true, det, n_batches, [*prefix, j])
-        np.divide(signals, ref[:, None], out=block[i])
-    cols = np.moveaxis(block, -1, 0)
-    return kappa(third_order_term(cols, t), second_order_terms(cols, t))
+            chunk = rows[start : start + per_block]
+            block = np.empty((len(chunk), n_batches, 7))
+            for i, (j, (p_true, det)) in enumerate(chunk):
+                signals, ref = _read_out(p_true, det, n_batches, [*prefix, j])
+                np.divide(signals, ref[:, None], out=block[i])
+            yield from _pooled_estimates(t, block, block.mean(axis=1))
 
 
 def sensitivity_scan(

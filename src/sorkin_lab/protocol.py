@@ -11,22 +11,18 @@ interference terms, the third-order term
 
 and the normalized ratio kappa = I3 / (|I_ab| + |I_ac| + |I_bc|) are
 extracted.  Under Born's rule I3 vanishes identically, so kappa is a
-violation figure of merit.  The functions only index p[0]..p[6], so on
-any (..., 7) stack, its last axis the experiment moved to the front (a
-run's (M, 7) estimates or a grid's (J, M, 7) block), they compute every
-batch at once, in the same operation order.  A SorkinReport holds those
-numbers for one run, a function of the target and the probabilities
-alone, exact or a readout's estimates; a readout's report also keeps the
-photon counts its estimates were divided from.  Everything here is pure
-and reentrant.
+violation figure of merit.  The interference terms only index p[0]..p[6]
+and are linear in p, so at the unit vectors they give their coefficients.
+A SorkinReport holds those numbers for one run, floats that are a
+function of the target and seven probabilities alone: the exact ones, or
+a readout's mean estimates, whose report also keeps the photon counts
+they were divided from.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import PulseSchedule, PulseSegment, _rotate
 from .errors import DegenerateProtocolError, QuantumRegimeError, UnreachableStateError
@@ -73,13 +69,14 @@ MEASUREMENT_M2 = MeasurementSpec(3 * math.pi / 2, math.pi / 2)
 
 @dataclass(frozen=True)
 class SorkinReport:
-    """p and what (t, p) determine (detection.sorkin_report builds it): of
-    seven floats, floats; of a run's (M, 7) p, columns, row b batch b's.
-    A simulated run's report also holds counts, the int64 (signals, ref)
-    of shapes (M, 7) and (M,) that p is signals / ref[:, None] of; an
-    exact run's, and a report of seven floats, hold None."""
+    """The target t, seven probabilities p and the floats (t, p) determine
+    (detection.sorkin_report builds it).  A simulated run's p is its mean
+    estimates, and counts holds the int64 numpy arrays (signals, ref) of
+    shapes (M, 7) and (M,) its batches' estimates signals / ref[:, None]
+    were divided from; any other report holds None."""
 
-    p: tuple[float, ...] | np.ndarray
+    t: TargetAmplitudes
+    p: tuple[float, ...]
     q_a: float
     q_b: float
     q_c: float
@@ -89,7 +86,7 @@ class SorkinReport:
     I2: float
     I3: float
     kappa: float
-    counts: tuple[np.ndarray, np.ndarray] | None = None
+    counts: tuple | None = None
 
 
 def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:
@@ -174,21 +171,13 @@ def third_order_term(p, t: TargetAmplitudes) -> float:
     )
 
 
-def kappa(i3, terms):
-    """Normalized ratio I3 / (|I_ab| + |I_ac| + |I_bc|), of one batch or
-    element-wise of batch columns; an I2 at or below KAPPA_FLOOR is refused,
-    naming the first such batch."""
+def kappa(i3: float, terms) -> float:
+    """Normalized ratio I3 / (|I_ab| + |I_ac| + |I_bc|) of floats; an I2 at
+    or below KAPPA_FLOOR is refused."""
     i2 = abs(terms[0]) + abs(terms[1]) + abs(terms[2])
-    where, low = "", i2
-    if isinstance(i2, np.ndarray):
-        b = np.flatnonzero(i2 <= KAPPA_FLOOR)
-        if b.size:  # b[0] is a flat index; the batch is counted within its run
-            where, low = f"batch {b[0] % i2.shape[-1]}: ", i2.flat[b[0]]
-        else:
-            where, low = "", math.inf
-    if low <= KAPPA_FLOOR:
+    if i2 <= KAPPA_FLOOR:
         raise QuantumRegimeError(
-            f"{where}second-order interference {float(low)!r} is at or below the floor "
+            f"second-order interference {float(i2)!r} is at or below the floor "
             f"{KAPPA_FLOOR:g}; the normalized ratio is undefined outside the "
             "interference regime"
         )

@@ -6,9 +6,7 @@ an independent computation path.  The two ``fresh_*`` oracles are the
 exception: they build every protocol object through the package's own
 constructors, one fresh object per state and pulse, so that the shared
 constant objects of ``prepare_states`` and ``solve_schedule`` can be
-compared with them bit for bit.  ``grid_rows_alone`` likewise runs each row
-of a scan or shot ladder through the package's one-run path, so that the
-stacked grid can be compared with it bit for bit.
+compared with them bit for bit.
 """
 
 import math
@@ -178,28 +176,6 @@ def fresh_solve_schedule(t, omega1_hz):
         sched(("MW2", pi)),
         sched(("MW1", pi)),
     )
-
-
-def grid_rows_alone(t, runs, n_batches, seed):
-    """Each grid row run alone: row j's (p_true, det) through sample_batches
-    under (*seed, j), then a simulated row's kappa column summarized on its
-    own with 1-D numpy reductions.  A list of (kappa, KappaEstimate), row by
-    row."""
-    from sorkin_lab import KappaEstimate
-    from sorkin_lab.detection import _t975, sample_batches
-
-    prefix = [seed] if isinstance(seed, int) else list(seed)
-    rows = []
-    for j, (p_true, det) in enumerate(runs):
-        k = sample_batches(t, p_true, det, n_batches, (*prefix, j)).kappa
-        if det is None:  # an exact run: one float kappa, with no spread
-            rows.append((k, KappaEstimate(k, 0.0, 0.0, (k, k))))
-            continue
-        mean, std = float(k.mean()), float(k.std(ddof=1))
-        stderr = std / math.sqrt(k.size)
-        half = _t975(k.size - 1) * stderr
-        rows.append((k, KappaEstimate(mean, std, stderr, (mean - half, mean + half))))
-    return rows
 
 
 def random_target_triple(rng, min_component=1e-3):

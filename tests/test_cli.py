@@ -442,6 +442,8 @@ def test_ideal_report(tmp_path, capsys):
     assert abs(payload["report"]["kappa"]) < 1e-12
     assert payload["config"]["detection"]["shots"] == 2_000_000
     assert payload["version"]
+    # ideal reports exact probabilities alone, so the report names no provenance
+    assert sorted(payload["report"]) == ["I2", "I3", "kappa", "p", "q", "second_order"]
     assert "kappa" in capsys.readouterr().out
 
 
@@ -480,8 +482,9 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert summary["kappa"] == json.loads(json.dumps(kappa))
 
 
-def test_exact_simulate_writes_no_batch_csv(tmp_path):
-    # an exact run draws no counts: its summary alone, with no CSV schema
+def test_exact_simulate_writes_no_batch_csv(tmp_path, capsys):
+    # an exact run draws no counts: its summary alone, with no CSV schema,
+    # and its line names no batch count, since it draws no batches
     exact = _write(tmp_path, "batches = 3\ndetection.mode = exact\n", "exact.cfg")
     out = tmp_path / "x"
     assert main(["simulate", "--config", exact, "--out", str(out)]) == EXIT_OK
@@ -489,6 +492,19 @@ def test_exact_simulate_writes_no_batch_csv(tmp_path):
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert summary["csv_schema"] is None
     assert summary["kappa"]["std_predicted"] is None
+    assert capsys.readouterr().out == f"kappa = {summary['kappa']['mean']:.6g} (exact)\n"
+
+
+def test_no_batch_of_a_run_is_refused_at_the_floor(tmp_path, capsys):
+    # at 412 shots and theta2 = 2 pi, batch 6 of row 7 (eps 0.07) reads
+    # three pairwise terms that cancel to 2.2e-16; the mean of batch kappas
+    # refused the whole scan with exit 3, the pooled summary reads the row
+    path = _write(tmp_path, "detection.shots = 412\nmeasurement.theta2 = 6.283185307179586\n")
+    out = tmp_path / "o"
+    assert main(["sensitivity", "--config", path, "--out", str(out), "--seed", "23"]) == EXIT_OK
+    rows = json.loads((out / "sensitivity.json").read_text())["rows"]
+    assert [row["eps"] for row in rows][7] == 0.07
+    assert all(math.isfinite(row["kappa_mean"]) for row in rows)
 
 
 def test_simulate_seed_changes_output(tmp_path):
@@ -570,7 +586,7 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/7"
+    assert payload["schema"] == "sorkin-lab.summary/8"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels
