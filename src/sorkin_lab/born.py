@@ -88,10 +88,10 @@ def probability(rule: ProbabilityRule, m: QutritState, psi: QutritState) -> floa
         p = abs(w_a + w_b + w_c) ** 2 + 2.0 * rule.epsilon * (
             w_a * w_b.conjugate() * w_c
         ).real
-        if p < 0.0:
+        if not 0.0 <= p < math.inf:  # a huge eps can overflow to inf or nan
             raise UnphysicalParameterError(
                 f"triple deformation eps={rule.epsilon:g} drives a probability "
-                f"negative ({p!r}) for this configuration"
+                f"negative or non-finite ({p!r}) for this configuration"
             )
         return p
     return abs(inner_product(m, psi)) ** 2

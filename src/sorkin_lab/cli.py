@@ -317,8 +317,8 @@ def cmd_ideal(config: ExperimentConfig) -> CommandResult:
 
 def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     t, det = config.amplitudes, config.detection
-    report = sample_batches(t, config.p, det, config.batches, config.master_seed)
-    est = estimate_kappa(report)
+    run = sample_batches(t, config.p, det, config.batches, config.master_seed)
+    est = estimate_kappa(run)
     rejected = config.rule.kind == "born" and est.excludes_zero(5.0)
     # exact mode has no counting noise to predict
     predicted = None if det is None else predicted_kappa_std(t, config.p, det)
@@ -334,7 +334,7 @@ def cmd_simulate(config: ExperimentConfig) -> CommandResult:
     if det is None:  # an exact run draws nothing: no CSV, no spread, no batch count
         artifacts, line = {}, line + " (exact)"
     else:
-        artifacts = {"simulate_batches.csv": batch_csv_text(report)}
+        artifacts = {"simulate_batches.csv": batch_csv_text(run)}
         line += f" +/- {est.std:.3g} (stderr {est.stderr:.3g}, {config.batches} batches)"
     return CommandResult(
         artifacts | {"simulate_summary.json": summary},

@@ -14,14 +14,13 @@ identical for this model and O(1) per estimate.
 
 Within one batch the seven signals share a single reference draw (the
 normalization is one bright reference trace), so common reference noise
-cancels from kappa exactly.  A simulated run of M >= 2 batches keeps the
-(M, 7) signals and M references it drew, its batch CSV
-(sorkin-lab.batches/2); batch b's estimates are signals[b] / ref[b],
-which int64 / int64 rounds as Python's int / int does below 2**53.  Its
-report is sorkin_report(t, p) of the mean estimates p, holding the
-counts, and records neither seed nor shots.  An exact run is
-sorkin_report(t, p_true) whatever its batch count (at least 1): it draws
-nothing, has no counts and no CSV, and its kappa has no spread.
+cancels from kappa exactly.  A simulated run of M >= 2 batches is its
+counts, Readout(t, signals, ref), which its batch CSV
+(sorkin-lab.batches/2) writes whole; batch b's estimates are signals[b]
+/ ref[b], which int64 / int64 rounds as Python's int / int does below
+2**53.  An exact run is sorkin_report(t, p_true) whatever its batch count
+(at least 1): it draws nothing, has no counts and no CSV, and its kappa
+has no spread.
 
 estimate_kappa is the one summary of a run, for simulate, every
 sensitivity row and every shot-ladder rung alike: kappa of the mean
@@ -29,15 +28,15 @@ estimates, with a delta-method spread (see _pooled_estimates), and
 KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
 Born null of simulate, 3 sigma for a scan row.
 
-A grid (a sensitivity scan or a shot ladder) reports each exact row from
-its seven floats.  It draws each simulated row on its own stream, exactly
-as a run of its own, and divides its counts straight into the row's
-(M, 7) slice of a C-contiguous (J, M, 7) block of at most 2**16 batches
-(a block always holds at least one row), keeping none of them.  The
-block gets one pooled summary, of which a single run is the (1, M, 7)
-case.  Each row's mean adds batch after batch, as its run's does, and
-numpy sums each row of the C-contiguous (J, M) projections pairwise, as
-it sums the row alone, so each row's summary is its run's bit for bit.
+A grid (a sensitivity scan or a shot ladder) is all exact or all drawn.
+It reports each exact row from its seven floats, and draws each simulated
+row on its own stream, as a run of its own, dividing its counts straight
+into the row's (M, 7) slice of a C-contiguous (J, M, 7) block of at most
+2**16 batches (a block always holds at least one row).  The block gets
+one pooled summary, of which a single run is the (1, M, 7) case.  Each
+row's mean adds batch after batch, as its run's does, and numpy sums
+each row of the C-contiguous (J, M) projections pairwise, as it sums the
+row alone, so each row's summary is its run's bit for bit.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
@@ -56,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,18 +109,19 @@ class DetectionParams:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
         object.__setattr__(self, "shots", int(self.shots))
         rate = self.mu_bright + self.mu_bg
-        if self.shots * rate < MIN_REFERENCE_PHOTONS:
-            raise ValueError(
-                f"shots = {self.shots} gives {self.shots * rate:.6g} expected "
-                f"reference photons, fewer than {MIN_REFERENCE_PHOTONS:g}; "
-                f"these rates need shots >= {math.ceil(MIN_REFERENCE_PHOTONS / rate)}"
-            )
-        most = min(MAX_COUNT, math.floor(_MAX_MEAN / rate))
+        # checked first: shots * rate overflows for a count past float range
+        most = math.floor(min(MAX_COUNT, _MAX_MEAN / rate))
         if self.shots > most:
             raise ValueError(
+                f"shots = {self.shots} is too many: drawn counts must stay at most 2**53, "
+                f"10 sigma above their mean, so these rates allow shots <= {most}"
+            )
+        if self.shots * rate < MIN_REFERENCE_PHOTONS:
+            least = MIN_REFERENCE_PHOTONS / rate  # inf at a subnormal rate
+            raise ValueError(
                 f"shots = {self.shots} gives {self.shots * rate:.6g} expected "
-                f"reference photons; drawn counts must stay at most 2**53, 10 "
-                f"sigma above their mean, so these rates allow shots <= {most}"
+                f"reference photons, fewer than {MIN_REFERENCE_PHOTONS:g}; these "
+                f"rates need shots >= {math.ceil(least) if math.isfinite(least) else least}"
             )
 
     @property
@@ -209,15 +209,22 @@ def _rule_probabilities(t, spec, rules) -> list[tuple[float, ...]]:
     return [tuple(probability(rule, m, psi) for psi in states) for rule in rules]
 
 
+class Readout(NamedTuple):
+    """A simulated run's record: the target t and the int64 counts it drew,
+    signals (M, 7) and each batch's shared reference ref (M,)."""
+
+    t: TargetAmplitudes
+    signals: np.ndarray
+    ref: np.ndarray
+
+
 def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
-    """The interference terms and kappa of seven probabilities p, floats:
-    the last step of every exact run, and of a simulated run on its mean
-    estimates.  kappa refuses an I2 at or below KAPPA_FLOOR."""
+    """The interference terms and kappa of seven probabilities p, floats;
+    kappa refuses an I2 at or below KAPPA_FLOOR."""
     terms = second_order_terms(p, t)
     i3 = third_order_term(p, t)
     a2, b2, c2 = t.a**2, t.b**2, t.c**2
     return SorkinReport(
-        t=t,
         p=tuple(p),
         q_a=a2 * p[4],
         q_b=b2 * p[5],
@@ -259,21 +266,16 @@ def _read_out(p_true, det, n_batches, prefix) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_batches(
     t: TargetAmplitudes, p_true, det: DetectionParams | None, n_batches: int, master_seed
-) -> SorkinReport:
-    """The report of n_batches readouts of any seven true probabilities
-    p_true, drawn from the one stream SeedSequence([*master_seed]) (see
-    _read_out): sorkin_report of the mean p over the batches, holding the
-    counts each batch's p was divided from.  det=None is an exact run, the
-    report sorkin_report(t, p_true): it draws nothing and ignores n_batches
-    beyond check_batches.  A run outside check_batches' bounds is refused
-    before any stream is set up.
-    """
+) -> SorkinReport | Readout:
+    """The counts of n_batches readouts of any seven true probabilities
+    p_true, a Readout, drawn from the one stream SeedSequence([*master_seed])
+    (see _read_out).  det=None is an exact run, sorkin_report(t, p_true): it
+    draws nothing and ignores n_batches beyond check_batches.  A run outside
+    check_batches' bounds is refused before any stream is set up."""
     check_batches(n_batches, exact=det is None)
     if det is None:
         return sorkin_report(t, p_true)
-    signals, ref = _read_out(p_true, det, n_batches, _entropy(master_seed))
-    p = (signals / ref[:, None]).mean(axis=0).tolist()
-    return replace(sorkin_report(t, p), counts=(signals, ref))
+    return Readout(t, *_read_out(p_true, det, n_batches, _entropy(master_seed)))
 
 
 def run_protocol_batch(
@@ -299,7 +301,7 @@ def run_batches(
     det: DetectionParams | None,
     n_batches: int,
     master_seed,
-) -> SorkinReport:
+) -> SorkinReport | Readout:
     """sample_batches of the rule's exact probabilities."""
     return sample_batches(t, exact_probabilities(t, spec, rule), det, n_batches, master_seed)
 
@@ -335,21 +337,20 @@ def _t975(df: int) -> float:
     return math.sqrt(df * y)
 
 
-def estimate_kappa(report, *, seed=None) -> KappaEstimate:
-    """The pooled summary of a simulated run of M >= 2 batches, from its
-    mean estimates report.p and the batch estimates its counts rebuild;
-    its mean is the report's kappa.  An exact run's report (counts None)
-    gives its kappa k with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
+def estimate_kappa(run: SorkinReport | Readout, *, seed=None) -> KappaEstimate:
+    """The pooled summary of a simulated run's Readout of M >= 2 batches,
+    from its counts alone: the (1, M, 7) block of its estimates, divided
+    once (see _pooled_estimates).  An exact run's report gives its kappa k
+    with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
 
     It draws no random numbers.  seed is ignored; the benchmark's callers
     of the seeded bootstrap this replaced still pass one.
     """
-    if report.counts is None:
-        k = report.kappa
+    if isinstance(run, SorkinReport):
+        k = run.kappa
         return KappaEstimate(k, 0.0, 0.0, (k, k))
-    signals, ref = report.counts
-    check_batches(ref.size, exact=False)
-    return _pooled_estimates(report.t, (signals / ref[:, None])[None], np.array([report.p]))[0]
+    check_batches(run.ref.size, exact=False)
+    return _pooled_estimates(run.t, (run.signals / run.ref[:, None])[None])[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -378,7 +379,7 @@ def _kappa_gradient(t, p) -> tuple[list[float], np.ndarray]:
     return k, (coef[0] - np.array(k)[:, None] * slope) / np.abs(terms).sum(axis=1)[:, None]
 
 
-def _pooled_estimates(t, block, p) -> list[KappaEstimate]:
+def _pooled_estimates(t, block) -> list[KappaEstimate]:
     """The summary of each run of a C-contiguous (J, M, 7) block of
     estimates, a simulated run of M >= 2 batches a row, p its (J, 7) mean.
 
@@ -390,7 +391,7 @@ def _pooled_estimates(t, block, p) -> list[KappaEstimate]:
     ci95 = mean -/+ t(0.975, M - 1) * stderr.
     """
     m = block.shape[1]
-    k, g = _kappa_gradient(t, p)
+    k, g = _kappa_gradient(t, block.mean(axis=1))
     std = np.matmul(block, g[:, :, None])[..., 0].std(axis=-1, ddof=1)
     root, q = math.sqrt(m), _t975(m - 1)
     out = []
@@ -440,31 +441,29 @@ _BLOCK_BATCHES = 2**16
 
 
 def _grid_summaries(t, runs, n_batches, master_seed):
-    """estimate_kappa of each grid row, row j a (p_true, det) pair.
+    """estimate_kappa of each grid row, row j a (p_true, det) pair, with
+    det None in every row (an exact grid, drawing nothing) or in none.
 
-    An exact row (det None) is summarized from sorkin_report(t, p_true) and
-    draws nothing.  A simulated row j samples its batches under
-    [*master_seed, j] into its slice of a block of consecutive simulated
-    rows, freed before the next block is drawn; all of a block's rows are
-    drawn before any is summarized, so a later row's refusal to sample
-    fires before an earlier row's kappa floor.
+    A simulated row j samples its batches under [*master_seed, j] into its
+    slice of a block of consecutive rows, freed before the next block is
+    drawn; all of a block's rows are drawn before any is summarized, so a
+    later row's refusal to sample fires before an earlier row's kappa floor.
     """
     runs = list(runs)
-    check_batches(n_batches, exact=all(det is None for _, det in runs))
+    exact = all(det is None for _, det in runs)
+    check_batches(n_batches, exact=exact)
+    if exact:
+        yield from (estimate_kappa(sorkin_report(t, p_true)) for p_true, _ in runs)
+        return
     prefix = _entropy(master_seed)
     per_block = max(1, _BLOCK_BATCHES // n_batches)
-    for exact, group in groupby(enumerate(runs), key=lambda row: row[1][1] is None):
-        rows = list(group)
-        if exact:
-            yield from (estimate_kappa(sorkin_report(t, p_true)) for _, (p_true, _) in rows)
-            continue
-        for start in range(0, len(rows), per_block):
-            chunk = rows[start : start + per_block]
-            block = np.empty((len(chunk), n_batches, 7))
-            for i, (j, (p_true, det)) in enumerate(chunk):
-                signals, ref = _read_out(p_true, det, n_batches, [*prefix, j])
-                np.divide(signals, ref[:, None], out=block[i])
-            yield from _pooled_estimates(t, block, block.mean(axis=1))
+    for start in range(0, len(runs), per_block):
+        chunk = runs[start : start + per_block]
+        block = np.empty((len(chunk), n_batches, 7))
+        for i, (p_true, det) in enumerate(chunk):
+            signals, ref = _read_out(p_true, det, n_batches, [*prefix, start + i])
+            np.divide(signals, ref[:, None], out=block[i])
+        yield from _pooled_estimates(t, block)
 
 
 def sensitivity_scan(
@@ -538,13 +537,13 @@ def scaling_check(
     return [(n, est.std) for n, est in zip(shots_list, summaries)]
 
 
-def batch_csv_text(report) -> str:
-    """The batch CSV (sorkin-lab.batches/2) of a simulated run's report:
-    the header batch,s1..s7,ref, then a line of integers per batch, its
-    index, seven signal counts and reference count, each printed as str
-    prints a Python int.  Batch b's p is signals[b] / ref[b].  An exact
-    run's report, which holds no counts, is refused, and so is a negative
-    count; a report of no batches gives the header alone.
+def batch_csv_text(run: SorkinReport | Readout) -> str:
+    """The batch CSV (sorkin-lab.batches/2) of a simulated run's Readout,
+    its whole record: the header batch,s1..s7,ref, then a line of integers
+    per batch, its index, seven signal counts and reference count, each
+    printed as str prints a Python int.  An exact run's report, which holds
+    no counts, is refused, and so is a negative count; a Readout of no
+    batches gives the header alone.
 
     The digits of all fields are formed at once.  Each field gets a row of
     width + 1 bytes, width the digit count of the largest value, and digit
@@ -555,10 +554,9 @@ def batch_csv_text(report) -> str:
     units digit always, so x prints with no leading zero and 0 as "0":
     the decimal form str gives a non-negative Python int.  The last byte of
     each row is its separator, "," or "\\n" after every ninth field."""
-    if report.counts is None:
+    if isinstance(run, SorkinReport):
         raise ValueError("an exact run draws no counts, so it has no batch CSV")
-    signals, ref = report.counts
-    x = np.column_stack((np.arange(ref.size), signals, ref)).reshape(-1)
+    x = np.column_stack((np.arange(run.ref.size), run.signals, run.ref)).reshape(-1)
     least = int(x.min(initial=0))
     if least < 0:
         raise ValueError(f"a batch CSV holds counts, which are never negative, got {least}")

@@ -125,6 +125,10 @@ class HamiltonianParams:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if self.omega_mw1_hz <= 0:
             raise ValueError("Zeeman splitting exceeds D; MW1 carrier is not positive")
+        if not math.isfinite(TWO_PI * self.omega_mw2_hz):
+            raise ValueError(f"MW2 carrier {self.omega_mw2_hz!r} Hz is inf as an angular frequency")
+        if not math.isfinite(TWO_PI / (TWO_PI * self.omega1_hz)):  # a full turn's duration
+            raise ValueError(f"omega1_hz = {self.omega1_hz!r} gives pulses of infinite duration")
         if self.omega1_hz > 0.05 * self.omega_mw1_hz:
             warnings.warn(
                 "omega1 is not small against the MW1 carrier; "
@@ -393,7 +397,7 @@ def lab_frame_propagator(
     n_periods, tau = divmod(duration, TWO_PI / omega_d)
     if n_periods > MAX_DRIVE_PERIODS:
         raise StepResolutionError(
-            f"the {seg.channel} pulse of angle {seg.angle!r} spans {int(n_periods)} "
+            f"the {seg.channel} pulse of angle {seg.angle!r} spans {n_periods:.0f} "
             f"drive periods, more than the maximum {MAX_DRIVE_PERIODS}; the "
             "propagator's roundoff grows with the period count and is not trusted past it"
         )

@@ -13,10 +13,9 @@ and the normalized ratio kappa = I3 / (|I_ab| + |I_ac| + |I_bc|) are
 extracted.  Under Born's rule I3 vanishes identically, so kappa is a
 violation figure of merit.  The interference terms only index p[0]..p[6]
 and are linear in p, so at the unit vectors they give their coefficients.
-A SorkinReport holds those numbers for one run, floats that are a
-function of the target and seven probabilities alone: the exact ones, or
-a readout's mean estimates, whose report also keeps the photon counts
-they were divided from.  Everything here is pure and reentrant.
+A SorkinReport holds those numbers, floats that are a function of the
+target and seven probabilities alone.  Everything here is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class TargetAmplitudes:
     c: float
 
     def __post_init__(self):
-        n2 = self.a**2 + self.b**2 + self.c**2
+        n2 = self.a * self.a + self.b * self.b + self.c * self.c  # not **: inf, no OverflowError
         if not math.isfinite(n2):
             raise ValueError("amplitudes must be finite")
         if abs(n2 - 1.0) > 1e-9:
@@ -69,13 +68,9 @@ MEASUREMENT_M2 = MeasurementSpec(3 * math.pi / 2, math.pi / 2)
 
 @dataclass(frozen=True)
 class SorkinReport:
-    """The target t, seven probabilities p and the floats (t, p) determine
-    (detection.sorkin_report builds it).  A simulated run's p is its mean
-    estimates, and counts holds the int64 numpy arrays (signals, ref) of
-    shapes (M, 7) and (M,) its batches' estimates signals / ref[:, None]
-    were divided from; any other report holds None."""
+    """Seven probabilities p and the floats that they and the target
+    determine (detection.sorkin_report builds it)."""
 
-    t: TargetAmplitudes
     p: tuple[float, ...]
     q_a: float
     q_b: float
@@ -86,7 +81,6 @@ class SorkinReport:
     I2: float
     I3: float
     kappa: float
-    counts: tuple | None = None
 
 
 def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:

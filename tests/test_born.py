@@ -122,6 +122,10 @@ def test_additive_triple_rejects_unphysical_epsilon():
     m, states, _ = _paper_pair()
     with pytest.raises(UnphysicalParameterError):
         probability(ProbabilityRule("triple", -3.0), m, states[0])
+    # 2 eps overflows: the full superposition reads inf, a pair inf * 0 = nan
+    for psi in states[:2]:
+        with pytest.raises(UnphysicalParameterError, match="non-finite"):
+            probability(ProbabilityRule("triple", 1.7e308), m, psi)
 
 
 def test_rule_construction_guards():

@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sorkin_lab.cli import (
@@ -25,6 +26,7 @@ from sorkin_lab.cli import (
 from sorkin_lab.born import ProbabilityRule
 from sorkin_lab.detection import (
     KappaEstimate,
+    Readout,
     batch_csv_text,
     estimate_kappa,
     exact_probabilities,
@@ -505,6 +507,24 @@ def test_no_batch_of_a_run_is_refused_at_the_floor(tmp_path, capsys):
     rows = json.loads((out / "sensitivity.json").read_text())["rows"]
     assert [row["eps"] for row in rows][7] == 0.07
     assert all(math.isfinite(row["kappa_mean"]) for row in rows)
+
+
+def test_a_run_at_the_floor_of_its_mean_exits_3_writing_nothing(tmp_path, monkeypatch, capsys):
+    # simulate summarizes its counts before it writes: counts whose mean
+    # estimates have their I2 at the kappa floor are refused with exit 3.
+    # No config draws such counts (its expected readout is checked at
+    # parse time), so the draw is replaced by flat ones.
+    def flat(t, p_true, det, n_batches, master_seed):
+        return Readout(t, np.full((n_batches, 7), 10**6), np.full(n_batches, 2 * 10**6))
+
+    monkeypatch.setattr("sorkin_lab.cli.sample_batches", flat)
+    out = tmp_path / "o"
+    path = _write(tmp_path, "batches = 4\n")
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: second-order interference 0.0 is at or below the floor")
+    assert err.count("\n") == 1
 
 
 def test_simulate_seed_changes_output(tmp_path):

@@ -4,7 +4,6 @@ import statistics
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from sorkin_lab import (
     sensitivity_scan,
 )
 from sorkin_lab import detection
-from sorkin_lab.detection import batch_csv_text
+from sorkin_lab.detection import Readout, batch_csv_text
 from conftest import (
     I2_EXPECTED,
     M1_VECTOR,
@@ -78,6 +77,12 @@ def test_detection_params_need_an_expected_reference():
     with pytest.raises(ValueError, match="shots >= 412"):
         DetectionParams(shots=411)
     assert DetectionParams(shots=412).shots == 412
+    # a subnormal rate needs more shots than any float counts, and a shot
+    # count past float range is refused before it meets a float
+    with pytest.raises(ValueError, match="shots >= inf$"):
+        DetectionParams(mu_bright=5e-324, mu_bg=0.0)
+    with pytest.raises(ValueError, match="is too many"):
+        DetectionParams(shots=10**400)
 
 
 def _paper_probabilities():
@@ -129,8 +134,8 @@ def test_simulated_batch_determinism():
     assert r1.kappa == r2.kappa
 
 
-# the floats (t, p) determine, in field order: all but t, p and the counts
-_DERIVED = [f.name for f in fields(SorkinReport) if f.name not in ("t", "p", "counts")]
+# the floats (t, p) determine, in field order: all but p
+_DERIVED = [f.name for f in fields(SorkinReport) if f.name != "p"]
 
 
 def _floats(report):
@@ -142,37 +147,44 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-def _estimates(report):
-    """A simulated run's (M, 7) batch estimates, rebuilt from its counts."""
-    signals, ref = report.counts
-    return signals / ref[:, None]
+def _estimates(run):
+    """A simulated run's (M, 7) batch estimates, divided from its counts."""
+    return run.signals / run.ref[:, None]
 
 
-@pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
-def test_batch_report_is_a_function_of_its_probabilities(det):
-    # a run's report carries nothing beyond what (t, p) determines: an exact
-    # run is the float report of its seven probabilities, a simulated run
-    # the float report of its mean estimates, with its counts attached
+def _mean_report(run):
+    """sorkin_report of a simulated run's mean estimates, batch after batch."""
+    return detection.sorkin_report(run.t, _estimates(run).mean(axis=0).tolist())
+
+
+def test_batch_report_is_a_function_of_its_probabilities():
+    # an exact run's report carries nothing beyond what (t, p) determines:
+    # the float report of its seven probabilities
     t = _target()
     p_true = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", 0.05))
-    report = detection.sample_batches(t, p_true, det, 4, 11)
-    p = p_true if det is None else _estimates(report).mean(axis=0).tolist()
-    one = detection.sorkin_report(t, p)
-    assert report.t is t and one.counts is None
+    report = detection.sample_batches(t, p_true, None, 4, 11)
     assert all(type(x) is float for x in _floats(report))
-    assert _bits(_floats(report)) == _bits(_floats(one))
-    if det is not None:
-        assert len({tuple(row) for row in _estimates(report).tolist()}) == 4
+    assert _bits(_floats(report)) == _bits(_floats(detection.sorkin_report(t, p_true)))
 
 
-def _oracle_summary(report):
+def test_a_simulated_run_is_its_counts():
+    # a simulated run is its record and nothing more: the target and the
+    # counts it drew, no derived float
+    t = _target()
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", 0.05))
+    run = detection.sample_batches(t, p_true, DetectionParams(shots=50_000), 4, 11)
+    assert type(run) is Readout and run._fields == ("t", "signals", "ref")
+    assert run.t is t
+    assert len({tuple(row) for row in _estimates(run).tolist()}) == 4
+
+
+def _oracle_summary(run):
     """(kappa, std) of a simulated run, written another way: Python floats
     batch by batch and the conftest oracles.  The mean estimates give kappa
     = I3 / I2, and batch m's kappa moves to first order by y_m = (I3(x_m) -
     kappa sum sign(I_xy) I_xy(x_m)) / I2, whose sample std is std."""
-    a, b, c = report.t.a, report.t.b, report.t.c
-    signals, ref = report.counts
-    rows = [[s / r for s in row] for row, r in zip(signals.tolist(), ref.tolist())]
+    a, b, c = run.t.a, run.t.b, run.t.c
+    rows = [[s / r for s in row] for row, r in zip(run.signals.tolist(), run.ref.tolist())]
     mean = [math.fsum(col) / len(rows) for col in zip(*rows)]
     terms = oracle_second_order(mean, a, b, c)
     i2 = sum(abs(x) for x in terms)
@@ -205,7 +217,7 @@ _ORACLE_RUNS = [
 def test_pooled_summary_matches_a_per_batch_oracle(spec, rule, det, m):
     # the ratio of means and the delta-method std, against Python floats
     # batch by batch; the interval is mean -/+ t(0.975, M - 1) std / sqrt(M),
-    # and the report's kappa is the summary's mean bit for bit
+    # and the mean is the kappa of the mean estimates' report bit for bit
     t = _target()
     report = run_batches(t, spec, rule, det, m, (3, m))
     est = estimate_kappa(report)
@@ -217,7 +229,7 @@ def test_pooled_summary_matches_a_per_batch_oracle(spec, rule, det, m):
     assert est.stderr == est.std / math.sqrt(m)
     half = detection._t975(m - 1) * est.stderr
     assert est.ci95 == (est.mean - half, est.mean + half)
-    assert _bits([report.kappa]) == _bits([est.mean])
+    assert _bits([_mean_report(report).kappa]) == _bits([est.mean])
 
 
 def test_a_run_is_refused_at_the_floor_of_its_mean_alone():
@@ -226,16 +238,41 @@ def test_a_run_is_refused_at_the_floor_of_its_mean_alone():
     # cancel, yet the run's mean estimates have an I2 well above the floor
     t, det = _target(), DetectionParams(shots=412)
     p_true = detection.exact_probabilities(t, _THETA2_2PI, ProbabilityRule("triple", 0.07))
-    report = detection.sample_batches(t, p_true, det, 50, (23, 7))
+    run = detection.sample_batches(t, p_true, det, 50, (23, 7))
     with pytest.raises(QuantumRegimeError, match="^second-order interference 2.2"):
-        detection.sorkin_report(t, _estimates(report)[6].tolist())
-    assert report.I2 > 100 * KAPPA_FLOOR
-    assert estimate_kappa(report).mean == report.kappa
+        detection.sorkin_report(t, _estimates(run)[6].tolist())
+    mean = _mean_report(run)
+    assert mean.I2 > 100 * KAPPA_FLOOR
+    assert estimate_kappa(run).mean == mean.kappa
     # a run is refused when the I2 of its mean estimates is at the floor, as
     # sorkin_report refuses those seven floats: here every p is 0.5, and at
-    # 10**15 shots the mean's terms cancel to far below the floor
-    with pytest.raises(QuantumRegimeError, match="^second-order interference .* at or below"):
-        detection.sample_batches(t, [0.5] * 7, DetectionParams(shots=10**15), 4, 1)
+    # 10**15 shots the mean's terms cancel to far below the floor.  Its
+    # counts are drawn; its summary refuses them, with the message those
+    # seven floats give.
+    flat = detection.sample_batches(t, [0.5] * 7, DetectionParams(shots=10**15), 4, 1)
+    floor = "^second-order interference .* at or below"
+    with pytest.raises(QuantumRegimeError, match=floor) as refused:
+        estimate_kappa(flat)
+    with pytest.raises(QuantumRegimeError) as alone:
+        _mean_report(flat)
+    assert str(refused.value) == str(alone.value)
+
+
+def test_a_run_is_summarized_on_the_counts_it_holds():
+    # the summary reads the counts alone: a run whose counts are swapped
+    # for another run's is summarized as that run, and one whose counts are
+    # swapped for flat ones is refused at the floor of their mean
+    t = _target()
+    a = run_batches(t, MEASUREMENT_M1, BORN, DetectionParams(), 50, 1)
+    b = run_batches(t, MEASUREMENT_M1, BORN, DetectionParams(shots=20_000), 50, 2)
+    swapped = a._replace(signals=b.signals, ref=b.ref)
+    assert _bits(_estimate_floats(estimate_kappa(swapped))) == _bits(
+        _estimate_floats(estimate_kappa(b))
+    )
+    assert estimate_kappa(swapped) != estimate_kappa(a)
+    flat = np.full_like(a.signals, 10**6)
+    with pytest.raises(QuantumRegimeError, match="^second-order interference 0.0 is at or below"):
+        estimate_kappa(a._replace(signals=flat))
 
 
 @pytest.mark.parametrize("det", [None, DetectionParams(shots=50_000)])
@@ -245,8 +282,9 @@ def test_run_batches_follow_the_batch_stream_layout(det):
     t = _target()
     report = run_batches(t, MEASUREMENT_M1, BORN, det, 6, 5)
     other = run_batches(t, MEASUREMENT_M1, BORN, det, 6, (5, 0))
-    assert _bits(_floats(report)) == _bits(_floats(other))
-    if det is not None:
+    if det is None:
+        assert _bits(_floats(report)) == _bits(_floats(other))
+    else:
         assert batch_csv_text(report) == batch_csv_text(other)
     row = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0], det, 6, 5).rows[0]
     est = estimate_kappa(report)
@@ -364,23 +402,6 @@ def test_ladder_rungs_equal_each_rung_run_alone(monkeypatch, det, m, block_rows)
     assert _bits([std for _, std in rungs]) == _bits([std for _, std in want])
 
 
-@pytest.mark.parametrize(
-    "block_rows", [None, 1, 2], ids=["one-block", "row-blocks", "pair-blocks"]
-)
-@pytest.mark.parametrize("m", [2, 3, 50, 129])
-def test_an_exact_row_with_no_spread_beside_rows_with_spread(monkeypatch, m, block_rows):
-    # row 1 reads out its exact probabilities: it is its one report's kappa
-    # with no spread, and the simulated rows around it are blocked without it
-    _block_rows(monkeypatch, block_rows, m)
-    runs = _scan_runs([0.0, 0.07, 0.1, 0.0], _SIM)
-    runs[1] = (runs[1][0], None)
-    got = list(detection._grid_summaries(_target(), runs, m, 5))
-    want = _runs_alone(runs, m, 5)
-    assert got == want
-    assert _bits([_estimate_floats(e) for e in got]) == _bits([_estimate_floats(e) for e in want])
-    assert got[1].std == 0.0 and got[0].std > 0.0 and got[2].std > 0.0
-
-
 # A row that reads 0.5 in all seven experiments at 10**15 shots: the terms
 # of its mean estimates cancel to about 1e-8, far below KAPPA_FLOOR.
 _FLAT_ROW = ([0.5] * 7, DetectionParams(shots=10**15))
@@ -398,7 +419,7 @@ def test_a_grid_is_refused_as_its_lowest_floor_row_alone(monkeypatch, seed, floo
     alone = {}
     for j, (p_true, det) in enumerate(runs):
         try:
-            detection.sample_batches(_target(), p_true, det, m, (seed, j))
+            estimate_kappa(detection.sample_batches(_target(), p_true, det, m, (seed, j)))
         except QuantumRegimeError as exc:
             alone[j] = str(exc)
     assert sorted(alone) == floor_rows
@@ -422,7 +443,7 @@ def test_a_later_rows_unphysical_p_fires_before_an_earlier_rows_floor(
     m = 2
     _block_rows(monkeypatch, block_rows, m)
     with pytest.raises(QuantumRegimeError):
-        detection.sample_batches(_target(), *_FLAT_ROW, m, (3, 0))
+        estimate_kappa(detection.sample_batches(_target(), *_FLAT_ROW, m, (3, 0)))
     runs = [_FLAT_ROW, ([1.5] + [0.5] * 6, DetectionParams())]
     with pytest.raises(error):
         list(detection._grid_summaries(_target(), runs, m, 3))
@@ -508,7 +529,7 @@ def test_sampler_reads_out_any_true_probabilities(prefix):
     report = detection.sample_batches(_target(), p_true, det, 30, seed)
     assert [tuple(p) for p in _estimates(report).tolist()] == _one_stream_p(p_true, det, 30, prefix)
     exact = detection.sample_batches(_target(), p_true, None, 3, seed)
-    assert exact.p == p_true and exact.counts is None
+    assert exact == detection.sorkin_report(_target(), p_true) and exact.p == p_true
 
 
 # At 412 shots, the fewest the default rates allow, these rows reach every
@@ -622,10 +643,9 @@ def test_estimate_kappa_refuses_an_empty_run():
     empty = "^an exact run needs at least 1 batch, got 0$"
     with pytest.raises(InsufficientBatchesError, match=empty):
         run_batches(_target(), MEASUREMENT_M1, BORN, None, 0, 0)
-    report = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, 0)
-    signals, ref = report.counts
+    run = run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(), 2, 0)
     for m in (0, 1):
-        short = replace(report, counts=(signals[:m], ref[:m]))
+        short = run._replace(signals=run.signals[:m], ref=run.ref[:m])
         with pytest.raises(InsufficientBatchesError, match=f"at least 2 batches, got {m}$"):
             estimate_kappa(short)
 
@@ -768,10 +788,10 @@ def test_t975_within_its_documented_error():
         assert detection._t975(df) == pytest.approx(_t975_exact(df), rel=bound), df
 
 
-def _assert_one_shot_interval(report, est):
+def _assert_one_shot_interval(run, est):
     """est.ci95 is the oracle's mean -/+ the exact t quantile times stderr."""
-    m = report.counts[1].size
-    k, std = _oracle_summary(report)
+    m = run.ref.size
+    k, std = _oracle_summary(run)
     half = _t975_exact(m - 1) * std / math.sqrt(m)
     assert est.ci95[0] + est.ci95[1] == pytest.approx(2 * k, abs=1e-12)
     width = 0.5 * (est.ci95[1] - est.ci95[0])
@@ -960,22 +980,21 @@ def test_batch_csv_layout():
     assert batch_csv_text(report) == text
     # an exact run of any batch count is one report of seven floats, with no counts
     exact = run_batches(_target(), MEASUREMENT_M1, BORN, None, 2, 0)
-    assert type(exact.p) is tuple and len(exact.p) == 7 and exact.counts is None
+    assert type(exact) is SorkinReport and type(exact.p) is tuple and len(exact.p) == 7
     with pytest.raises(ValueError, match="^an exact run draws no counts"):
         batch_csv_text(exact)
 
 
 def _counts(rows):
-    """A report holding hand-built counts, one row of 7 signals and a reference a batch."""
+    """A Readout of hand-built counts, one row of 7 signals and a reference a batch."""
     table = np.array(rows, dtype=np.int64).reshape(-1, 8)
-    return SimpleNamespace(counts=(table[:, :7], table[:, 7]))
+    return Readout(_target(), table[:, :7], table[:, 7])
 
 
-def _oracle_csv(report):
+def _oracle_csv(run):
     """The batch CSV written field by field with str of a Python int."""
-    signals, ref = report.counts
     lines = ["batch,s1,s2,s3,s4,s5,s6,s7,ref"]
-    for b, (row, r) in enumerate(zip(signals.tolist(), ref.tolist())):
+    for b, (row, r) in enumerate(zip(run.signals.tolist(), run.ref.tolist())):
         lines.append(",".join(str(int(x)) for x in [b, *row, r]))
     return "\n".join(lines) + "\n"
 
@@ -1052,6 +1071,16 @@ _COUNT_RATES = [
 ]
 
 
+def _read_csv(t, text):
+    """The Readout of a batch CSV's text, parsed line by line with int()."""
+    lines = text.split("\n")
+    assert lines[0] == "batch,s1,s2,s3,s4,s5,s6,s7,ref" and lines[-1] == ""
+    rows = [[int(x) for x in line.split(",")] for line in lines[1:-1]]
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    table = np.array([row[1:] for row in rows], dtype=np.int64).reshape(-1, 8)
+    return Readout(t, table[:, :7], table[:, 7])
+
+
 @pytest.mark.parametrize("m", [2, 1000])
 @pytest.mark.parametrize(
     "det", _COUNT_RATES, ids=["defaults", "shots-412", "mu_bg-0", "mu_bg-0-contrast-1"]
@@ -1059,22 +1088,22 @@ _COUNT_RATES = [
 def test_counts_rebuild_the_run_bit_for_bit(det, m):
     # a run's counts are its record: signals / ref[:, None] is its batch
     # estimates, Python int / int on the CSV's integers gives the same
-    # estimates, and sorkin_report of their mean is the run's report, each
-    # bit for bit
+    # estimates, and the kappa of their mean is the summary's mean, each
+    # bit for bit.  The CSV read back into a Readout writes the same text
+    # and gets the run's whole summary bit for bit.
     t = _target()
     p_true = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
     for seed in np.random.default_rng(26).integers(2**63, size=3).tolist():
-        report = detection.sample_batches(t, p_true, det, m, seed)
-        signals, ref = report.counts
-        assert (signals.dtype, signals.shape) == (np.int64, (m, 7))
-        assert (ref.dtype, ref.shape) == (np.int64, (m,))
-        lines = batch_csv_text(report).split("\n")
-        assert lines[0] == "batch,s1,s2,s3,s4,s5,s6,s7,ref" and lines[-1] == ""
-        rows = [[int(x) for x in line.split(",")] for line in lines[1:-1]]
-        assert [row[0] for row in rows] == list(range(m))
-        p = [[s / row[8] for s in row[1:8]] for row in rows]
-        assert _bits(p) == _bits(_estimates(report))
-        # their mean is the report's p, whose kappa is the summary's mean
+        run = detection.sample_batches(t, p_true, det, m, seed)
+        assert (run.signals.dtype, run.signals.shape) == (np.int64, (m, 7))
+        assert (run.ref.dtype, run.ref.shape) == (np.int64, (m,))
+        text = batch_csv_text(run)
+        read = _read_csv(t, text)
+        p = [[s / r for s in row] for row, r in zip(read.signals.tolist(), read.ref.tolist())]
+        assert _bits(p) == _bits(_estimates(run))
         one = detection.sorkin_report(t, np.array(p).mean(axis=0).tolist())
-        assert _bits(_floats(one)) == _bits(_floats(report))
-        assert _bits([estimate_kappa(report).mean]) == _bits([report.kappa])
+        assert _bits([estimate_kappa(run).mean]) == _bits([one.kappa])
+        assert batch_csv_text(read) == text
+        assert _bits(_estimate_floats(estimate_kappa(read))) == _bits(
+            _estimate_floats(estimate_kappa(run))
+        )

@@ -183,6 +183,11 @@ def test_params_validation_and_carriers():
     assert p.omega_mw2_hz == pytest.approx(2.87e9 + 2.80e6 * 510)
     with pytest.raises(ValueError):
         HamiltonianParams(B_G=-1.0)
+    # finite in Hz, but not as an angular frequency or a pulse duration
+    with pytest.raises(ValueError, match="inf as an angular frequency"):
+        HamiltonianParams(D_hz=1e308)
+    with pytest.raises(ValueError, match="infinite duration"):
+        HamiltonianParams(omega1_hz=5e-324)
     with pytest.warns(UserWarning):
         HamiltonianParams(omega1_hz=200e6)
 
