@@ -16,7 +16,7 @@ Within one batch the seven signals share a single reference draw (the
 normalization is one bright reference trace), so common reference noise
 cancels from kappa exactly.  A simulated run of M >= 2 batches is its
 counts, Readout(t, signals, ref), which its batch CSV
-(sorkin-lab.batches/2) writes whole; batch b's estimates are signals[b]
+(sorkin-lab.batches/3) writes whole; batch b's estimates are signals[b]
 / ref[b], which int64 / int64 rounds as Python's int / int does below
 2**53.  An exact run is sorkin_report(t, p_true) whatever its batch count
 (at least 1): it draws nothing, has no counts and no CSV, and its kappa
@@ -25,8 +25,10 @@ has no spread.
 estimate_kappa is the one summary of a run, for simulate, every
 sensitivity row and every shot-ladder rung alike: kappa of the mean
 estimates, with a delta-method spread (see _pooled_estimates), and
-KappaEstimate.excludes_zero the one significance rule: 5 sigma for the
-Born null of simulate, 3 sigma for a scan row.
+KappaEstimate.excludes_zero the one significance rule: the t statistic
+mean / stderr, of M - 1 degrees of freedom, beyond the t quantile whose
+two-sided tail is the normal's at 5 sigma for the Born null of simulate,
+at 3 sigma for a scan row.
 
 A grid (a sensitivity scan or a shot ladder) is all exact or all drawn.
 It reports each exact row from its seven floats, and draws each simulated
@@ -41,13 +43,15 @@ row alone, so each row's summary is its run's bit for bit.
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's
 master seed, or [*master_seed, j] for row j of a sensitivity scan or shot
-ladder.  It draws in three array calls, in this order: the bright counts
-of every batch and experiment, Binomial(N, p) over an (M, 7) batch-major
-operand (a zero-stride view of the seven p, see _read_out); the signals,
-Poisson over the same shape; then each batch's reference, M Poisson
-draws.  SeedSequence zero-pads entropy shorter than four words, so [s]
-and [s, 0] name one stream: simulate at seed s draws what row 0 of a scan
-at seed s draws.  No run reuses a stream within itself.
+ladder.  It draws in three array calls, in this order: the bright counts,
+Binomial(N, p) experiment-major, the M batches of experiment 1, then of
+experiment 2 and so on (a (7, M) zero-stride view of the seven p, see
+_read_out); the signals, Poisson over (M, 7) batch-major, the seven
+experiments of batch 0, then of batch 1 and so on; then each batch's
+reference, M Poisson draws.  SeedSequence zero-pads entropy shorter than
+four words, so [s] and [s, 0] name one stream: simulate at seed s draws
+what row 0 of a scan at seed s draws.  No run reuses a stream within
+itself.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ MIN_REFERENCE_PHOTONS = 50.0
 MAX_COUNT = 2**53
 _MAX_MEAN = (math.sqrt(MAX_COUNT + 25.0) - 5.0) ** 2
 
-BATCH_CSV_SCHEMA = "sorkin-lab.batches/2"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/8"
+BATCH_CSV_SCHEMA = "sorkin-lab.batches/3"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/9"
 
 
 @dataclass(frozen=True)
@@ -131,17 +135,26 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class KappaEstimate:
-    """A run's kappa, per-batch std, stderr and 95% interval (see _pooled_estimates)."""
+    """A run's kappa, per-batch std, stderr, 95% interval and the degrees of
+    freedom df of its t statistic mean / stderr: M - 1 for a simulated run
+    of M batches, 0 for an exact run, which has no spread (see
+    _pooled_estimates)."""
 
     mean: float
     std: float
     stderr: float
     ci95: tuple[float, float]
+    df: int
 
     def excludes_zero(self, sigmas: float) -> bool:
-        """True when |mean| exceeds sigmas standard errors plus a float floor
-        of 1e-12, which a run with no spread must clear on its own."""
-        return abs(self.mean) > sigmas * self.stderr + 1e-12
+        """True when the t statistic |mean| / stderr, of df degrees of
+        freedom, is as unlikely as a normal one beyond sigmas: |mean|
+        exceeds _t_quantile(df, sigmas) standard errors plus a float floor
+        of 1e-12.  An exact run (df 0) has no spread and must clear the
+        floor on its own."""
+        if self.df == 0:
+            return abs(self.mean) > 1e-12
+        return abs(self.mean) > _t_quantile(self.df, sigmas) * self.stderr + 1e-12
 
 
 # The most batches a simulated run draws.  simulate peaks at about 500
@@ -241,25 +254,31 @@ def sorkin_report(t: TargetAmplitudes, p) -> SorkinReport:
 def _read_out(p_true, det, n_batches, prefix) -> tuple[np.ndarray, np.ndarray]:
     """The int64 counts of a simulated run, (signals, ref) of shapes
     (n_batches, 7) and (n_batches,), every count drawn from the one stream
-    default_rng(SeedSequence(prefix)) in three array calls: the
-    (n_batches, 7) bright counts, the signals of the same shape, then each
-    batch's shared reference.  p_true must be exactly seven values.
+    default_rng(SeedSequence(prefix)) in three array calls: the bright
+    counts, experiment by experiment, each experiment's n_batches in turn;
+    the signals, batch by batch; then each batch's shared reference.
+    p_true must be exactly seven values.
 
-    The bright counts are drawn over a zero-stride (n_batches, 7) view of
-    the seven probabilities, the operand np.broadcast_to gives, built
-    without broadcast_to's iterator set-up.  numpy checks and draws it in
-    C order, as it would a materialised array, so the counts are the same.
-    Neither size= nor a materialised array is used: both draw these counts
-    too, but right after a complex 3x3 matmul (the benchmark's reference
-    kernel ends with one) their draws ran over twice as long, while the
-    view's did not slow.
+    The bright counts are drawn over a (7, n_batches) view of the seven
+    probabilities whose row k repeats p_k with stride zero, built with the
+    ndarray constructor (no broadcast_to iterator set-up).  numpy draws it
+    in C order, so p changes only between experiments, and its binomial
+    sampler keeps its set-up for the last (n, p) (BTPE's; Kachitvichyanukul
+    and Schmeiser, CACM 31(2), 1988) instead of redoing it on every draw.
+    The signals are Poisson over the (n_batches, 7) transpose of those
+    counts; numpy draws them in the C order of their own (n_batches, 7)
+    output, so they stay batch-major and C-contiguous.  Seven size= draws,
+    one an experiment, give the same counts, but right after a complex
+    3x3 matmul (the benchmark's reference kernel ends with one) they ran
+    about three times as long as on a clean CPU, while the view's draw did
+    not slow.
     """
     p = np.ascontiguousarray(p_true, dtype=float)
     if p.shape != (7,):
         raise ValueError(f"expected seven true probabilities, got shape {p.shape}")
     mu_dark, bg, ref_mean = _readout_constants(p_true, det)
     rng = np.random.default_rng(np.random.SeedSequence(prefix))
-    bright = rng.binomial(det.shots, np.ndarray((n_batches, 7), buffer=p, strides=(0, 8)))
+    bright = rng.binomial(det.shots, np.ndarray((7, n_batches), buffer=p, strides=(8, 0))).T
     signals = rng.poisson(bright * det.mu_bright + (det.shots - bright) * mu_dark + bg)
     return signals, rng.poisson(ref_mean, size=n_batches)
 
@@ -306,14 +325,25 @@ def run_batches(
     return sample_batches(t, exact_probabilities(t, spec, rule), det, n_batches, master_seed)
 
 
-def _t975(df: int) -> float:
-    """t(0.975, df), the Student-t quantile of a two-sided 95% interval, df >= 1.
+# The normal quantile at 0.975: erfc(_Z975 / sqrt(2)) is 0.05 exactly.
+_Z975 = 1.9599639845400543
+
+
+def _t_quantile(df: int, z: float) -> float:
+    """The Student-t quantile of df >= 1 degrees of freedom whose two-sided
+    tail is the normal's beyond z, erfc(z / sqrt(2)): t(0.975, df) at z =
+    _Z975, and the threshold of a z-sigma significance rule on a t statistic.
 
     Hill's algorithm (CACM Algorithm 396, 1970): closed forms at df 1 and 2, a
-    tail series at df 3, then an expansion about the normal quantile.  Relative
-    error below 1e-6 up to df 10, 3e-9 from df 11 and 2e-12 from df 49.
+    tail series at small df, then an expansion about the normal quantile at
+    tail / 2, which is exactly -z.  At z = _Z975 the relative error is below
+    1e-6 up to df 10, 3e-9 from df 11 and 2e-12 from df 49; at z = 3 and 5,
+    below 3e-6 at any df.  A z that is not positive, or whose tail
+    underflows (beyond about 38.5), is refused.
     """
-    tail = 0.05
+    tail = math.erfc(z / math.sqrt(2.0))
+    if not 0.0 < tail < 1.0:
+        raise ValueError(f"z must be positive with a normal tail above 0, got {z!r}")
     if df == 1:
         return 1.0 / math.tan(0.5 * math.pi * tail)
     if df == 2:
@@ -324,7 +354,7 @@ def _t975(df: int) -> float:
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * df
     y = (d * tail) ** (2.0 / df)
     if y > 0.05 + a:
-        x = -1.9599639845400543  # the normal quantile at tail / 2
+        x = -z
         y = x * x
         if df < 5:
             c += 0.3 * (df - 4.5) * (x + 0.6)
@@ -341,14 +371,14 @@ def estimate_kappa(run: SorkinReport | Readout, *, seed=None) -> KappaEstimate:
     """The pooled summary of a simulated run's Readout of M >= 2 batches,
     from its counts alone: the (1, M, 7) block of its estimates, divided
     once (see _pooled_estimates).  An exact run's report gives its kappa k
-    with no spread: KappaEstimate(k, 0.0, 0.0, (k, k)).
+    with no spread: KappaEstimate(k, 0.0, 0.0, (k, k), 0).
 
     It draws no random numbers.  seed is ignored; the benchmark's callers
     of the seeded bootstrap this replaced still pass one.
     """
     if isinstance(run, SorkinReport):
         k = run.kappa
-        return KappaEstimate(k, 0.0, 0.0, (k, k))
+        return KappaEstimate(k, 0.0, 0.0, (k, k), 0)
     check_batches(run.ref.size, exact=False)
     return _pooled_estimates(run.t, (run.signals / run.ref[:, None])[None])[0]
 
@@ -387,18 +417,18 @@ def _pooled_estimates(t, block) -> list[KappaEstimate]:
     1977, ch. 6), refused at the floor; no single batch is refused.  To
     first order a batch's kappa moves by g . (x - p), so std is the sample
     std of block[j] @ g: sqrt(g' S g), S the estimates' sample covariance
-    (the delta method; Efron, SIAM, 1982).  stderr = std / sqrt(M) and
-    ci95 = mean -/+ t(0.975, M - 1) * stderr.
+    (the delta method; Efron, SIAM, 1982).  stderr = std / sqrt(M), df =
+    M - 1 and ci95 = mean -/+ t(0.975, df) * stderr.
     """
     m = block.shape[1]
     k, g = _kappa_gradient(t, block.mean(axis=1))
     std = np.matmul(block, g[:, :, None])[..., 0].std(axis=-1, ddof=1)
-    root, q = math.sqrt(m), _t975(m - 1)
+    root, q = math.sqrt(m), _t_quantile(m - 1, _Z975)
     out = []
     for mean, s in zip(k, std.tolist()):
         stderr = s / root
         half = q * stderr
-        out.append(KappaEstimate(mean, s, stderr, (mean - half, mean + half)))
+        out.append(KappaEstimate(mean, s, stderr, (mean - half, mean + half), m - 1))
     return out
 
 
@@ -481,9 +511,10 @@ def sensitivity_scan(
     is detected when that estimate excludes zero at 3 sigma.  Grid row j
     draws from seed prefix [*master_seed, j].
 
-    The same rule predicts the detectable strength 3 sigma / (sqrt(M) |slope|):
-    sigma is the counting model's Born kappa spread, the slope the exact
-    kappa at the smallest nonzero strength over that strength.  None with
+    The paper's normal 3-sigma rule predicts the detectable strength 3 sigma
+    / (sqrt(M) |slope|): sigma is the counting model's Born kappa spread,
+    the slope the exact kappa at the smallest nonzero strength over that
+    strength.  At few batches the t rule detects a larger strength.  None with
     no readout (det=None), no nonzero strength or a zero slope.
     """
     if rule_family not in DEFORMATIONS:
@@ -538,7 +569,7 @@ def scaling_check(
 
 
 def batch_csv_text(run: SorkinReport | Readout) -> str:
-    """The batch CSV (sorkin-lab.batches/2) of a simulated run's Readout,
+    """The batch CSV (sorkin-lab.batches/3) of a simulated run's Readout,
     its whole record: the header batch,s1..s7,ref, then a line of integers
     per batch, its index, seven signal counts and reference count, each
     printed as str prints a Python int.  An exact run's report, which holds

@@ -127,8 +127,12 @@ class HamiltonianParams:
             raise ValueError("Zeeman splitting exceeds D; MW1 carrier is not positive")
         if not math.isfinite(TWO_PI * self.omega_mw2_hz):
             raise ValueError(f"MW2 carrier {self.omega_mw2_hz!r} Hz is inf as an angular frequency")
-        if not math.isfinite(TWO_PI / (TWO_PI * self.omega1_hz)):  # a full turn's duration
-            raise ValueError(f"omega1_hz = {self.omega1_hz!r} gives pulses of infinite duration")
+        # a schedule is at most two pulses of under a full turn each, and
+        # its reports state durations in ns
+        if not math.isfinite(2.0 * (TWO_PI / (TWO_PI * self.omega1_hz)) * 1e9):
+            raise ValueError(
+                f"omega1_hz = {self.omega1_hz!r} gives pulses of infinite duration in ns"
+            )
         if self.omega1_hz > 0.05 * self.omega_mw1_hz:
             warnings.warn(
                 "omega1 is not small against the MW1 carrier; "

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -471,7 +471,7 @@ def test_simulate_outputs_and_determinism(tmp_path):
     summary = json.loads((out_a / "simulate_summary.json").read_text())
     assert summary["master_seed"] == 5
     assert summary["config"]["batches"] == 10
-    assert summary["csv_schema"] == "sorkin-lab.batches/2"
+    assert summary["csv_schema"] == "sorkin-lab.batches/3"
     # the CSV is the run's counts, from which its kappa summary follows
     config = parse_config(path)
     report = sample_batches(config.amplitudes, config.p, config.detection, 10, 5)
@@ -606,7 +606,7 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/8"
+    assert payload["schema"] == "sorkin-lab.summary/9"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels
@@ -638,13 +638,19 @@ def test_rwa_check_skips_a_tiny_negative_measurement_angle(tmp_path, capsys):
 
 
 def test_born_null_decision():
-    # simulate's verdict is the one significance rule at 5 sigma
-    est = KappaEstimate(0.001, 0.01, 0.0001, (0.0, 0.002))
+    # simulate's verdict is the one significance rule at 5 sigma on the t
+    # statistic |mean| / stderr: 10 clears it at 99 degrees of freedom (t
+    # quantile 5.35) but not at 2 (1,321), and 4 does not; an exact run,
+    # df 0, must clear the float floor of 1e-12 on its own
+    est = KappaEstimate(0.001, 0.01, 0.0001, (0.0, 0.002), 99)
     assert est.excludes_zero(5.0)
-    est2 = KappaEstimate(0.0004, 0.01, 0.0001, (0.0, 0.002))
+    assert not replace(est, df=2).excludes_zero(5.0)
+    est2 = KappaEstimate(0.0004, 0.01, 0.0001, (0.0, 0.002), 99)
     assert not est2.excludes_zero(5.0)
-    exact = KappaEstimate(0.0, 0.0, 0.0, (0.0, 0.0))
+    assert est2.excludes_zero(3.0)
+    exact = KappaEstimate(0.0, 0.0, 0.0, (0.0, 0.0), 0)
     assert not exact.excludes_zero(5.0)
+    assert replace(exact, mean=2e-12).excludes_zero(5.0)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
@@ -679,7 +685,12 @@ def test_single_exact_batch_still_runs(tmp_path):
     ideal = cmd_ideal(parse_config(path)).artifacts["ideal_report.json"]
     mean = json.loads(ideal)["report"]["kappa"]
     assert k == {
-        "mean": mean, "std": 0.0, "stderr": 0.0, "ci95": [mean, mean], "std_predicted": None
+        "mean": mean,
+        "std": 0.0,
+        "stderr": 0.0,
+        "ci95": [mean, mean],
+        "df": 0,
+        "std_predicted": None,
     }
 
 

@@ -4,13 +4,15 @@ every subcommand ends in an exit code, never a traceback.
 A drawn config sets a few keys of cli._DEFAULTS, each to a value of its
 default's type or to an edge value; a run either refuses the config with
 exit 3, one `error:` line and nothing written, or runs to exit 0, and
-only simulate may return 1, its Born-null verdict.  Runs keep `batches`
-small: the int values are small, or edge values that check_batches
-refuses.
+only simulate may return 1, its Born-null verdict.  A run that is not
+refused writes JSON artifacts that hold no NaN or Infinity.  Runs keep
+`batches` small: the int values are small, or edge values that
+check_batches refuses.
 """
 
 import contextlib
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -22,6 +24,11 @@ from sorkin_lab import cli
 from sorkin_lab.detection import MAX_BATCHES
 
 _COMMANDS = ("ideal", "simulate", "rwa-check", "schedule", "sensitivity")
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
 
 _EDGE_FLOATS = [
     0.0,
@@ -93,6 +100,8 @@ _CONFIGS = (
 @example("hamiltonian.D_hz = 1e308\n")
 @example("hamiltonian.omega1_hz = 1e-300\n")
 @example("hamiltonian.omega1_hz = 5e-324\n")
+# the least omega1 whose longest schedule is finite in ns
+@example("hamiltonian.omega1_hz = 1.2e-299\n")
 @example(f"detection.shots = {10**400}\n")
 # the fewest shots the default rates allow, at the paper's batch count scale
 @example("detection.shots = 412\nbatches = 20000\n")
@@ -111,3 +120,6 @@ def test_every_config_ends_in_an_exit_code(text):
                 message = err.getvalue()
                 assert message.startswith("error: ") and message.count("\n") == 1, message
                 assert not out.exists()
+            else:
+                for artifact in out.glob("*.json"):
+                    json.loads(artifact.read_text(encoding="utf-8"), parse_constant=_refuse)

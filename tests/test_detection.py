@@ -227,20 +227,20 @@ def test_pooled_summary_matches_a_per_batch_oracle(spec, rule, det, m):
     assert est.mean == pytest.approx(k, rel=1e-12, abs=1e-13)
     assert est.std == pytest.approx(std, rel=1e-12)
     assert est.stderr == est.std / math.sqrt(m)
-    half = detection._t975(m - 1) * est.stderr
+    half = _t975(m - 1) * est.stderr
     assert est.ci95 == (est.mean - half, est.mean + half)
     assert _bits([_mean_report(report).kappa]) == _bits([est.mean])
 
 
 def test_a_run_is_refused_at_the_floor_of_its_mean_alone():
-    # no batch is refused: at theta2 = 2 pi and 412 shots, batch 6 of this
-    # run (row 7 of sensitivity --seed 23) reads three pairwise terms that
+    # no batch is refused: at theta2 = 2 pi and 412 shots, batch 42 of this
+    # run (row 7 of sensitivity --seed 122) reads three pairwise terms that
     # cancel, yet the run's mean estimates have an I2 well above the floor
     t, det = _target(), DetectionParams(shots=412)
     p_true = detection.exact_probabilities(t, _THETA2_2PI, ProbabilityRule("triple", 0.07))
-    run = detection.sample_batches(t, p_true, det, 50, (23, 7))
-    with pytest.raises(QuantumRegimeError, match="^second-order interference 2.2"):
-        detection.sorkin_report(t, _estimates(run)[6].tolist())
+    run = detection.sample_batches(t, p_true, det, 50, (122, 7))
+    with pytest.raises(QuantumRegimeError, match="^second-order interference 0.0 is at or below"):
+        detection.sorkin_report(t, _estimates(run)[42].tolist())
     mean = _mean_report(run)
     assert mean.I2 > 100 * KAPPA_FLOOR
     assert estimate_kappa(run).mean == mean.kappa
@@ -498,14 +498,21 @@ ORACLE_PREFIXES = [(0,), (1,), (2**32 - 1,), (2**32,), (2**64 + 5,), (2**130 + 3
 
 def _one_stream_p(p_true, det, n_batches, prefix):
     """Each batch's seven estimates, replayed from the run's one stream
-    default_rng(SeedSequence([*prefix])) in the documented order: every
-    bright count, every signal, then every batch's reference."""
+    default_rng(SeedSequence([*prefix])) in the documented order, one
+    scalar draw at a time: each experiment's n_batches bright counts in
+    turn, then the signals batch by batch, then every batch's reference."""
     rng = np.random.default_rng(np.random.SeedSequence([*prefix]))
-    bright = rng.binomial(det.shots, np.tile(p_true, (n_batches, 1)))
-    lam = bright * det.mu_bright + (det.shots - bright) * det.mu_dark + det.shots * det.mu_bg
-    signals = rng.poisson(lam)
-    refs = rng.poisson(det.shots * (det.mu_bright + det.mu_bg), size=n_batches)
-    return [tuple(int(s) / int(ref) for s in row) for row, ref in zip(signals, refs)]
+    bright = [[int(rng.binomial(det.shots, p)) for _ in range(n_batches)] for p in p_true]
+    signals = []
+    for b in range(n_batches):
+        row = []
+        for k in range(7):
+            lam = bright[k][b] * det.mu_bright + (det.shots - bright[k][b]) * det.mu_dark
+            row.append(int(rng.poisson(lam + det.shots * det.mu_bg)))
+        signals.append(row)
+    ref_mean = det.shots * (det.mu_bright + det.mu_bg)
+    refs = [int(rng.poisson(ref_mean)) for _ in range(n_batches)]
+    return [tuple(s / ref for s in row) for row, ref in zip(signals, refs)]
 
 
 @pytest.mark.parametrize("prefix", ORACLE_PREFIXES, ids=str)
@@ -613,7 +620,7 @@ def test_estimate_kappa_draws_no_random_numbers(monkeypatch):
     assert estimate_kappa(report, seed=42) == first
     # the Student-t interval of these 50 batches
     k, std = _oracle_summary(report)
-    half = detection._t975(49) * std / math.sqrt(50)
+    half = _t975(49) * std / math.sqrt(50)
     assert first.ci95 == pytest.approx((k - half, k + half), rel=1e-12)
 
 
@@ -622,7 +629,7 @@ def test_estimate_kappa_exact_batches():
     report = run_batches(_target(), MEASUREMENT_M1, BORN, None, 5, 0)
     k = report.kappa
     assert type(k) is float and abs(k) < 1e-12
-    assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k))
+    assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k), 0)
 
 
 def test_identical_exact_batches_have_no_spread():
@@ -634,7 +641,7 @@ def test_identical_exact_batches_have_no_spread():
     assert report == detection.sorkin_report(_target(), p_true)
     k = report.kappa
     assert k != 0.0
-    assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k))
+    assert estimate_kappa(report) == KappaEstimate(k, 0.0, 0.0, (k, k), 0)
 
 
 def test_estimate_kappa_refuses_an_empty_run():
@@ -656,7 +663,7 @@ def test_estimate_kappa_of_one_exact_batch():
     assert exact == run_batches(_target(), MEASUREMENT_M1, BORN, None, 7, 0)
     k = detection.sorkin_report(_target(), p_true).kappa
     est = estimate_kappa(exact)
-    assert est == KappaEstimate(k, 0.0, 0.0, (k, k))
+    assert est == KappaEstimate(k, 0.0, 0.0, (k, k), 0)
     assert type(est.mean) is float  # the summary JSON writes it
 
 
@@ -669,7 +676,7 @@ def test_an_exact_run_row_and_rung_are_one_report(monkeypatch, m):
     p_true = detection.exact_probabilities(t, MEASUREMENT_M1, rule)
     k = detection.sorkin_report(t, p_true).kappa
     assert float(np.mean([k, k, k])) != k
-    want = _bits(_estimate_floats(KappaEstimate(k, 0.0, 0.0, (k, k))))
+    want = _bits(_estimate_floats(KappaEstimate(k, 0.0, 0.0, (k, k), 0)))
 
     def no_stream(*args, **kwargs):
         raise AssertionError("an exact path set up a stream")
@@ -733,6 +740,11 @@ def _born_run(m, seed=0, shots=20_000):
     return run_batches(_target(), MEASUREMENT_M1, BORN, DetectionParams(shots=shots), m, seed)
 
 
+def _t975(df):
+    """t(0.975, df), the package's quantile of a two-sided 95% interval."""
+    return detection._t_quantile(df, detection._Z975)
+
+
 @pytest.mark.parametrize(
     "df, expected, tol",
     [
@@ -744,11 +756,12 @@ def _born_run(m, seed=0, shots=20_000):
     ],
 )
 def test_t975_tabulated(df, expected, tol):
-    assert detection._t975(df) == pytest.approx(expected, abs=tol)
+    assert _t975(df) == pytest.approx(expected, abs=tol)
 
 
-def _t_cdf(t, df):
-    """Exact Student-t CDF for integer df (Abramowitz and Stegun 26.7.3-4)."""
+def _t_tail(t, df):
+    """Exact two-sided Student-t tail P(|T| > t) for integer df (Abramowitz
+    and Stegun 26.7.3-4: one minus their A(t | df))."""
     theta = math.atan(t / math.sqrt(df))
     c2 = math.cos(theta) ** 2
     if df % 2:
@@ -764,28 +777,64 @@ def _t_cdf(t, df):
             term *= c2 * (2 * j + 1) / (2 * j + 2)
             total += term
         inside = math.sin(theta) * total
-    return 0.5 * (1.0 + inside)
+    return 1.0 - inside
 
 
-def _t975_exact(df):
-    """Bisection on the exact CDF, down to rounding."""
-    lo, hi = 0.0, 1e3
-    for _ in range(80):
+def _t_quantile_exact(df, tail):
+    """Bisection on the exact two-sided tail, down to rounding."""
+    lo, hi = 0.0, 1e7
+    for _ in range(90):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _t_cdf(mid, df) < 0.975 else (lo, mid)
+        lo, hi = (mid, hi) if _t_tail(mid, df) > tail else (lo, mid)
     return lo
 
 
+def _t975_exact(df):
+    return _t_quantile_exact(df, 0.05)
+
+
 def _t975_error(df):
-    """The relative error _t975 documents at df."""
+    """The relative error _t_quantile documents at df for t(0.975, df)."""
     return 1e-6 if df <= 10 else 3e-9 if df < 49 else 2e-12
 
 
 def test_t975_within_its_documented_error():
-    # df 1 and 2 are closed forms, df 3 takes the tail series
+    # the two-sided tail at _Z975 is 0.05 exactly; df 1 and 2 are closed
+    # forms, df 3 takes the tail series
+    assert math.erfc(detection._Z975 / math.sqrt(2.0)) == 0.05
     for df in range(1, 121):
         bound = _t975_error(df)
-        assert detection._t975(df) == pytest.approx(_t975_exact(df), rel=bound), df
+        assert _t975(df) == pytest.approx(_t975_exact(df), rel=bound), df
+
+
+@pytest.mark.parametrize("z", [3.0, 5.0])
+def test_t_quantile_at_a_significance_rules_sigmas(z):
+    # the quantile whose two-sided tail is the normal's beyond z, within
+    # the documented 3e-6 at small df, where the tail series and the
+    # expansion meet, and tending to z itself
+    tail = math.erfc(z / math.sqrt(2.0))
+    for df in [*range(1, 41), 60, 100, 250, 1000, 10_000]:
+        want = _t_quantile_exact(df, tail)
+        assert detection._t_quantile(df, z) == pytest.approx(want, rel=3e-6), df
+    assert detection._t_quantile(10**12, z) == pytest.approx(z, rel=1e-9)
+    # no tail, a tail of one or more, or none at all in floats
+    for bad in (0.0, -z, math.nan, 40.0):
+        with pytest.raises(ValueError, match="^z must be positive"):
+            detection._t_quantile(10, bad)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_born_is_not_rejected_at_the_fewest_batches(m):
+    # at 5 sigma the rule rejects a true null in 5.7e-7 of runs; a normal
+    # threshold of 5 standard errors, blind to the M - 1 degrees of freedom
+    # of |mean| / stderr, rejects 13% of these runs at M = 2 and 3.5% at 3
+    t, det = _target(), DetectionParams(shots=50_000)
+    p_true = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    verdicts = [
+        estimate_kappa(detection.sample_batches(t, p_true, det, m, (19, m, i))).excludes_zero(5.0)
+        for i in range(2_000)
+    ]
+    assert sum(verdicts) == 0
 
 
 def _assert_one_shot_interval(run, est):
@@ -1097,6 +1146,7 @@ def test_counts_rebuild_the_run_bit_for_bit(det, m):
         run = detection.sample_batches(t, p_true, det, m, seed)
         assert (run.signals.dtype, run.signals.shape) == (np.int64, (m, 7))
         assert (run.ref.dtype, run.ref.shape) == (np.int64, (m,))
+        assert run.signals.flags.c_contiguous
         text = batch_csv_text(run)
         read = _read_csv(t, text)
         p = [[s / r for s in row] for row, r in zip(read.signals.tolist(), read.ref.tolist())]

@@ -186,8 +186,12 @@ def test_params_validation_and_carriers():
     # finite in Hz, but not as an angular frequency or a pulse duration
     with pytest.raises(ValueError, match="inf as an angular frequency"):
         HamiltonianParams(D_hz=1e308)
-    with pytest.raises(ValueError, match="infinite duration"):
-        HamiltonianParams(omega1_hz=5e-324)
+    # a two-pulse schedule of full turns must be finite in ns, as the
+    # reports state it
+    for omega1_hz in (5e-324, 1e-300, 1.1e-299):
+        with pytest.raises(ValueError, match="infinite duration in ns"):
+            HamiltonianParams(omega1_hz=omega1_hz)
+    HamiltonianParams(omega1_hz=1.2e-299)  # two full turns: 1.7e308 ns
     with pytest.warns(UserWarning):
         HamiltonianParams(omega1_hz=200e6)
 
