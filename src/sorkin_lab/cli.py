@@ -146,7 +146,7 @@ class ExperimentConfig:
 
 def _read_pairs(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

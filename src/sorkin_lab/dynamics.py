@@ -137,7 +137,7 @@ class HamiltonianParams:
             warnings.warn(
                 "omega1 is not small against the MW1 carrier; "
                 "rotating-wave rotations will be inaccurate",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -11,10 +11,11 @@ same commit, so the manifest's diff names exactly the runs that changed:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``--check DIR`` instead compares whole-process runs with the manifest,
-laid out as the CI determinism step writes them: DIR/<config>/<command>/
-holds a run's artifacts, and its stdout and exit code sit beside it in
-<command>.stdout and <command>.rc.  It exits 1 on any difference.
+``--processes DIR`` instead runs each golden run twice as a whole process,
+into DIR/a/<run>/ and DIR/b/<run>/, its stdout and exit code beside it in
+<run>.stdout and <run>.rc, with RuntimeWarning and DeprecationWarning as
+errors.  It exits 1, naming the run, if a run exits other than 0, differs
+from its manifest entry or writes JSON with NaN or Infinity in it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +36,7 @@ MANIFEST = GOLDEN / "manifest.json"
 COMMANDS = ("ideal", "simulate", "rwa-check", "schedule", "sensitivity")
 # the --measurement override must write what the config key writes
 OVERRIDES = {"empty-m2": ("empty", ["--measurement", "M2"])}
+SETS = ("a", "b")
 
 
 def golden_runs() -> dict[str, list[str]]:
@@ -44,6 +48,16 @@ def golden_runs() -> dict[str, list[str]]:
         for command in COMMANDS:
             runs[f"{name}/{command}"] = [command, "--config", path, "--seed", "1", *flags]
     return runs
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads refusing NaN and Infinity, which json.dumps writes for a
+    non-finite float but JSON does not allow."""
+    return json.loads(text, parse_constant=_refuse)
 
 
 def _sha256(data: bytes) -> str:
@@ -69,29 +83,61 @@ def run_in_process(args: list[str], out_dir: Path) -> dict:
     return _entry(exit_code, stdout.getvalue().encode(), out_dir)
 
 
-def read_run(out_dir: Path) -> dict:
-    """The manifest entry of one whole-process run written as the CI step does."""
-    exit_code = int(Path(f"{out_dir}.rc").read_text())
-    return _entry(exit_code, Path(f"{out_dir}.stdout").read_bytes(), out_dir)
+def run_processes(work: Path, runs: dict[str, list[str]]) -> None:
+    """Run each run as a whole process once into each set under work."""
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
+    cli = [sys.executable, *warnings, "-m", "sorkin_lab.cli"]
+    env = {**os.environ, "PYTHONPATH": str(GOLDEN.parents[1] / "src")}
+    for side in SETS:
+        for run, args in runs.items():
+            out_dir = work / side / run
+            out_dir.parent.mkdir(parents=True, exist_ok=True)
+            with open(f"{out_dir}.stdout", "wb") as stdout:
+                run_args = [*cli, *args, "--out", str(out_dir)]
+                exit_code = subprocess.run(run_args, stdout=stdout, env=env).returncode
+            Path(f"{out_dir}.rc").write_text(f"{exit_code}\n", encoding="utf-8")
+
+
+def check_processes(work: Path, runs) -> list[str]:
+    """How the runs in each set under work fail the contract, one line per
+    fault.  Both sets equal to the manifest are equal to each other."""
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    failures = []
+    for side in SETS:
+        for run in runs:
+            out_dir = work / side / run
+            exit_code = int(Path(f"{out_dir}.rc").read_text(encoding="utf-8"))
+            if exit_code != 0:
+                failures.append(f"{side}/{run}: exits {exit_code}")
+            stdout = Path(f"{out_dir}.stdout").read_bytes()
+            if _entry(exit_code, stdout, out_dir) != manifest.get(run):
+                failures.append(f"{side}/{run}: differs from the manifest")
+            for report in sorted(out_dir.glob("*.json")):
+                try:
+                    strict_json(report.read_text(encoding="utf-8"))
+                except ValueError as exc:
+                    failures.append(f"{side}/{run}: {report.name}: {exc}")
+    return failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--check", metavar="DIR", help="compare the runs in DIR with the manifest")
+    parser.add_argument("--processes", metavar="DIR", help="check the runs as processes in DIR")
     args = parser.parse_args(argv)
     runs = golden_runs()
-    if args.check is None:
+    if args.processes is None:
         with tempfile.TemporaryDirectory() as tmp:
             got = {name: run_in_process(run, Path(tmp, name)) for name, run in runs.items()}
         MANIFEST.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(got)} runs to {MANIFEST}")
         return 0
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    differ = [name for name in runs if read_run(Path(args.check, name)) != manifest.get(name)]
-    differ += sorted(set(manifest) - set(runs))
-    for name in differ:
-        print(f"differs from the manifest: {name}", file=sys.stderr)
-    return 1 if differ else 0
+    work = Path(args.processes)
+    run_processes(work, runs)
+    failures = check_processes(work, runs)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    print(f"{len(SETS) * len(runs)} runs, {len(failures)} faults")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

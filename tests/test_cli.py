@@ -268,9 +268,6 @@ def test_every_artifact_reruns_byte_identically_from_its_echo(tmp_path, text):
             assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
-COMMANDS = ("ideal", "simulate", "rwa-check", "schedule", "sensitivity")
-
-
 def _run(tmp_path, capsys, name, command, path, *flags):
     """(exit code, stdout, {artifact name: bytes}) of one CLI run."""
     out = tmp_path / name
@@ -279,7 +276,7 @@ def _run(tmp_path, capsys, name, command, path, *flags):
     return rc, capsys.readouterr().out, files
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_overrides_are_byte_identical_to_config_keys(tmp_path, capsys, command):
     base = "batches = 3\ndetection.shots = 50000\nsensitivity.eps_grid = 0,0.05\n"
     # the overrides replace a given seed and drop the given angles
@@ -292,7 +289,7 @@ def test_overrides_are_byte_identical_to_config_keys(tmp_path, capsys, command):
     assert by_flags == by_keys
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_main_writes_and_prints_what_the_subcommand_returns(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -400,7 +397,7 @@ def test_unsampleable_probability_rejected_in_simulated_mode(tmp_path, capsys, t
     path = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=rf"{key}: true probability .* outside \[0, 1\]"):
         parse_config(path)
-    for command in COMMANDS:
+    for command in _COMMANDS:
         out = tmp_path / command
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert not out.exists()
@@ -431,6 +428,16 @@ def test_bad_config_exit_code(tmp_path):
     path = _write(tmp_path, "nonsense.key = 1\n")
     rc = main(["ideal", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == EXIT_BAD_CONFIG
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_key(tmp_path, capsys):
+    # editors that save UTF-8 with a byte-order mark put it before the first key
+    text = "batches = 60\ndetection.shots = 50000\n"
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    by_marked = _run(tmp_path, capsys, "marked", "simulate", str(marked))
+    assert by_marked[0] == EXIT_OK
+    assert by_marked == _run(tmp_path, capsys, "plain", "simulate", _write(tmp_path, text))
 
 
 def test_ideal_report(tmp_path, capsys):

@@ -12,9 +12,9 @@ check_batches refuses.
 
 import contextlib
 import io
-import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 from sorkin_lab import cli
 from sorkin_lab.detection import MAX_BATCHES
 
-_COMMANDS = ("ideal", "simulate", "rwa-check", "schedule", "sensitivity")
-
-
-def _refuse(constant):
-    raise ValueError(f"{constant} is not JSON")
+from golden.regen import strict_json
 
 
 _EDGE_FLOATS = [
@@ -106,10 +102,11 @@ _CONFIGS = (
 # the fewest shots the default rates allow, at the paper's batch count scale
 @example("detection.shots = 412\nbatches = 20000\n")
 def test_every_config_ends_in_an_exit_code(text):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         config = Path(tmp) / "drawn.cfg"
         config.write_text(text, encoding="utf-8")
-        for command in _COMMANDS:
+        for command in cli._COMMANDS:
             out, err = Path(tmp) / command, io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli.main([command, "--config", str(config), "--out", str(out)])
@@ -122,4 +119,8 @@ def test_every_config_ends_in_an_exit_code(text):
                 assert not out.exists()
             else:
                 for artifact in out.glob("*.json"):
-                    json.loads(artifact.read_text(encoding="utf-8"), parse_constant=_refuse)
+                    strict_json(artifact.read_text(encoding="utf-8"))
+    # the one warning a config may raise: a strong drive, which still runs
+    for caught_warning in caught:
+        assert caught_warning.category is UserWarning, caught_warning
+        assert str(caught_warning.message).startswith("omega1 is not small"), caught_warning

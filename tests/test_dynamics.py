@@ -192,8 +192,10 @@ def test_params_validation_and_carriers():
         with pytest.raises(ValueError, match="infinite duration in ns"):
             HamiltonianParams(omega1_hz=omega1_hz)
     HamiltonianParams(omega1_hz=1.2e-299)  # two full turns: 1.7e308 ns
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         HamiltonianParams(omega1_hz=200e6)
+    # the warning names the line that built the params, not dataclass's __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_propagator_zero_duration_is_identity():
