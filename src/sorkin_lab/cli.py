@@ -38,7 +38,6 @@ from . import __version__
 from .born import DEFORMATIONS, ProbabilityRule, parse_rule
 from .detection import (
     BATCH_CSV_SCHEMA,
-    SUMMARY_JSON_SCHEMA,
     DetectionParams,
     batch_csv_text,
     check_batches,
@@ -65,6 +64,9 @@ from .protocol import (
     TargetAmplitudes,
     solve_schedule,
 )
+
+# the schema id every JSON report of this module embeds
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/9"
 
 EXIT_OK = 0
 EXIT_NULL_REJECTED = 1

@@ -56,6 +56,7 @@ itself.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -64,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .born import DEFORMATIONS, ProbabilityRule, probability
-from .errors import InsufficientBatchesError, UnphysicalParameterError
+from .errors import InsufficientBatchesError, QuantumRegimeError, UnphysicalParameterError
 from .protocol import (
     MeasurementSpec,
     SorkinReport,
@@ -86,7 +87,6 @@ MAX_COUNT = 2**53
 _MAX_MEAN = (math.sqrt(MAX_COUNT + 25.0) - 5.0) ** 2
 
 BATCH_CSV_SCHEMA = "sorkin-lab.batches/3"
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/9"
 
 
 @dataclass(frozen=True)
@@ -517,7 +517,8 @@ def sensitivity_scan(
     the slope the exact kappa at the smallest nonzero strength over that
     strength.  Keeping the normal 3, it lies 5% below what a row's flag
     detects at 50 batches, 6.4 times below at 3.  None with no readout
-    (det=None), no nonzero strength or a zero slope.
+    (det=None), no nonzero strength, a zero slope, or no second-order
+    interference in Born's expected readout (no sigma to predict).
     """
     if rule_family not in DEFORMATIONS:
         raise ValueError(
@@ -526,7 +527,7 @@ def sensitivity_scan(
     eps_grid = [float(eps) for eps in eps_grid]
     born = ProbabilityRule.born()
     rules = [born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid]
-    p_grid = _rule_probabilities(t, spec, rules)
+    *p_grid, born_p = _rule_probabilities(t, spec, [*rules, born])
     runs = ((p_true, det) for p_true in p_grid)
     rows = []
     smallest = None
@@ -542,9 +543,9 @@ def sensitivity_scan(
         eps, p_true = min(nonzero, key=lambda pair: pair[0])
         slope_kappa = sorkin_report(t, p_true).kappa
         if slope_kappa != 0.0:
-            born_p = p_grid[rules.index(born)] if born in rules else None
-            sigma = predicted_kappa_std(t, born_p or exact_probabilities(t, spec, born), det)
-            predicted = sigmas * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
+            with contextlib.suppress(QuantumRegimeError):
+                sigma = predicted_kappa_std(t, born_p, det)
+                predicted = sigmas * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
     return SensitivityScan(tuple(rows), smallest, predicted)
 
 
@@ -582,11 +583,12 @@ def batch_csv_text(run: SorkinReport | Readout) -> str:
     width + 1 bytes, width the digit count of the largest value, and digit
     k (from the right) of a value x is (x // 10**k) % 10, taken as
     part - 10 * (part // 10) over the running quotient part, exact in
-    integer arithmetic; values wider than 8 digits are first split into
-    8-digit pieces below 2**32.  Digit k is kept when x >= 10**k, and the
-    units digit always, so x prints with no leading zero and 0 as "0":
-    the decimal form str gives a non-negative Python int.  The last byte of
-    each row is its separator, "," or "\\n" after every ninth field."""
+    integer arithmetic: in uint32 when no value is wider than 9 digits
+    (10**9 - 1 < 2**32), else in the int64 counts.  Digit k is kept when
+    x >= 10**k, and the units digit always, so x prints with no leading
+    zero and 0 as "0": the decimal form str gives a non-negative Python
+    int.  The last byte of each row is its separator, "," or "\\n" after
+    every ninth field."""
     if isinstance(run, SorkinReport):
         raise ValueError("an exact run draws no counts, so it has no batch CSV")
     x = np.column_stack((np.arange(run.ref.size), run.signals, run.ref)).reshape(-1)
@@ -599,18 +601,12 @@ def batch_csv_text(run: SorkinReport | Readout) -> str:
     keep = np.ones(cells.shape, bool)
     for j in range(width - 1):
         np.greater_equal(x, 10 ** (width - 1 - j), out=keep[:, j])
-    for end in range(width, 0, -8):
-        # eight digits at a time, from the right, in uint32, whose division
-        # by 10 is faster than int64's; 10**8 - 1 < 2**32
-        if end > 8:
-            high = x // 10**8
-            part, x = (x - high * 10**8).astype(np.uint32), high
-        else:
-            part = x.astype(np.uint32)
-        for j in range(end - 1, max(end - 8, 0) - 1, -1):
-            q = part // 10
-            np.subtract(part, q * 10, out=cells[:, j], casting="unsafe")
-            part = q
+    # uint32 divides by 10 faster than int64 and holds every 9-digit value
+    part = x.astype(np.uint32) if width <= 9 else x
+    for j in range(width - 1, -1, -1):
+        q = part // 10
+        np.subtract(part, q * 10, out=cells[:, j], casting="unsafe")
+        part = q
     cells += ord("0")
     cells[:, width] = ord(",")
     cells[8::9, width] = ord("\n")

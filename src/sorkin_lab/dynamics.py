@@ -335,12 +335,10 @@ def _period_propagator(
 
 def _period_power(squares: np.ndarray, n: int) -> np.ndarray:
     """U(T)**n from the memoised squares, bit-identical to
-    np.linalg.matrix_power(squares[0], n): its shortcuts up to n = 3, then
-    the squares of n's set bits multiplied in from the lowest."""
+    np.linalg.matrix_power(squares[0], n): its shortcuts at n = 0 and
+    n = 3, else the squares of n's set bits multiplied in from the lowest."""
     if n == 0:
         return _IDENTITY
-    if n <= 2:
-        return squares[n - 1]
     if n == 3:
         return squares[1] @ squares[0]
     power = None
@@ -393,7 +391,7 @@ def lab_frame_propagator(
         )
     if not math.isfinite(detuning_hz):
         raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
-    duration = seg.angle / (TWO_PI * params.omega1_hz)
+    duration = seg.duration_s(params.omega1_hz)
     if duration == 0.0:
         return Unitary3.identity()
 
@@ -417,13 +415,10 @@ def lab_frame_propagator(
     return Unitary3(frame[:, None] * total, atol=1e-8)
 
 
-def rwa_fidelity(
-    params: HamiltonianParams,
-    seg: PulseSegment,
-    steps_per_drive_period: int = DEFAULT_STEPS_PER_PERIOD,
-) -> float:
-    """|<psi_RWA|psi_full>|^2 for the pulse applied to |0>."""
-    full = lab_frame_propagator(params, seg, steps_per_drive_period)
+def rwa_fidelity(params: HamiltonianParams, seg: PulseSegment) -> float:
+    """|<psi_RWA|psi_full>|^2 for the pulse applied to |0>, the
+    propagator at DEFAULT_STEPS_PER_PERIOD steps a drive period."""
+    full = lab_frame_propagator(params, seg)
     ideal = QutritState(*_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
     # U|0> is U's |0> column
     overlap = inner_product(ideal, QutritState(*full.matrix[:, 1].tolist()))

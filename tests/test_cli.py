@@ -17,6 +17,7 @@ from sorkin_lab.cli import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     EXIT_UNWRITABLE,
+    SUMMARY_JSON_SCHEMA,
     cmd_ideal,
     cmd_rwa_check,
     cmd_sensitivity,
@@ -25,6 +26,7 @@ from sorkin_lab.cli import (
 )
 from sorkin_lab.born import ProbabilityRule
 from sorkin_lab.detection import (
+    BATCH_CSV_SCHEMA,
     KappaEstimate,
     Readout,
     batch_csv_text,
@@ -602,7 +604,14 @@ def test_sensitivity_predicts_the_detectable_eps(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ["detection.mode = exact\n", "sensitivity.eps_grid = 0\n"]
+    "text",
+    [
+        "detection.mode = exact\n",
+        "sensitivity.eps_grid = 0\n",
+        # Born's expected readout has an I2 of 1.1e-16, below the kappa floor
+        "measurement.theta1 = 3.141592653589793\nrule = exponent:0.5\n"
+        "sensitivity.rule_family = exponent\nsensitivity.eps_grid = 0.5,1.0\n",
+    ],
 )
 def test_predicted_detectable_eps_is_null_without_noise_or_slope(tmp_path, text):
     assert _predicted_detectable_eps(tmp_path, text) is None
@@ -617,6 +626,12 @@ def test_rwa_check_command(tmp_path):
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels
+
+
+def test_readme_names_the_current_schema_ids():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for schema in (SUMMARY_JSON_SCHEMA, BATCH_CSV_SCHEMA):
+        assert f"`{schema}`" in readme, schema
 
 
 def test_rwa_check_integrates_one_period_per_channel(tmp_path):

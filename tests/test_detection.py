@@ -1065,8 +1065,11 @@ _EDGE_COUNTS = [0, *(v for k in range(16) for v in (10**k - 1, 10**k)), 2**53]
         [10**k + k for k in range(1, 9)] + [10**k - 1 for k in range(8, 1, -1)] + [10**9 - 1],
         # batch indices cross 9 -> 10 and 99 -> 100, next to one-digit counts
         [b % 10 for b in range(8 * 102)],
+        # 10 digits, past uint32 from 2**32 on: the int64 path, which a
+        # uint32 cast would wrap to 0
+        [2**32 - 1, 2**32, 9_999_999_999] + [7] * 5,
     ],
-    ids=["edges", "edges-reversed", "all-widths", "indices"],
+    ids=["edges", "edges-reversed", "all-widths", "indices", "uint32-limit"],
 )
 def test_batch_csv_matches_str_of_each_int(rows):
     report = _counts(rows)

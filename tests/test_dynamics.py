@@ -241,8 +241,10 @@ def test_pi_pulse_matches_rwa_rotation():
     seg = PulseSegment("MW1", math.pi)
     fid = rwa_fidelity(p, seg)
     assert fid >= 0.999
-    # double-resolution oracle agrees on the fidelity value
-    fid2 = rwa_fidelity(p, seg, steps_per_drive_period=400)
+    # double-resolution oracle: the overlap of the ideal state with the
+    # |0> column of the 400-step propagator agrees on the fidelity value
+    ideal = np.array(_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
+    fid2 = abs(np.vdot(ideal, lab_frame_propagator(p, seg, 400).matrix[:, 1])) ** 2
     assert fid == pytest.approx(fid2, abs=1e-8)
 
 

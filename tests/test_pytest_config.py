@@ -22,9 +22,9 @@ def test_passes():
 
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     # hypothesis reports a failing example through libcst, whose import of
-    # mypy_extensions raises a DeprecationWarning; under the ini's
-    # error::DeprecationWarning that was an INTERNALERROR, and every later
-    # test was skipped without a word
+    # mypy_extensions raises a DeprecationWarning; under the ini's "error"
+    # filter, unless ignored there, that is an INTERNALERROR, and every later
+    # test is skipped without a word
     (tmp_path / "test_two.py").write_text(_TWO_TESTS, encoding="utf-8")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
