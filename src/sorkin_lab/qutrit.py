@@ -17,8 +17,9 @@ that still covers it:
     schedules (no pulse, the MW2 and the MW1 pi pulse) and the states they
     prepare are built, and so checked, once at import, then shared as
     immutable instances;
-  * ``Unitary3(matrix)`` checks shape, finiteness and max|U^dag U - I|
-    within UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product;
+  * ``Unitary3(matrix)`` checks shape and max|U^dag U - I| within
+    UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product, which a
+    non-finite entry fails, refused as such;
   * a plane rotation that ``dynamics`` applies in closed form to a
     state's amplitudes, with no matrix built (the scheduled preparations,
     the measurement ket and the ideal state of ``rwa_fidelity``), checks
@@ -101,10 +102,13 @@ class Unitary3:
         m = np.array(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise UnitarityError("matrix entries must be finite")
-        err = np.abs(m.conj().T @ m - _IDENTITY).max()
-        if err > atol:
+        # a NaN or inf entry makes err NaN or inf, which fails this test, so
+        # finiteness is tested only to word the refusal; einsum, unlike
+        # matmul, reports no invalid-value warning for an inf entry's inf * 0
+        err = np.abs(np.einsum("ki,kj->ij", m.conj(), m) - _IDENTITY).max()
+        if not err <= atol:
+            if not np.isfinite(m).all():
+                raise UnitarityError("matrix entries must be finite")
             raise UnitarityError(
                 f"U^dag U deviates from identity by {err:.3e} (atol {atol:g})"
             )

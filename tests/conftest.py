@@ -116,6 +116,53 @@ def sorkin_term(k, path_weights):
     return total
 
 
+def _poisson_pmf(mu, size):
+    """Poisson(mu) pmf on 0..size-1."""
+    k = np.arange(size)
+    if mu == 0.0:
+        return (k == 0).astype(float)
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(size)])
+    return np.exp(k * math.log(mu) - mu - log_factorial)
+
+
+def per_shot_count_pmf(shots, p, mu_bright, mu_dark, mu_bg, size):
+    """Exact pmf on 0..size-1 of the photons counted over `shots` shots,
+    built shot by shot: a shot is bright with probability p, then counts
+    Poisson(mu_bright) photons, else Poisson(mu_dark), plus Poisson(mu_bg)
+    of background, each shot independent of the others.  Mass at `size`
+    and above is dropped, so 1 - pmf.sum() is the truncated tail.
+
+    It shares no step with the package's aggregate draw, Poisson of
+    B*mu_bright + (N - B)*mu_dark + N*mu_bg with B ~ Binomial(N, p): no
+    Poisson sum is merged and no binomial appears."""
+    dark = _poisson_pmf(mu_dark, size)
+    bright = _poisson_pmf(mu_bright, size)
+    background = _poisson_pmf(mu_bg, size)
+    shot = np.convolve(p * bright + (1.0 - p) * dark, background)[:size]
+    total = np.zeros(size)
+    total[0] = 1.0
+    for _ in range(shots):
+        total = np.convolve(total, shot)[:size]
+    return total
+
+
+def chi_square_statistic(counts, pmf, min_expected=5.0):
+    """(X^2, degrees of freedom) of integer counts against a pmf on
+    0..len(pmf)-1.  The first and the last value with at least
+    min_expected expected draws bound the bins: each value between them is
+    a bin, and the values below (above) pool into the first (last) bin,
+    which also takes the tail mass past the pmf's end."""
+    n = len(counts)
+    expected = n * pmf
+    keep = np.flatnonzero(expected >= min_expected)
+    lo, hi = int(keep[0]), int(keep[-1])
+    observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
+    bins = expected[lo : hi + 1].copy()
+    bins[0] += expected[:lo].sum()
+    bins[-1] = n - bins[:-1].sum()
+    return float(((observed - bins) ** 2 / bins).sum()), len(bins) - 1
+
+
 def fresh_prepare_states(t):
     """prepare_states(t), each of the seven states built by its own
     QutritState call."""

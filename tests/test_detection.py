@@ -35,9 +35,11 @@ from conftest import (
     I2_EXPECTED,
     M1_VECTOR,
     PAPER_ABC,
+    chi_square_statistic,
     oracle_born_probabilities,
     oracle_second_order,
     oracle_third_order,
+    per_shot_count_pmf,
 )
 
 BORN = ProbabilityRule.born()
@@ -882,6 +884,58 @@ def test_estimate_kappa_memory_is_linear_in_batches():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _pmf_moments(pmf):
+    """Mean, variance and fourth central moment of a pmf on 0..len(pmf)-1."""
+    values = np.arange(len(pmf))
+    mean = float(pmf @ values)
+    return mean, float(pmf @ (values - mean) ** 2), float(pmf @ (values - mean) ** 4)
+
+
+# two readouts with N (mu_bright + mu_bg) >= 50 reference photons: 20 shots
+# at raised rates (70 photons), where a background of 10 photons a count is
+# plain to see, and 412 shots at the default rates, the fewest they allow
+@pytest.mark.parametrize(
+    "det, prefix",
+    [
+        (DetectionParams(mu_bright=3.0, mu_bg=0.5, shots=20), (16, 20)),
+        (DetectionParams(shots=412), (16, 412)),
+    ],
+    ids=["20-shots", "412-shots"],
+)
+def test_readout_counts_follow_the_per_shot_model(det, prefix):
+    p_true = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+    n_batches = 20_000
+    signals, ref = detection._read_out(p_true, det, n_batches, prefix)
+    rates = (det.mu_bright, det.mu_dark, det.mu_bg)
+    ref_mean = det.shots * (det.mu_bright + det.mu_bg)
+    size = int(ref_mean + 30.0 * math.sqrt(ref_mean)) + 30
+    # the reference is a trace of bright shots alone
+    columns = [*zip(p_true, signals.T), (1.0, ref)]
+    # chi-square bound at a one-sided 1e-6 tail (Wilson-Hilferty)
+    z = 4.7534
+    means, variances = [], []
+    for p, counts in columns:
+        pmf = per_shot_count_pmf(det.shots, p, *rates, size)
+        assert 1.0 - pmf.sum() < 1e-12, p
+        x2, df = chi_square_statistic(counts, pmf)
+        h = 2.0 / (9 * df)
+        assert x2 < df * (1.0 - h + z * math.sqrt(h)) ** 3, (p, x2, df)
+        mean, var, mu4 = _pmf_moments(pmf)
+        assert abs(counts.mean() - mean) < 5.0 * math.sqrt(var / n_batches), p
+        assert abs(counts.var(ddof=1) - var) < 5.0 * math.sqrt((mu4 - var**2) / n_batches), p
+        means.append(mean)
+        variances.append(var)
+    # the oracle's exact moments are E S_k and Var S_k = E S_k + N p_k (1 -
+    # p_k) dmu^2 of predicted_kappa_std, and its spread follows from them
+    dmu = det.mu_bright - det.mu_dark
+    for p, mean, var in zip(p_true, means, variances):
+        assert mean == pytest.approx(det.shots * (det.mu_dark + p * dmu + det.mu_bg), rel=1e-9)
+        assert var == pytest.approx(mean + det.shots * p * (1.0 - p) * dmu**2, rel=1e-9)
+    _, g = detection._kappa_gradient(_target(), np.array([detection.expected_estimates(p_true, det)]))
+    spread = math.sqrt(g[0] ** 2 @ np.array(variances[:7])) / means[7]
+    assert spread == pytest.approx(detection.predicted_kappa_std(_target(), p_true, det), rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", [MEASUREMENT_M1, MEASUREMENT_M2], ids=["M1", "M2"])

@@ -19,7 +19,7 @@ from golden.regen import MANIFEST, golden_runs, run_in_process, strict_json
 def test_manifest_covers_every_golden_run():
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert sorted(manifest) == sorted(golden_runs())
-    assert len(manifest) == 45
+    assert len(manifest) == 55
 
 
 def test_golden_runs_reproduce_the_manifest(tmp_path):

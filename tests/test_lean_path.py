@@ -203,7 +203,7 @@ def test_public_constructors_keep_their_checks():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_unitary_refuses_one_non_finite_part(part, bad):
-    # a NaN makes err > atol false, so only the finiteness check refuses it
+    # a NaN or inf part fails the deviation test; the refusal names it
     m = np.eye(3, dtype=complex)
     m[1, 2] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
     with pytest.raises(UnitarityError, match="must be finite"):

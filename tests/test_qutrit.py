@@ -87,9 +87,29 @@ def test_apply_prepares_paper_superposition():
     assert np.allclose(out.vector, [-1 / SQRT3, 1 / SQRT3, -1 / SQRT3], atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row, col", [(i, j) for i in range(3) for j in range(3)])
+def test_unitary_refuses_a_non_finite_entry_as_non_finite(row, col, bad):
+    # the deviation test runs first and fails on NaN or inf; the refusal
+    # names the cause, with no warning on the way
+    m = np.eye(3, dtype=complex)
+    m[row, col] = bad
+    with pytest.raises(UnitarityError, match="^matrix entries must be finite$"):
+        Unitary3(m)
+
+
 def test_apply_rejects_nonunitary():
-    with pytest.raises(UnitarityError):
-        Unitary3(np.eye(3) * 1.1)
+    # (1.1 I)^dag (1.1 I) - I = 0.21 I
+    match = r"^U\^dag U deviates from identity by 2\.100e-01 \(atol 1e-09\)$"
+    with pytest.raises(UnitarityError, match=match):
+        Unitary3(1.1 * np.eye(3))
+    with pytest.raises(UnitarityError, match=r"by 2\.100e-01 \(atol 0\.2\)"):
+        Unitary3(1.1 * np.eye(3), atol=0.2)
+    assert Unitary3(1.1 * np.eye(3), atol=0.25).matrix[0, 0] == 1.1
+    # either side of the default UNITARY_ATOL = 1e-9: |(1 + d)^2 - 1| ~ 2d
+    Unitary3((1.0 + 4e-10) * np.eye(3))
+    with pytest.raises(UnitarityError, match=r"by 1\.200e-09 \(atol 1e-09\)"):
+        Unitary3((1.0 + 6e-10) * np.eye(3))
 
 
 def test_compose_matches_closed_form_column():
