@@ -38,7 +38,10 @@ into the row's (M, 7) slice of a C-contiguous (J, M, 7) block of at most
 one pooled summary, of which a single run is the (1, M, 7) case.  Each
 row's mean adds batch after batch, as its run's does, and numpy sums
 each row of the C-contiguous (J, M) projections pairwise, as it sums the
-row alone, so each row's summary is its run's bit for bit.
+row alone, so each row's summary is its run's bit for bit.  That rests on
+numpy's pairwise summation order, an implementation detail, not a
+documented guarantee: a release that summed a strided row in another
+order would keep the values to roundoff but could move their last bits.
 
 Seeding is documented: a run draws from one stream,
 default_rng(SeedSequence([*prefix])), where the prefix is the run's

@@ -34,6 +34,17 @@ rebuilds no constant, and its cost grows with neither its length nor its
 remainder.  The roundoff of U(T)**N does grow with N, so a pulse may span
 at most MAX_DRIVE_PERIODS whole periods.
 
+A pulse's propagator is in turn a pure function of (params, pulse, step
+count, detuning), and a job repeats most of its pulses: at the paper's
+point the default rwa-check job propagates 10 pulses, 5 of them distinct,
+because its pi/2 and pi pulses recur across the preparations and the
+measurement.  So the pulse is memoised too, one level above the period,
+in at most _PULSE_MEMO_SIZE = 1024 entries of under 1 KB each.
+lab_frame_propagator's argument checks run on every call, before the
+memo, so a refused call stores nothing.  A repeated pulse is a lookup
+that returns the same Unitary3 its first call built and checked; the
+object is read-only, so every caller, in any thread, may share it.
+
 The period's n steps and a pulse's one partial step form their node
 phases apart.  `_cf4_steps` takes all 2n phases in one stacked cos and
 one broadcast weight sum, which for a single step would be mostly array
@@ -120,6 +131,14 @@ _CF4_W_LATE = np.array([_CF4_W_SMALL, _CF4_W_BIG])
 # 2.0 MB for 64 entries, which cover both channels at 32 (params, steps,
 # detuning) tuples.
 _PERIOD_MEMO_SIZE = 64
+
+# An entry is a pulse's checked Unitary3 and the lru_cache link that keys
+# it by (params, pulse, steps, detuning).  tracemalloc measured about 480
+# bytes an entry when the caller keeps the key's params and pulse, and
+# about 760 when the entry alone keeps them, so a full memo holds under
+# 0.8 MB.  The bound only has to hold a job's distinct pulses: the
+# default rwa-check job has 5 of them.
+_PULSE_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -394,7 +413,9 @@ def lab_frame_propagator(
     dephasing draw; a static shift keeps H periodic.  steps_per_drive_period
     must lie in [MIN_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD], and the pulse
     may span at most MAX_DRIVE_PERIODS whole periods, else
-    StepResolutionError is raised before any integration.
+    StepResolutionError is raised before any integration.  An accepted
+    pulse is memoised per process by (params, seg, steps, detuning), so a
+    repeated one returns the read-only Unitary3 of its first call.
     """
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
@@ -408,18 +429,34 @@ def lab_frame_propagator(
         )
     if not math.isfinite(detuning_hz):
         raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
-    duration = seg.duration_s(params.omega1_hz)
+    duration, _, n_periods, _ = _split(params, seg)
     if duration == 0.0:
         return Unitary3.identity()
-
-    omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
-    n_periods, tau = divmod(duration, TWO_PI / omega_d)
     if n_periods > MAX_DRIVE_PERIODS:
         raise StepResolutionError(
             f"the {seg.channel} pulse of angle {seg.angle!r} spans {n_periods:.0f} "
             f"drive periods, more than the maximum {MAX_DRIVE_PERIODS}; the "
             "propagator's roundoff grows with the period count and is not trusted past it"
         )
+    return _pulse_propagator(params, seg, steps_per_drive_period, detuning_hz)
+
+
+def _split(params: HamiltonianParams, seg: PulseSegment) -> tuple[float, float, float, float]:
+    """(duration, omega_d, N, tau): the pulse's length in s, its angular
+    drive frequency, and its whole drive periods and remainder."""
+    duration = seg.duration_s(params.omega1_hz)
+    omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
+    return (duration, omega_d, *divmod(duration, TWO_PI / omega_d))
+
+
+@functools.lru_cache(maxsize=_PULSE_MEMO_SIZE)
+def _pulse_propagator(
+    params: HamiltonianParams, seg: PulseSegment, steps_per_drive_period: int, detuning_hz: float
+) -> Unitary3:
+    """lab_frame_propagator of a pulse its checks have accepted, memoised
+    per process: a pure function of its four hashable arguments, whose
+    Unitary3 is read-only and checked once, when it is built."""
+    duration, omega_d, n_periods, tau = _split(params, seg)
     period = _period_propagator(params, seg.channel, steps_per_drive_period, detuning_hz)
     dt = period.dt
     # tau < T and floor division is exact, so the bound only states m < n

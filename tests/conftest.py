@@ -225,6 +225,15 @@ def fresh_solve_schedule(t, omega1_hz):
     )
 
 
+def clear_propagator_memos():
+    """Empty the pulse and the period memos of sorkin_lab.dynamics, so the
+    memo counts and factorisations that follow start from a cold process."""
+    from sorkin_lab.dynamics import _period_propagator, _pulse_propagator
+
+    _pulse_propagator.cache_clear()
+    _period_propagator.cache_clear()
+
+
 def random_target_triple(rng, min_component=1e-3):
     """Uniform direction on the sphere, rejecting near-degenerate triples."""
     while True:

@@ -35,8 +35,9 @@ from sorkin_lab.detection import (
     predicted_kappa_std,
     sample_batches,
 )
-from sorkin_lab.dynamics import _period_propagator
+from sorkin_lab.dynamics import _period_propagator, _pulse_propagator
 from sorkin_lab.errors import ConfigError
+from conftest import clear_propagator_memos
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -635,13 +636,18 @@ def test_readme_names_the_current_schema_ids():
 
 
 def test_rwa_check_integrates_one_period_per_channel(tmp_path):
-    _period_propagator.cache_clear()
+    # 10 pulses, 5 of them distinct: the pulse memo integrates each distinct
+    # pulse once, and each channel's period once, so the period memo sees
+    # only the 5 distinct pulses
+    clear_propagator_memos()
     result = cmd_rwa_check(parse_config(_write(tmp_path, "")))
     assert result.exit_code == EXIT_OK
     pulses = json.loads(result.artifacts["rwa_check.json"])["pulses"]
-    info = _period_propagator.cache_info()
     assert len(pulses) == 10
-    assert (info.misses, info.hits) == (2, 8)
+    info = _pulse_propagator.cache_info()
+    assert (info.misses, info.hits) == (5, 5)
+    info = _period_propagator.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 def test_rwa_check_skips_a_tiny_negative_measurement_angle(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,13 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sorkin_lab import (
+    MEASUREMENT_M1,
     HamiltonianParams,
     PulseSchedule,
     PulseSegment,
     QutritState,
     StepResolutionError,
+    TargetAmplitudes,
     lab_frame_propagator,
     rwa_fidelity,
+    solve_schedule,
 )
 from sorkin_lab import dynamics
 from sorkin_lab.dynamics import (
@@ -25,9 +30,11 @@ from sorkin_lab.dynamics import (
     _cf4_steps,
     _period_power,
     _period_propagator,
+    _pulse_propagator,
     _rotate,
 )
 from sorkin_lab.qutrit import spin1_matrices
+from conftest import PAPER_ABC, clear_propagator_memos
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -341,9 +348,9 @@ def test_shared_period_is_bit_equal_cold_and_warm(omega1_hz, channel, detuning_h
     def propagate(seg):
         return lab_frame_propagator(p, seg, steps, detuning_hz=detuning_hz).matrix.tobytes()
 
-    _period_propagator.cache_clear()
+    clear_propagator_memos()
     cold_first, warm_second = propagate(first), propagate(second)
-    _period_propagator.cache_clear()
+    clear_propagator_memos()
     cold_second, warm_first = propagate(second), propagate(first)
     info = _period_propagator.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -361,6 +368,79 @@ def test_memoised_period_is_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0.0
+
+
+@pytest.mark.parametrize(
+    "omega1_hz, steps, detuning_hz", [(5e6, 200, 0.0), (2e7, 400, 1e6), (1e5, 200, 0.0)]
+)
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_repeated_pulse_is_the_memoised_unitary(channel, omega1_hz, steps, detuning_hz):
+    # a repeat, through keys equal to the first call's but built afresh,
+    # returns the first call's object; a call after clearing both memos
+    # builds a new one with the same bytes
+    def propagate():
+        return lab_frame_propagator(
+            HamiltonianParams(omega1_hz=omega1_hz),
+            PulseSegment(channel, math.pi / 2),
+            steps,
+            detuning_hz=detuning_hz,
+        )
+
+    clear_propagator_memos()
+    first = propagate()
+    assert propagate() is first
+    info = _pulse_propagator.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert info.maxsize == dynamics._PULSE_MEMO_SIZE
+    assert not first.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        first.matrix[0, 0] = 0.0
+    clear_propagator_memos()
+    cold = propagate()
+    assert cold is not first
+    assert cold.matrix.tobytes() == first.matrix.tobytes()
+
+
+def _default_job_pulses():
+    """The 10 pulses of rwa-check on the default config: the paper point's
+    seven schedules at 5 MHz, then M1's MW2 and MW1 measurement pulses."""
+    schedules = solve_schedule(TargetAmplitudes(*PAPER_ABC), 5e6)
+    segs = [seg for s in schedules for seg in s]
+    segs += [PulseSegment("MW2", MEASUREMENT_M1.theta2), PulseSegment("MW1", MEASUREMENT_M1.theta1)]
+    return [seg for seg in segs if seg.angle != 0.0]
+
+
+def test_threads_sharing_the_pulse_memo_get_the_serial_fidelities():
+    # four threads, more than a two-core machine runs at once, switching
+    # every microsecond, race on the memos' misses over the default job's 10
+    # pulses, each thread from another start; every fidelity must have the
+    # bits of a serial run on cold memos
+    p = HamiltonianParams()
+    pulses = _default_job_pulses()
+    assert len(pulses) == 10
+    clear_propagator_memos()
+    serial = [rwa_fidelity(p, seg).hex() for seg in pulses]
+    clear_propagator_memos()
+    results = [None] * 4
+
+    def work(k):
+        order = pulses[k:] + pulses[:k]
+        got = [rwa_fidelity(p, seg).hex() for seg in order]
+        results[k] = got[-k:] + got[:-k]  # back in the job's order
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 4
+    assert _pulse_propagator.cache_info().currsize == 5
 
 
 _POWERS = sorted(
@@ -456,6 +536,7 @@ def _remainder_case(case, channel, n_periods):
 def test_remainder_edges_match_full_stepping(case, channel, n_periods, eighs, eigh_count):
     p = HamiltonianParams()
     seg = _remainder_case(case, channel, n_periods)
+    clear_propagator_memos()
     lab_frame_propagator(p, PulseSegment(channel, 1.0))  # warms the period memo
     eigh_count[0] = 0
     u = lab_frame_propagator(p, seg).matrix
@@ -473,6 +554,7 @@ def test_warm_pulse_eighs_at_most_two_matrices(eigh_count):
         (1e5, "MW2", math.pi),  # about 21,500 drive periods
     ]:
         p = HamiltonianParams(omega1_hz=omega1_hz)
+        clear_propagator_memos()
         lab_frame_propagator(p, PulseSegment(channel, 0.5))
         eigh_count[0] = 0
         lab_frame_propagator(p, PulseSegment(channel, angle))
@@ -515,7 +597,7 @@ def test_pulse_at_the_period_bound_within_2e9_of_1600_steps(channel, angle):
 @pytest.mark.parametrize("channel", CHANNELS)
 def test_pulse_past_the_period_bound_refused_before_integrating(channel, eigh_count):
     p, seg = _spanning(channel, math.pi, MAX_DRIVE_PERIODS + 1)
-    _period_propagator.cache_clear()
+    clear_propagator_memos()
     match = rf"spans {MAX_DRIVE_PERIODS + 1} drive periods, .* maximum {MAX_DRIVE_PERIODS}"
     with pytest.raises(StepResolutionError, match=match):
         lab_frame_propagator(p, seg)
@@ -523,21 +605,37 @@ def test_pulse_past_the_period_bound_refused_before_integrating(channel, eigh_co
     assert _period_propagator.cache_info().currsize == 0
 
 
+_PAPER_PI = (HamiltonianParams(), PulseSegment("MW1", math.pi))
+
+
 @pytest.mark.parametrize(
-    "steps, detuning_hz, error",
+    "pulse, steps, detuning_hz, error",
     [
-        (20, 0.0, StepResolutionError),
-        (MAX_STEPS_PER_PERIOD + 1, 0.0, StepResolutionError),
-        (200, math.nan, ValueError),
+        pytest.param(_PAPER_PI, 20, 0.0, StepResolutionError, id="20-0.0-StepResolutionError"),
+        pytest.param(
+            _PAPER_PI,
+            MAX_STEPS_PER_PERIOD + 1,
+            0.0,
+            StepResolutionError,
+            id=f"{MAX_STEPS_PER_PERIOD + 1}-0.0-StepResolutionError",
+        ),
+        pytest.param(_PAPER_PI, 200, math.nan, ValueError, id="200-nan-ValueError"),
+        pytest.param(
+            _spanning("MW1", math.pi, MAX_DRIVE_PERIODS + 1),
+            200,
+            0.0,
+            StepResolutionError,
+            id=f"{MAX_DRIVE_PERIODS + 1}-periods-StepResolutionError",
+        ),
     ],
 )
-def test_rejected_propagator_call_adds_no_memo_entry(steps, detuning_hz, error):
-    _period_propagator.cache_clear()
+def test_rejected_propagator_call_adds_no_memo_entry(pulse, steps, detuning_hz, error):
+    clear_propagator_memos()
     with pytest.raises(error):
-        lab_frame_propagator(
-            HamiltonianParams(), PulseSegment("MW1", math.pi), steps, detuning_hz=detuning_hz
-        )
+        lab_frame_propagator(*pulse, steps, detuning_hz=detuning_hz)
     info = _period_propagator.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
+    info = _pulse_propagator.cache_info()
     assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
