@@ -79,19 +79,21 @@ def parse_rule(text: str) -> ProbabilityRule:
 
 def probability(rule: ProbabilityRule, m: QutritState, psi: QutritState) -> float:
     """Outcome probability assigned by `rule` to projecting psi onto m."""
-    if rule.kind == "exponent":
+    kind = rule.kind
+    if kind == "born":
+        return abs(inner_product(m, psi)) ** 2
+    if kind == "exponent":
         return abs(inner_product(m, psi)) ** (2.0 + rule.epsilon)
-    if rule.kind == "triple":
-        w_a = m.c_zero.conjugate() * psi.c_zero
-        w_b = m.c_plus.conjugate() * psi.c_plus
-        w_c = m.c_minus.conjugate() * psi.c_minus
-        p = abs(w_a + w_b + w_c) ** 2 + 2.0 * rule.epsilon * (
-            w_a * w_b.conjugate() * w_c
-        ).real
-        if not 0.0 <= p < math.inf:  # a huge eps can overflow to inf or nan
-            raise UnphysicalParameterError(
-                f"triple deformation eps={rule.epsilon:g} drives a probability "
-                f"negative or non-finite ({p!r}) for this configuration"
-            )
-        return p
-    return abs(inner_product(m, psi)) ** 2
+    # the one kind left is triple
+    w_a = m.c_zero.conjugate() * psi.c_zero
+    w_b = m.c_plus.conjugate() * psi.c_plus
+    w_c = m.c_minus.conjugate() * psi.c_minus
+    p = abs(w_a + w_b + w_c) ** 2 + 2.0 * rule.epsilon * (
+        w_a * w_b.conjugate() * w_c
+    ).real
+    if not 0.0 <= p < math.inf:  # a huge eps can overflow to inf or nan
+        raise UnphysicalParameterError(
+            f"triple deformation eps={rule.epsilon:g} drives a probability "
+            f"negative or non-finite ({p!r}) for this configuration"
+        )
+    return p

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -415,8 +416,12 @@ def lab_frame_propagator(
     may span at most MAX_DRIVE_PERIODS whole periods, else
     StepResolutionError is raised before any integration.  An accepted
     pulse is memoised per process by (params, seg, steps, detuning), so a
-    repeated one returns the read-only Unitary3 of its first call.
+    repeated one returns the read-only Unitary3 of its first call.  The
+    step count is taken through operator.index first, so a float or a
+    string raises TypeError whatever the memo holds, and numpy's integers
+    key the same entry as the equal int.
     """
+    steps_per_drive_period = operator.index(steps_per_drive_period)
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
             f"steps_per_drive_period={steps_per_drive_period} is below the "

@@ -16,10 +16,19 @@ and are linear in p, so at the unit vectors they give their coefficients.
 A SorkinReport holds those numbers, floats that are a function of the
 target and seven probabilities alone.  Everything here is pure and
 reentrant.
+
+The inputs cost their checks and nothing more.  TargetAmplitudes and
+MeasurementSpec, like dynamics.PulseSegment and dynamics.PulseSchedule,
+are frozen dataclasses with a hand-written __init__ that runs the checks
+and stores each field once in the instance __dict__, past the frozen
+__setattr__.  The states and schedules that no target changes are built
+once at import and shared, and apply_schedule finds the states of the
+three shared schedules with one lookup of id(schedule).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +43,7 @@ KAPPA_FLOOR = 1e-6
 _DEGENERATE_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TargetAmplitudes:
     """Real amplitudes (a, b, c) of the full superposition, a^2+b^2+c^2 = 1."""
 
@@ -42,24 +51,32 @@ class TargetAmplitudes:
     b: float
     c: float
 
-    def __post_init__(self):
-        n2 = self.a * self.a + self.b * self.b + self.c * self.c  # not **: inf, no OverflowError
+    def __init__(self, a: float, b: float, c: float):
+        n2 = a * a + b * b + c * c  # not **: inf, no OverflowError
         if not math.isfinite(n2):
             raise ValueError("amplitudes must be finite")
         if abs(n2 - 1.0) > 1e-9:
             raise ValueError(f"amplitudes must be normalized, got |t|^2 = {n2!r}")
+        # frozen: the fields are stored past __setattr__, each once
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementSpec:
     """Angles defining the measured ket |m> = R2(theta2)^dag R1(theta1)^dag |0>."""
 
     theta1: float
     theta2: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
+    def __init__(self, theta1: float, theta2: float):
+        if not (math.isfinite(theta1) and math.isfinite(theta2)):
             raise ValueError("measurement angles must be finite")
+        fields = self.__dict__
+        fields["theta1"] = theta1
+        fields["theta2"] = theta2
 
 
 MEASUREMENT_M1 = MeasurementSpec(math.pi / 2, math.pi / 2)
@@ -87,11 +104,12 @@ def _pair_norms(t: TargetAmplitudes) -> tuple[float, float, float]:
     ab = math.hypot(t.a, t.b)
     ac = math.hypot(t.a, t.c)
     bc = math.hypot(t.b, t.c)
-    for name, n in (("a,b", ab), ("a,c", ac), ("b,c", bc)):
-        if n <= _DEGENERATE_ATOL:
-            raise DegenerateProtocolError(
-                f"amplitude pair ({name}) has zero norm; the protocol is degenerate"
-            )
+    if ab <= _DEGENERATE_ATOL or ac <= _DEGENERATE_ATOL or bc <= _DEGENERATE_ATOL:
+        for name, n in (("a,b", ab), ("a,c", ac), ("b,c", bc)):
+            if n <= _DEGENERATE_ATOL:
+                raise DegenerateProtocolError(
+                    f"amplitude pair ({name}) has zero norm; the protocol is degenerate"
+                )
     return ab, ac, bc
 
 
@@ -178,8 +196,8 @@ def kappa(i3: float, terms) -> float:
     return i3 / i2
 
 
-def _sign(x: float) -> float:
-    return math.copysign(1.0, x)
+# math.copysign(1.0, x): +-1.0 with the sign of x, -0.0's included
+_sign = functools.partial(math.copysign, 1.0)
 
 
 def _solve_psi1(a: float, b: float, c: float) -> tuple[float, float]:
@@ -253,23 +271,23 @@ def apply_schedule(schedule: PulseSchedule) -> QutritState:
     """Run a schedule's rotations on |0> and return the prepared state.
 
     The three shared schedules that solve_schedule returns for psi5, psi6
-    and psi7 are recognised by identity and return their states, prepared
-    (and so checked) once at import; any other schedule, an equal one
-    included, is rotated afresh.
+    and psi7 are recognised by identity, one lookup of id(schedule), and
+    return their states, prepared (and so checked) once at import; any
+    other schedule, an equal one included, is rotated afresh.
     """
-    for shared, state in _PREPARED:
-        if schedule is shared:
-            return state
-    return _rotate_from_zero(schedule)
-
-
-def _rotate_from_zero(schedule: PulseSchedule) -> QutritState:
+    state = _PREPARED.get(id(schedule))
+    if state is not None:
+        return state
     amplitudes = (0.0, 1.0, 0.0)
     for seg in schedule.segments:
         amplitudes = _rotate(seg.channel, seg.angle, amplitudes)
     return QutritState(*amplitudes)
 
 
-_PREPARED = tuple(
-    (s, _rotate_from_zero(s)) for s in (_SCHEDULE_NONE, _SCHEDULE_MW2_PI, _SCHEDULE_MW1_PI)
+# id(schedule) -> its prepared state.  The shared schedules live as long as
+# the module, so no other live object has one of their ids; the states are
+# prepared by apply_schedule itself while the map is still empty.
+_PREPARED: dict[int, QutritState] = {}
+_PREPARED.update(
+    {id(s): apply_schedule(s) for s in (_SCHEDULE_NONE, _SCHEDULE_MW2_PI, _SCHEDULE_MW1_PI)}
 )

@@ -9,14 +9,16 @@ Every object is checked once, where it is built, in the cheapest form
 that still covers it:
 
   * ``QutritState(...)`` checks that its amplitudes are finite and
-    normalized within NORM_ATOL, on every construction, including the
-    states ``from_vector`` returns, the first four protocol states, the
-    scheduled preparations, the measurement ket, and ``rwa_fidelity``'s
-    ideal state and U|0> (the propagator's |0> column); the six signed
-    basis states of the protocol (psi5, psi6, psi7), its three constant
-    schedules (no pulse, the MW2 and the MW1 pi pulse) and the states they
-    prepare are built, and so checked, once at import, then shared as
-    immutable instances;
+    normalized, on every construction: |x*x + y*y + z*z - 1| <= NORM_ATOL
+    with one abs per amplitude (x = |c_plus| and so on), a test that a
+    non-finite amplitude fails too, so finiteness is tested only to word
+    the refusal.  That covers the states ``from_vector`` returns, the first
+    four protocol states, the scheduled preparations, the measurement ket,
+    and ``rwa_fidelity``'s ideal state and U|0> (the propagator's |0>
+    column).  The six signed basis states of the protocol (psi5, psi6,
+    psi7), its three constant schedules (no pulse, the MW2 and the MW1 pi
+    pulse) and the states they prepare are built, and so checked, once at
+    import, then shared as immutable instances;
   * ``Unitary3(matrix)`` checks shape and max|U^dag U - I| within
     UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product, which a
     non-finite entry fails, refused as such;
@@ -54,10 +56,14 @@ class QutritState:
 
     def __init__(self, c_plus, c_zero, c_minus):
         c_plus, c_zero, c_minus = complex(c_plus), complex(c_zero), complex(c_minus)
-        n2 = abs(c_plus) ** 2 + abs(c_zero) ** 2 + abs(c_minus) ** 2
-        # a non-finite amplitude makes n2 inf or NaN, which fails this test
+        x, y, z = abs(c_plus), abs(c_zero), abs(c_minus)
+        # x * x, not x ** 2, which raises OverflowError past 1.3e154; a
+        # non-finite amplitude makes n2 inf or NaN, which fails this test
+        n2 = x * x + y * y + z * z
         if not abs(n2 - 1.0) <= NORM_ATOL:
-            if not math.isfinite(n2):
+            # abs(c) is inf or NaN only for a non-finite c; it raises
+            # OverflowError where the modulus of a finite c would overflow
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise NormalizationError("state amplitudes must be finite")
             raise NormalizationError(
                 f"squared amplitudes sum to {n2!r}, expected 1 within {NORM_ATOL}"

@@ -639,6 +639,28 @@ def test_rejected_propagator_call_adds_no_memo_entry(pulse, steps, detuning_hz, 
     assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
+def test_step_count_must_be_an_integer_whatever_the_memo_holds(warm):
+    # an equal float key would hit a warm memo, so the count is refused at
+    # the check; numpy's integers key the int's entry
+    clear_propagator_memos()
+    p, seg = _PAPER_PI
+    memoised = lab_frame_propagator(p, seg, 200) if warm else None
+    for bad in (200.0, 200.5, "200"):
+        with pytest.raises(TypeError):
+            lab_frame_propagator(p, seg, bad)
+    with pytest.raises(StepResolutionError, match=r"^steps_per_drive_period=1 is below"):
+        lab_frame_propagator(p, seg, True)
+    info = _pulse_propagator.cache_info()
+    assert (info.currsize, info.misses, info.hits) == ((1, 1, 0) if warm else (0, 0, 0))
+    got = lab_frame_propagator(p, seg, np.int64(200))
+    assert lab_frame_propagator(p, seg, 200) is got
+    if warm:
+        assert got is memoised
+    info = _pulse_propagator.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -6,14 +6,17 @@ closed-form unitarity check; these tests rebuild each one through the
 public, fully checked constructors and require the same bits.  The
 protocol's target-independent states, schedules and the states those
 schedules prepare are shared constants, compared bit for bit with freshly
-built ones, and the lean constructors of QutritState and PulseSegment are
-pinned to their checks and messages.  A pulse's one partial CF4 step and
-rwa_fidelity's read of U|0> as a column are pinned bit for bit to the
-stacked step and the matrix-vector product they replace.
+built ones, and the lean constructors of QutritState, PulseSegment,
+TargetAmplitudes and MeasurementSpec are pinned to their checks and
+messages.  Every rule's probability has the bits of its definition,
+written out here.  A pulse's one partial CF4 step and rwa_fidelity's read
+of U|0> as a column are pinned bit for bit to the stacked step and the
+matrix-vector product they replace.
 """
 
 import dataclasses
 import math
+import pickle
 import sys
 from dataclasses import FrozenInstanceError
 from unittest import mock
@@ -28,6 +31,7 @@ from sorkin_lab import (
     MEASUREMENT_M2,
     MeasurementSpec,
     NormalizationError,
+    ProbabilityRule,
     PulseSchedule,
     PulseSegment,
     QutritState,
@@ -35,11 +39,13 @@ from sorkin_lab import (
     TargetAmplitudes,
     UnitarityError,
     Unitary3,
+    UnphysicalParameterError,
     apply_schedule,
     inner_product,
     lab_frame_propagator,
     measurement_ket,
     prepare_states,
+    probability,
     protocol,
     rwa_fidelity,
     solve_schedule,
@@ -53,7 +59,7 @@ from sorkin_lab.dynamics import (
     _period_propagator,
     _rotate,
 )
-from sorkin_lab.qutrit import _check_plane_rotation
+from sorkin_lab.qutrit import NORM_ATOL, _check_plane_rotation
 
 from conftest import PAPER_ABC, fresh_prepare_states, fresh_solve_schedule, r1_rows, r2_rows
 
@@ -239,6 +245,9 @@ def test_state_off_norm_names_its_squared_sum():
     QutritState(math.sqrt(1.0 + 5e-10), 0.0, 0.0)  # inside NORM_ATOL
     with pytest.raises(NormalizationError, match=r"squared amplitudes sum to 1\.00000000"):
         QutritState(math.sqrt(1.0 + 2e-9), 0.0, 0.0)
+    # a finite amplitude whose square overflows is off norm, not an error
+    with pytest.raises(NormalizationError, match=r"^squared amplitudes sum to inf,"):
+        QutritState(1e200, 0.0, 0.0)
 
 
 def test_pulse_segment_constructor_contract():
@@ -262,6 +271,55 @@ def test_pulse_segment_constructor_contract():
     assert PulseSchedule() == PulseSchedule(()) and PulseSchedule().segments == ()
     with pytest.raises(FrozenInstanceError):
         schedule.segments = ()
+
+
+def test_target_amplitudes_constructor_contract():
+    t = TargetAmplitudes(a=0.6, b=0.8, c=0.0)
+    assert t == TargetAmplitudes(0.6, 0.8, 0.0) == TargetAmplitudes(0.6, c=0.0, b=0.8)
+    assert hash(t) == hash(TargetAmplitudes(0.6, 0.8, 0.0)) == hash((0.6, 0.8, 0.0))
+    assert t != TargetAmplitudes(0.6, 0.0, 0.8)
+    assert repr(t) == "TargetAmplitudes(a=0.6, b=0.8, c=0.0)"
+    assert [f.name for f in dataclasses.fields(t)] == ["a", "b", "c"]
+    assert dataclasses.replace(t, b=0.0, c=0.8) == TargetAmplitudes(0.6, 0.0, 0.8)
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert type(TargetAmplitudes(1, 0, 0).a) is int  # stored as given
+    with pytest.raises(FrozenInstanceError):
+        t.a = 0.0
+    signed = TargetAmplitudes(0.6, -0.0, -0.8)
+    assert [math.copysign(1.0, x) for x in (signed.a, signed.b, signed.c)] == [1.0, -1.0, -1.0]
+    for name in "abc":
+        for bad in (math.nan, math.inf, -math.inf, 1e200):
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                TargetAmplitudes(**{"a": 0.6, "b": 0.8, "c": 0.0} | {name: bad})
+            with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                dataclasses.replace(t, **{name: bad})
+    with pytest.raises(ValueError, match=r"^amplitudes must be normalized, got \|t\|\^2 = 2\.0$"):
+        TargetAmplitudes(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"^amplitudes must be normalized, got \|t\|\^2 = 0\.0$"):
+        TargetAmplitudes(0.0, -0.0, 0.0)
+    with pytest.raises(ValueError, match=r"got \|t\|\^2 = 1\.0000000"):
+        dataclasses.replace(t, c=1e-4)
+
+
+def test_measurement_spec_constructor_contract():
+    spec = MeasurementSpec(theta1=1.5, theta2=-2.5)
+    assert spec == MeasurementSpec(1.5, -2.5) == MeasurementSpec(1.5, theta2=-2.5)
+    assert hash(spec) == hash(MeasurementSpec(1.5, -2.5)) == hash((1.5, -2.5))
+    assert repr(spec) == "MeasurementSpec(theta1=1.5, theta2=-2.5)"
+    assert [f.name for f in dataclasses.fields(spec)] == ["theta1", "theta2"]
+    assert dataclasses.replace(spec, theta2=0.0) == MeasurementSpec(1.5, 0.0)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert pickle.loads(pickle.dumps(MEASUREMENT_M2)) == MEASUREMENT_M2
+    with pytest.raises(FrozenInstanceError):
+        spec.theta1 = 0.0
+    signed = MeasurementSpec(-0.0, 0.0)
+    assert (math.copysign(1.0, signed.theta1), math.copysign(1.0, signed.theta2)) == (-1.0, 1.0)
+    for name in ("theta1", "theta2"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^measurement angles must be finite$"):
+                MeasurementSpec(**{"theta1": 1.5, "theta2": -2.5} | {name: bad})
+            with pytest.raises(ValueError, match="^measurement angles must be finite$"):
+                dataclasses.replace(spec, **{name: bad})
 
 
 def _schedule_bits(schedule: PulseSchedule) -> list:
@@ -304,6 +362,83 @@ def test_shared_protocol_objects_equal_fresh_ones(a, b, c):
     assert got == want
     if isinstance(want, tuple) and len(want) == 7:
         assert [_schedule_bits(s) for s in got] == [_schedule_bits(s) for s in want]
+
+
+def _defined_probability(kind: str, eps: float, m: QutritState, psi: QutritState) -> float:
+    """The rules' definitions, written out: the overlap <m|psi> summed over
+    (|+1>, |0>, |-1>), and the triple rule's path amplitudes w_a (|0>),
+    w_b (|+1>) and w_c (|-1>), as the born module's docstring defines them."""
+    if kind == "triple":
+        w_a = m.c_zero.conjugate() * psi.c_zero
+        w_b = m.c_plus.conjugate() * psi.c_plus
+        w_c = m.c_minus.conjugate() * psi.c_minus
+        return abs(w_a + w_b + w_c) ** 2 + 2.0 * eps * (w_a * w_b.conjugate() * w_c).real
+    overlap = (
+        m.c_plus.conjugate() * psi.c_plus
+        + m.c_zero.conjugate() * psi.c_zero
+        + m.c_minus.conjugate() * psi.c_minus
+    )
+    return abs(overlap) ** (2.0 + eps) if kind == "exponent" else abs(overlap) ** 2
+
+
+@given(
+    _component,
+    _component,
+    _component,
+    _angles,
+    _angles,
+    st.one_of(st.floats(min_value=-1.9, max_value=4.0), st.sampled_from([0.0, -0.0])),
+)
+@example(*PAPER_ABC, math.pi / 2, math.pi / 2, 0.05)
+@example(*PAPER_ABC, 3 * math.pi / 2, math.pi / 2, -0.05)
+@example(*PAPER_ABC, -0.0, -0.0, -0.0)
+@example(0.6, -0.0, -0.8, 0.0, -0.0, 0.0)
+@example(-0.6, 0.8, 0.0, math.pi, -math.pi, -1.5)  # triple: a negative probability
+def test_every_rule_probability_is_its_definition(a, b, c, theta1, theta2, eps):
+    # the protocol's states and measurement ket, whose bits the oracles
+    # above pin, through each rule against its written-out definition
+    n = math.sqrt(a * a + b * b + c * c)
+    assume(n > 1e-3)
+    states = _outcome(prepare_states, TargetAmplitudes(a / n, b / n, c / n))
+    assume(len(states) == 7)  # a refusal is a (type, message) pair
+    m = measurement_ket(MeasurementSpec(theta1, theta2))
+    rules = (ProbabilityRule.born(), ProbabilityRule("exponent", eps), ProbabilityRule("triple", eps))
+    for rule in rules:
+        for psi in states:
+            want = _defined_probability(rule.kind, rule.epsilon, m, psi)
+            if not 0.0 <= want < math.inf:
+                assert rule.kind == "triple"
+                with pytest.raises(UnphysicalParameterError, match="drives a probability"):
+                    probability(rule, m, psi)
+                continue
+            got = probability(rule, m, psi)
+            assert type(got) is float and got.hex() == want.hex(), (rule, psi)
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6),
+    st.floats(min_value=-3 * NORM_ATOL, max_value=3 * NORM_ATOL),
+)
+@example([0.6, 0.0, 0.0, 0.8, 0.0, 0.0], 0.999 * NORM_ATOL)
+@example([0.6, 0.0, 0.0, 0.8, 0.0, 0.0], 1.001 * NORM_ATOL)
+@example([0.0, 0.6, -0.0, 0.0, -0.8, 0.0], -0.999 * NORM_ATOL)
+@example([0.0, 0.6, -0.0, 0.0, -0.8, 0.0], -1.001 * NORM_ATOL)
+def test_state_norm_check_decides_as_the_summed_squared_moduli(parts, delta):
+    # states either side of NORM_ATOL, accepted or refused as the sum of
+    # abs(c) ** 2 decides, away from the boundary's last ulp
+    amplitudes = [complex(parts[k], parts[k + 1]) for k in (0, 2, 4)]
+    n = math.sqrt(sum(abs(x) ** 2 for x in amplitudes))
+    assume(n > 0.1)
+    scale = math.sqrt(1.0 + delta) / n
+    amplitudes = [x * scale for x in amplitudes]
+    n2 = abs(amplitudes[0]) ** 2 + abs(amplitudes[1]) ** 2 + abs(amplitudes[2]) ** 2
+    assume(abs(abs(n2 - 1.0) - NORM_ATOL) > 4 * sys.float_info.epsilon)
+    if abs(n2 - 1.0) <= NORM_ATOL:
+        state = QutritState(*amplitudes)
+        assert [state.c_plus, state.c_zero, state.c_minus] == amplitudes
+    else:
+        with pytest.raises(NormalizationError, match=r"^squared amplitudes sum to [01]\.\d+,"):
+            QutritState(*amplitudes)
 
 
 _SHARED_SCHEDULES = (protocol._SCHEDULE_NONE, protocol._SCHEDULE_MW2_PI, protocol._SCHEDULE_MW1_PI)
