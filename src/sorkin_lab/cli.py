@@ -66,7 +66,7 @@ from .protocol import (
 )
 
 # the schema id every JSON report of this module embeds
-SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/9"
+SUMMARY_JSON_SCHEMA = "sorkin-lab.summary/10"
 
 EXIT_OK = 0
 EXIT_NULL_REJECTED = 1

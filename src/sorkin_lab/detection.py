@@ -62,6 +62,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -97,7 +98,7 @@ class DetectionParams:
     """Photon-rate model for state-selective readout.
 
     mu_* are mean photons per shot per readout window; mu_dark is derived
-    from the bright/dark contrast.
+    from the bright/dark contrast.  shots must be an integer (operator.index).
     """
 
     mu_bright: float = 0.12
@@ -112,9 +113,9 @@ class DetectionParams:
             raise ValueError(f"contrast must be in (0, 1], got {self.contrast!r}")
         if not (math.isfinite(self.mu_bg) and self.mu_bg >= 0):
             raise ValueError(f"mu_bg must be non-negative, got {self.mu_bg!r}")
-        if int(self.shots) < 1:
+        object.__setattr__(self, "shots", operator.index(self.shots))
+        if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
-        object.__setattr__(self, "shots", int(self.shots))
         rate = self.mu_bright + self.mu_bg
         # checked first: shots * rate overflows for a count past float range
         most = math.floor(min(MAX_COUNT, _MAX_MEAN / rate))
@@ -511,16 +512,15 @@ def sensitivity_scan(
     """kappa statistics per deformation strength, with a 3-sigma detection flag.
 
     Each row's mean and std are estimate_kappa of its batches, and the row
-    is detected when that estimate excludes zero at 3 sigma, beyond
+    is detected when that estimate excludes zero at 3 sigma, beyond q =
     _t_quantile(M - 1, 3.0) stderr: 3.16 at 50 batches, 19.2 at 3.  Grid
-    row j draws from seed prefix [*master_seed, j].
+    row j draws from seed prefix [*master_seed, j].  The smallest detected
+    strength is the least |eps| detected, the first in grid order at a tie.
 
-    The paper's normal 3-sigma rule predicts the detectable strength 3 sigma
-    / (sqrt(M) |slope|): sigma is the counting model's Born kappa spread,
-    the slope the exact kappa at the smallest nonzero strength over that
-    strength.  Keeping the normal 3, it lies 5% below what a row's flag
-    detects at 50 batches, 6.4 times below at 3.  None with no readout
-    (det=None), no nonzero strength, a zero slope, or no second-order
+    The same q predicts the detectable strength q sigma / (sqrt(M) |slope|):
+    sigma is the counting model's Born kappa spread, the slope the exact
+    kappa at the smallest nonzero strength over that strength.  None with no
+    readout (det=None), no nonzero strength, a zero slope, or no second-order
     interference in Born's expected readout (no sigma to predict).
     """
     if rule_family not in DEFORMATIONS:
@@ -532,14 +532,12 @@ def sensitivity_scan(
     rules = [born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid]
     *p_grid, born_p = _rule_probabilities(t, spec, [*rules, born])
     runs = ((p_true, det) for p_true in p_grid)
-    rows = []
-    smallest = None
     sigmas = 3.0
-    for eps, est in zip(eps_grid, _grid_summaries(t, runs, n_batches, master_seed)):
-        detected = est.excludes_zero(sigmas)
-        rows.append(SensitivityRow(eps, est.mean, est.std, detected))
-        if detected and smallest is None:
-            smallest = eps
+    rows = [
+        SensitivityRow(eps, est.mean, est.std, est.excludes_zero(sigmas))
+        for eps, est in zip(eps_grid, _grid_summaries(t, runs, n_batches, master_seed))
+    ]
+    smallest = min((r.epsilon for r in rows if r.detected), key=abs, default=None)
     nonzero = [(abs(eps), p_true) for eps, p_true in zip(eps_grid, p_grid) if eps != 0]
     predicted = None
     if det is not None and nonzero:
@@ -547,8 +545,8 @@ def sensitivity_scan(
         slope_kappa = sorkin_report(t, p_true).kappa
         if slope_kappa != 0.0:
             with contextlib.suppress(QuantumRegimeError):
-                sigma = predicted_kappa_std(t, born_p, det)
-                predicted = sigmas * sigma * eps / (math.sqrt(n_batches) * abs(slope_kappa))
+                spread = predicted_kappa_std(t, born_p, det) / math.sqrt(n_batches)
+                predicted = _t_quantile(n_batches - 1, sigmas) * spread * eps / abs(slope_kappa)
     return SensitivityScan(tuple(rows), smallest, predicted)
 
 
@@ -563,9 +561,10 @@ def scaling_check(
     """Empirical kappa std per shot count N, the std of estimate_kappa of
     each rung's batches, for shot-noise scaling checks.
 
-    Grid row j draws from seed prefix [*master_seed, j].
+    Grid row j draws from seed prefix [*master_seed, j].  Each rung must be
+    an integer (operator.index), as DetectionParams' shots must.
     """
-    shots_list = [int(n) for n in shots_list]
+    shots_list = [operator.index(n) for n in shots_list]
     if shots_list != sorted(shots_list):
         raise ValueError("shots_list must be ascending")
     p_true = exact_probabilities(t, spec, ProbabilityRule.born())

@@ -35,6 +35,7 @@ from sorkin_lab import (
     solve_schedule,
     third_order_term,
 )
+from sorkin_lab.detection import _Z975, exact_probabilities, predicted_kappa_std
 from conftest import (
     I2_EXPECTED,
     M1_VECTOR,
@@ -254,4 +255,29 @@ def test_criterion_9_sorkin_hierarchy():
         "criterion 9 (interference hierarchy)",
         worst_high < 1e-12 and worst_pair < 1e-12,
         f"max|I3,I4|={worst_high:.3e}",
+    )
+
+
+def test_criterion_10_the_papers_bound():
+    # kappa ceiled at 1e-3: M = ceil(((z975 + 3) sigma / 1e-3)^2) batches put
+    # a Born run's 95% interval inside +-1e-3 with a 3-sigma margin, and the
+    # same M flag a triple run at twice the scan's predicted strength
+    t, det, born = TargetAmplitudes(*PAPER_ABC), DetectionParams(), ProbabilityRule.born()
+    sigma = predicted_kappa_std(t, exact_probabilities(t, MEASUREMENT_M1, born), det)
+    m = math.ceil(((_Z975 + 3.0) * sigma / 1e-3) ** 2)
+    start = time.perf_counter()
+    est = estimate_kappa(run_batches(t, MEASUREMENT_M1, born, det, m, MASTER_SEED))
+    eps = sensitivity_scan(
+        t, MEASUREMENT_M1, "triple", [0.01], det, m, MASTER_SEED
+    ).predicted_detectable_eps
+    scan = sensitivity_scan(t, MEASUREMENT_M1, "triple", [2 * eps], det, m, MASTER_SEED)
+    elapsed = time.perf_counter() - start
+    _check(
+        "criterion 10 (the paper's 1e-3 bound)",
+        m == 5838
+        and -1e-3 < est.ci95[0] <= est.ci95[1] < 1e-3
+        and scan.rows[0].detected
+        and elapsed < 10.0,
+        f"M={m}, ci95=({est.ci95[0]:.2e}, {est.ci95[1]:.2e}), "
+        f"triple at eps={2 * eps:.4f} kappa={scan.rows[0].kappa_mean:.2e}, {elapsed:.2f}s",
     )

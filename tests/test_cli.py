@@ -29,6 +29,7 @@ from sorkin_lab.detection import (
     BATCH_CSV_SCHEMA,
     KappaEstimate,
     Readout,
+    _t_quantile,
     batch_csv_text,
     estimate_kappa,
     exact_probabilities,
@@ -590,18 +591,22 @@ def _predicted_detectable_eps(tmp_path, text):
 
 
 def test_sensitivity_predicts_the_detectable_eps(tmp_path):
-    # acceptance criterion 6 computes eps* = 3 sigma / (sqrt(50) * slope) = 0.061
-    # by hand; here sigma is the counting model's and the slope is exact
+    # eps* = q sigma / (sqrt(50) * slope) = 0.0646, q the flag's t threshold
+    # at 3 sigma and 49 degrees of freedom; sigma is the counting model's and
+    # the slope is exact
     slope = 0.10663603541648406  # triple kappa per unit eps at the working point
     config = parse_config(_write(tmp_path, ""))
     born = exact_probabilities(config.amplitudes, config.measurement, ProbabilityRule.born())
     sigma = predicted_kappa_std(config.amplitudes, born, config.detection)
     eps_star = _predicted_detectable_eps(tmp_path, "")
-    assert eps_star == pytest.approx(3.0 * sigma / (math.sqrt(50) * slope), rel=1e-9)
-    assert eps_star == pytest.approx(0.061, abs=5e-4)
-    # 4x the batches halve it; the grid's order does not matter
+    q49 = _t_quantile(49, 3.0)
+    assert eps_star == pytest.approx(q49 * sigma / (math.sqrt(50) * slope), rel=1e-9)
+    assert eps_star == pytest.approx(0.0646, abs=5e-4)
+    # 4x the batches halve it but for the threshold's shift from 49 to 199
+    # degrees of freedom; the grid's order does not matter
     text = "batches = 200\nsensitivity.eps_grid = 0.05,0,0.01\n"
-    assert _predicted_detectable_eps(tmp_path, text) == pytest.approx(eps_star / 2, rel=1e-9)
+    ratio = _t_quantile(199, 3.0) / q49 / 2
+    assert _predicted_detectable_eps(tmp_path, text) == pytest.approx(eps_star * ratio, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -623,7 +628,7 @@ def test_rwa_check_command(tmp_path):
     out = tmp_path / "rwa"
     assert main(["rwa-check", "--config", path, "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "rwa_check.json").read_text())
-    assert payload["schema"] == "sorkin-lab.summary/9"
+    assert payload["schema"] == "sorkin-lab.summary/10"
     assert all(0.999 <= row["fidelity"] <= 1.0 for row in payload["pulses"])
     labels = {row["pulse"] for row in payload["pulses"]}
     assert "measurement" in labels and "psi1" in labels

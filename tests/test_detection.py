@@ -70,6 +70,12 @@ def test_detection_params_validation():
         DetectionParams(shots=0)
     with pytest.raises(ValueError):
         DetectionParams(mu_bg=-1.0)
+    # shots is an integer: a float or a string is refused, not truncated
+    for bad in (412.9, "500", 500.0):
+        with pytest.raises(TypeError):
+            DetectionParams(shots=bad)
+    det = DetectionParams(shots=np.int64(500))
+    assert det.shots == 500 and type(det.shots) is int
 
 
 def test_detection_params_need_an_expected_reference():
@@ -296,8 +302,8 @@ def test_run_batches_follow_the_batch_stream_layout(det):
 
 @pytest.mark.parametrize("grid", [[0.1, 0.0, -0.05], [0.05, 0.1]])
 def test_scan_predicts_its_detectable_eps(grid):
-    # 3 sigma / (sqrt(M) |slope|) at the smallest nonzero strength, whether or
-    # not the grid holds the Born point
+    # q sigma / (sqrt(M) |slope|) at the smallest nonzero strength, whether or
+    # not the grid holds the Born point, q the flag's t threshold at 3 sigma
     t, det, m = _target(), DetectionParams(shots=50_000), 4
     eps = min((e for e in grid if e), key=abs)
     p = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", eps))
@@ -306,7 +312,7 @@ def test_scan_predicts_its_detectable_eps(grid):
     sigma = detection.predicted_kappa_std(t, born, det)
     scan = sensitivity_scan(t, MEASUREMENT_M1, "triple", grid, det, m, 7)
     assert scan.predicted_detectable_eps == pytest.approx(
-        3.0 * sigma / (math.sqrt(m) * abs(slope)), rel=1e-12
+        detection._t_quantile(m - 1, 3.0) * sigma / (math.sqrt(m) * abs(slope)), rel=1e-12
     )
     for no_prediction in [(grid, None), ([0.0], det)]:
         scan = sensitivity_scan(t, MEASUREMENT_M1, "triple", *no_prediction, m, 7)
@@ -1026,6 +1032,50 @@ def test_sensitivity_scan_exact_mode():
     assert ratio == pytest.approx(2.0, abs=1e-9)
 
 
+def test_smallest_detected_eps_is_the_least_strength_detected():
+    # at the defaults 0.12 and 0.09 are both detected; the grid's first
+    # detected row is not its smallest
+    det = DetectionParams()
+    scan = sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [0.12, 0.09, 0.0], det, 50, 1)
+    assert [row.detected for row in scan.rows] == [True, True, False]
+    assert scan.smallest_detected_eps == 0.09
+    # at a tie of |eps| the first in grid order, whether the grid is exact
+    # or drawn (1,000 batches detect 0.05 at 3.6 times its predicted strength)
+    for grid in ([0.05, -0.05], [-0.05, 0.05]):
+        for det, m in [(None, 2), (DetectionParams(), 1000)]:
+            scan = sensitivity_scan(_target(), MEASUREMENT_M1, "triple", grid, det, m, 1)
+            assert all(row.detected for row in scan.rows)
+            assert scan.smallest_detected_eps == grid[0]
+
+
+def test_flag_fires_at_the_predicted_strength_as_the_t_model_says():
+    # A row of M = 3 batches at the predicted strength has true kappa
+    # q sigma / sqrt(M), q = _t_quantile(2, 3.0) = 19.2 and sigma the Born
+    # spread.  Its own spread s makes |kappa| / stderr a noncentral t of 2
+    # degrees of freedom, noncentrality d = q sigma / s.  At df 2, V / 2 of
+    # its chi-square V is Exp(1), so given the normal part Z the flag fires
+    # with chance 1 - exp(-(Z + d)^2 / q^2), whose normal average is the rate
+    # below.  The prediction at the normal 3 would fire in 2.7% of rows.
+    t, det, m, runs = _target(), DetectionParams(), 3, 400
+    q = detection._t_quantile(m - 1, 3.0)
+    eps = sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.1], det, m, 0).predicted_detectable_eps
+    born = detection.exact_probabilities(t, MEASUREMENT_M1, BORN)
+    row = detection.exact_probabilities(t, MEASUREMENT_M1, ProbabilityRule("triple", eps))
+    ratio = detection.predicted_kappa_std(t, born, det) / detection.predicted_kappa_std(t, row, det)
+
+    def rate(d):
+        return 1.0 - math.exp(-d * d / (q * q + 2.0)) / math.sqrt(1.0 + 2.0 / (q * q))
+
+    expected = rate(q * ratio)
+    band = 4.0 * math.sqrt(expected * (1.0 - expected) / runs)
+    assert not abs(rate(3.0 * ratio) - expected) <= band
+    fired = sum(
+        sensitivity_scan(t, MEASUREMENT_M1, "triple", [eps], det, m, (4242, s)).rows[0].detected
+        for s in range(runs)
+    )
+    assert abs(fired / runs - expected) <= band, (fired, expected)
+
+
 def test_sensitivity_scan_propagates_unphysical_epsilon():
     with pytest.raises(UnphysicalParameterError):
         sensitivity_scan(
@@ -1054,6 +1104,12 @@ def test_scaling_check_exact_and_validation():
     assert [r[1] for r in rows] == [0.0, 0.0]
     with pytest.raises(ValueError):
         scaling_check(_target(), MEASUREMENT_M1, None, [1000, 100], 4, 0)
+    # each rung is an integer, as DetectionParams' shots is
+    for bad in (412.9, "500", 500.0):
+        with pytest.raises(TypeError):
+            scaling_check(_target(), MEASUREMENT_M1, None, [100, bad], 4, 0)
+    rows = scaling_check(_target(), MEASUREMENT_M1, None, [np.int64(100)], 4, 0)
+    assert type(rows[0][0]) is int
 
 
 @pytest.mark.parametrize(
