@@ -25,14 +25,19 @@ the polar factor of P[n].  This depends on the parameters, the channel,
 the step count and the detuning, but not on the pulse angle, so it is
 integrated once per process for each such tuple and shared by every
 pulse.  The same memo entry keeps U(T)**(2**k) for every bit of a period
-count up to MAX_DRIVE_PERIODS, and the constants of the channel's
-Hamiltonian and frame.  A pulse writes tau = m*dt + r with 0 <= r < dt, so
-U(tau) is one partial CF4 step of length r starting at m*dt times P[m],
-and U(T)**N is the product of the squares of N's set bits, in the order
-np.linalg.matrix_power multiplies them: a warm pulse squares nothing and
-rebuilds no constant, and its cost grows with neither its length nor its
-remainder.  The roundoff of U(T)**N does grow with N, so a pulse may span
-at most MAX_DRIVE_PERIODS whole periods.
+count up to MAX_DRIVE_PERIODS, the table U(T)**j for every j below
+2**_POWER_TABLE_BITS, and the constants of the channel's Hamiltonian and
+frame.  A pulse writes tau = m*dt + r with 0 <= r < dt, so U(tau) is one
+partial CF4 step of length r starting at m*dt times P[m].  U(T)**N is the
+table's entry for N's low bits times the square of each higher set bit,
+lowest first; the table is built by that same fold, so the power has the
+bits of np.linalg.matrix_power.  A pulse of fewer than 2**_POWER_TABLE_BITS
+periods (every one at 50 MHz Rabi) reads its power and multiplies no
+square but at N = 3, and a longer one multiplies one square per set bit
+from that bit up.  A warm pulse squares nothing and rebuilds no constant,
+and its cost grows with neither its length nor its remainder.  The
+roundoff of U(T)**N does grow with N, so a pulse may span at most
+MAX_DRIVE_PERIODS whole periods.
 
 A pulse's propagator is in turn a pure function of (params, pulse, step
 count, detuning), and a job repeats most of its pulses: at the paper's
@@ -80,7 +85,6 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .errors import StepResolutionError
 from .qutrit import (
-    _IDENTITY,
     QutritState,
     Unitary3,
     _check_plane_rotation,
@@ -95,7 +99,7 @@ CHANNELS = ("MW1", "MW2")
 DEFAULT_STEPS_PER_PERIOD = 200
 MIN_STEPS_PER_PERIOD = 50
 # The period is integrated in one stack of about 1.6 KB a step and its
-# memo entry keeps (n + 19) * 144 + 48 bytes, so this cap bounds one
+# memo entry keeps (n + 275) * 144 + 48 bytes, so this cap bounds one
 # integration at about 26 MB and one entry at about 2.4 MB (about 150 MB
 # for a full memo).  The package uses the default 200; its tests pass at most 1,600.
 MAX_STEPS_PER_PERIOD = 16_384
@@ -126,11 +130,18 @@ _CF4_W_BIG = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_W_EARLY = np.array([_CF4_W_BIG, _CF4_W_SMALL])
 _CF4_W_LATE = np.array([_CF4_W_SMALL, _CF4_W_BIG])
 
+# U(T)**j is tabled for every j below 2**_POWER_TABLE_BITS: a pulse spans
+# at most about 290 (MW1) or 860 (MW2) periods at 5 MHz Rabi and 86 at
+# 50 MHz, so most powers are one lookup and the rest take at most seven
+# products.  A table of 2**10 measured no faster than this one on
+# pulse-check, at four times the memory.
+_POWER_TABLE_BITS = 8
+
 # An entry holds the n + 1 prefix products, the 16 squares of U(T), the
-# half H0 and the drive operator (144 bytes each) and the 48-byte frame
-# diagonal, (n + 19) * 144 + 48 bytes: about 32 KB at 200 steps, so about
-# 2.0 MB for 64 entries, which cover both channels at 32 (params, steps,
-# detuning) tuples.
+# 256 tabled powers, the half H0 and the drive operator (144 bytes each)
+# and the 48-byte frame diagonal, (n + 275) * 144 + 48 bytes: about 68 KB
+# at 200 steps, so about 4.4 MB for 64 entries, which cover both channels
+# at 32 (params, steps, detuning) tuples.
 _PERIOD_MEMO_SIZE = 64
 
 # An entry is a pulse's checked Unitary3 and the lru_cache link that keys
@@ -321,6 +332,7 @@ class _Period(NamedTuple):
 
     prefix: np.ndarray  # (n + 1, 3, 3): P[m], the first m steps of the period
     squares: np.ndarray  # U(T)**(2**k) for k < 16, U(T) the polar factor of P[n]
+    powers: np.ndarray  # U(T)**j for j < 2**_POWER_TABLE_BITS, by _period_power's fold
     h0_half: np.ndarray  # 0.5 * diag(H0), detuning included, complex 3x3
     drive: np.ndarray  # drive operator, the coefficient of cos(omega_d t)
     dt: float  # T / n
@@ -339,8 +351,11 @@ def _period_propagator(
     period's roundoff departure from unitarity, about 1e-13, would grow
     N-fold.  squares[k] = U(T)**(2**k) is formed as z @ z, exactly as
     np.linalg.matrix_power forms its squares, for every bit of a period
-    count up to MAX_DRIVE_PERIODS.  A pure function of its four hashable
-    arguments, memoised per process; every array is read-only.
+    count up to MAX_DRIVE_PERIODS.  powers[j] = U(T)**j for j below
+    2**_POWER_TABLE_BITS is the fold _period_power continues, one stacked
+    product a bit: powers[2**k + i] = powers[i] @ squares[k] for
+    0 < i < 2**k, and powers[2**k] = squares[k].  A pure function of its
+    four hashable arguments, memoised per process; every array is read-only.
     """
     _, sy = spin1_matrices()
     h0 = np.array([TWO_PI * params.omega_mw2_hz, 0.0, TWO_PI * params.omega_mw1_hz])
@@ -360,28 +375,38 @@ def _period_propagator(
     squares[0] = w @ vh
     for k in range(1, len(squares)):
         squares[k] = squares[k - 1] @ squares[k - 1]
+    powers = np.empty((2**_POWER_TABLE_BITS, 3, 3), dtype=complex)
+    powers[0] = np.eye(3)
+    for k in range(_POWER_TABLE_BITS):
+        powers[2**k] = squares[k]
+        np.matmul(powers[1 : 2**k], squares[k], out=powers[2**k + 1 : 2 ** (k + 1)])
     # interaction picture of the nominal (undetuned) static Hamiltonian
     h0_nominal = h0.copy()
     h0_nominal[_DRIVEN_LEVEL[channel]] -= TWO_PI * detuning_hz
-    period = _Period(prefix, squares, h0_half, drive, dt, 1j * h0_nominal)
+    period = _Period(prefix, squares, powers, h0_half, drive, dt, 1j * h0_nominal)
     for array in period:
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
     return period
 
 
-def _period_power(squares: np.ndarray, n: int) -> np.ndarray:
-    """U(T)**n from the memoised squares, bit-identical to
-    np.linalg.matrix_power(squares[0], n): its shortcuts at n = 0 and
-    n = 3, else the squares of n's set bits multiplied in from the lowest."""
-    if n == 0:
-        return _IDENTITY
+def _period_power(period: _Period, n: int) -> np.ndarray:
+    """U(T)**n from the memoised table and squares, bit-identical to
+    np.linalg.matrix_power(period.squares[0], n).  matrix_power folds the
+    squares of n's set bits in from the lowest, but takes a^2 @ a at n = 3;
+    the table is the fold for every n below 2**_POWER_TABLE_BITS, entry 3
+    included, since a longer power continues the fold from it, so n = 3
+    alone takes the shortcut.  Any other n reads the table's entry for its
+    low bits and multiplies in the square of each higher set bit."""
     if n == 3:
-        return squares[1] @ squares[0]
-    power = None
-    for k in range(n.bit_length()):
+        return period.squares[1] @ period.squares[0]
+    low = n & (2**_POWER_TABLE_BITS - 1)
+    if n == low:
+        return period.powers[n]
+    power = period.powers[low] if low else None
+    for k in range(_POWER_TABLE_BITS, n.bit_length()):
         if n >> k & 1:
-            power = squares[k] if power is None else power @ squares[k]
+            power = period.squares[k] if power is None else power @ period.squares[k]
     return power
 
 
@@ -400,11 +425,13 @@ def lab_frame_propagator(
     Phys. Rev. 138, B979, 1965).  One period is integrated with the CF4
     scheme on n = steps_per_drive_period steps of dt = T/n, once per
     (params, channel, steps, detuning) per process, keeping the squares
-    U(T)**(2**k) of U(T) (its polar factor), the prefix products P[m] of
-    its first m steps and the channel's constants.  A pulse writes
-    tau = m*dt + r, 0 <= r < dt (m at most n - 1), and returns
-    CF4(r, from m*dt) @ P[m] @ U(T)**N: one partial step, one lookup and
-    one product per set bit of N past the lowest, whatever its length.
+    U(T)**(2**k) of U(T) (its polar factor), its powers U(T)**j for j
+    below 2**_POWER_TABLE_BITS, the prefix products P[m] of its first m
+    steps and the channel's constants.  A pulse writes tau = m*dt + r,
+    0 <= r < dt (m at most n - 1), and returns
+    CF4(r, from m*dt) @ P[m] @ U(T)**N: one partial step, two lookups and
+    one product per set bit of N from 2**_POWER_TABLE_BITS up, whatever
+    its length.
     The result is left-multiplied by exp(+i H0 duration) so it is directly
     comparable with the rotating-frame rotation of _rotate, and takes the
     full Unitary3 check.  The pulse lasts seg.angle / omega_1 and starts
@@ -467,7 +494,7 @@ def _pulse_propagator(
     # tau < T and floor division is exact, so the bound only states m < n
     m = min(int(tau // dt), steps_per_drive_period - 1)
     r = tau - m * dt
-    total = period.prefix[m] @ _period_power(period.squares, int(n_periods))
+    total = period.prefix[m] @ _period_power(period, int(n_periods))
     if r > 0.0:
         total = _cf4_step(period.h0_half, period.drive, omega_d, m * dt, r) @ total
     frame = np.exp(period.frame_rate * duration)

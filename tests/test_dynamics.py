@@ -25,6 +25,7 @@ from sorkin_lab.dynamics import (
     MAX_DRIVE_PERIODS,
     MAX_STEPS_PER_PERIOD,
     TWO_PI,
+    _POWER_TABLE_BITS,
     _batch_expm,
     _cf4_step,
     _cf4_steps,
@@ -362,8 +363,9 @@ def test_memoised_period_is_read_only():
     entry = _period_propagator(HamiltonianParams(), "MW1", 200, 0.0)
     assert entry.prefix.shape == (201, 3, 3)
     assert entry.squares.shape == (MAX_DRIVE_PERIODS.bit_length(), 3, 3)
+    assert entry.powers.shape == (256, 3, 3)
     arrays = [field for field in entry if isinstance(field, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 6
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -444,20 +446,39 @@ def test_threads_sharing_the_pulse_memo_get_the_serial_fidelities():
 
 
 _POWERS = sorted(
-    set(range(65))
+    set(range(2**_POWER_TABLE_BITS + 1))
     | {2**k + d for k in range(1, MAX_DRIVE_PERIODS.bit_length()) for d in (-1, 0, 1)}
-    | {MAX_DRIVE_PERIODS}
+    | {2**k + d for k in range(_POWER_TABLE_BITS, 15) for d in (3, 255, 257)}
+    | {MAX_DRIVE_PERIODS - 3, MAX_DRIVE_PERIODS}
 )
 
 
 @pytest.mark.parametrize("channel", CHANNELS)
 def test_period_power_is_matrix_power_bit_for_bit(channel):
-    # the memoised squares, multiplied at call time, against numpy's own
-    # repeated squaring of U(T): same products in the same order
-    squares = _period_propagator(HamiltonianParams(), channel, 200, 0.0).squares
-    for n in _POWERS:
-        expected = np.linalg.matrix_power(squares[0], n)
-        assert _period_power(squares, n).tobytes() == expected.tobytes(), n
+    # the power a pulse takes (the memoised table, then the squares of the
+    # bits above it) against numpy's own repeated squaring of U(T): every
+    # tabled power, and longer ones whose fold continues from an entry
+    for steps in (200, 400):
+        for detuning_hz in (0.0, 1e6):
+            entry = _period_propagator(HamiltonianParams(), channel, steps, detuning_hz)
+            for n in _POWERS:
+                expected = np.linalg.matrix_power(entry.squares[0], n)
+                got = _period_power(entry, n)
+                assert got.tobytes() == expected.tobytes(), (steps, detuning_hz, n)
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_tabled_power_reads_no_square(channel):
+    # with every square NaN, a power below the table's size but 3 keeps its
+    # bytes, so it is one lookup; 3 takes matrix_power's shortcut, and a
+    # longer power multiplies squares in
+    entry = _period_propagator(HamiltonianParams(), channel, 200, 0.0)
+    blind = entry._replace(squares=np.full_like(entry.squares, np.nan))
+    for n in range(2**_POWER_TABLE_BITS):
+        if n != 3:
+            assert _period_power(blind, n).tobytes() == _period_power(entry, n).tobytes(), n
+    for n in (3, 2**_POWER_TABLE_BITS, 2**_POWER_TABLE_BITS + 1):
+        assert np.isnan(_period_power(blind, n)).all(), n
 
 
 @pytest.mark.parametrize("detuning_hz", [0.0, 1e6])
