@@ -148,15 +148,17 @@ class ExperimentConfig:
 
 def _read_pairs(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8-sig") as f:
+    # surrogateescape decodes each byte that is not UTF-8 to one of the lone
+    # surrogates U+DC80..U+DCFF, which no UTF-8 text decodes to
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                raise ConfigError(f"line {lineno}: the file is not UTF-8")
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:
-                raise ConfigError(
-                    f"line {lineno}: expected 'key = value', got {line.rstrip()!r}"
-                )
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")

@@ -202,7 +202,7 @@ class HamiltonianParams:
         raise ValueError(f"unknown channel {channel!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class PulseSegment:
     """One resonant pulse: channel plus rotation angle theta = omega_1 * t.
 
@@ -220,23 +220,25 @@ class PulseSegment:
         if not math.isfinite(angle):
             raise ValueError(f"angle must be finite, got {angle!r}")
         angle = float(angle) % TWO_PI
-        # frozen: the fields are stored past __setattr__, each once
-        fields = self.__dict__
-        fields["channel"] = channel
-        fields["angle"] = 0.0 if angle == TWO_PI else angle
+        # frozen and slotted: see the qutrit module docstring
+        _set_channel(self, channel)
+        _set_angle(self, 0.0 if angle == TWO_PI else angle)
 
     def duration_s(self, omega1_hz: float) -> float:
         return self.angle / (TWO_PI * omega1_hz)
 
 
-@dataclass(frozen=True, init=False)
+_set_channel, _set_angle = (PulseSegment.__dict__[f].__set__ for f in PulseSegment.__slots__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PulseSchedule:
     """Ordered pulse list, earliest first; empty for a trivial preparation."""
 
     segments: tuple[PulseSegment, ...] = ()
 
     def __init__(self, segments=()):
-        self.__dict__["segments"] = tuple(segments)
+        _set_segments(self, tuple(segments))
 
     def __iter__(self):
         return iter(self.segments)
@@ -254,6 +256,9 @@ class PulseSchedule:
 
     def total_duration_s(self, omega1_hz: float) -> float:
         return sum(s.duration_s(omega1_hz) for s in self.segments)
+
+
+_set_segments = PulseSchedule.__dict__["segments"].__set__
 
 
 def _rotate(

@@ -17,13 +17,11 @@ A SorkinReport holds those numbers, floats that are a function of the
 target and seven probabilities alone.  Everything here is pure and
 reentrant.
 
-The inputs cost their checks and nothing more.  TargetAmplitudes and
-MeasurementSpec, like dynamics.PulseSegment and dynamics.PulseSchedule,
-are frozen dataclasses with a hand-written __init__ that runs the checks
-and stores each field once in the instance __dict__, past the frozen
-__setattr__.  The states and schedules that no target changes are built
-once at import and shared, and apply_schedule finds the states of the
-three shared schedules with one lookup of id(schedule).
+The inputs cost their checks and nothing more: TargetAmplitudes and
+MeasurementSpec are built in the qutrit module docstring's idiom.  The
+states and schedules that no target changes are built once at import and
+shared, and apply_schedule finds the states of the three shared
+schedules with one lookup of id(schedule).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ KAPPA_FLOOR = 1e-6
 _DEGENERATE_ATOL = 1e-12
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class TargetAmplitudes:
     """Real amplitudes (a, b, c) of the full superposition, a^2+b^2+c^2 = 1."""
 
@@ -57,14 +55,16 @@ class TargetAmplitudes:
             raise ValueError("amplitudes must be finite")
         if abs(n2 - 1.0) > 1e-9:
             raise ValueError(f"amplitudes must be normalized, got |t|^2 = {n2!r}")
-        # frozen: the fields are stored past __setattr__, each once
-        fields = self.__dict__
-        fields["a"] = a
-        fields["b"] = b
-        fields["c"] = c
+        # frozen and slotted: see the qutrit module docstring
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
 
 
-@dataclass(frozen=True, init=False)
+_set_a, _set_b, _set_c = (TargetAmplitudes.__dict__[f].__set__ for f in TargetAmplitudes.__slots__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MeasurementSpec:
     """Angles defining the measured ket |m> = R2(theta2)^dag R1(theta1)^dag |0>."""
 
@@ -74,9 +74,11 @@ class MeasurementSpec:
     def __init__(self, theta1: float, theta2: float):
         if not (math.isfinite(theta1) and math.isfinite(theta2)):
             raise ValueError("measurement angles must be finite")
-        fields = self.__dict__
-        fields["theta1"] = theta1
-        fields["theta2"] = theta2
+        _set_theta1(self, theta1)
+        _set_theta2(self, theta2)
+
+
+_set_theta1, _set_theta2 = (MeasurementSpec.__dict__[f].__set__ for f in MeasurementSpec.__slots__)
 
 
 MEASUREMENT_M1 = MeasurementSpec(math.pi / 2, math.pi / 2)

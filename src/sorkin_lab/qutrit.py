@@ -29,6 +29,17 @@ that still covers it:
     U^dag U - I it can move (``_check_plane_rotation``);
   * ``dynamics.lab_frame_propagator``, a numerical result, takes the full
     ``Unitary3`` check at atol = 1e-8.
+
+The package's per-item value classes, QutritState here,
+protocol.TargetAmplitudes and protocol.MeasurementSpec, and
+dynamics.PulseSegment and dynamics.PulseSchedule, are built one way: a
+``dataclass(frozen=True, slots=True, init=False)`` whose hand-written
+__init__ runs the checks and stores each field once through its slot's
+own __set__, bound at module level after the class.  No instance has a
+__dict__, and a store through the frozen __setattr__ raises
+FrozenInstanceError.  ==, hash, repr, ``dataclasses.replace`` (through
+__init__, so checked) and pickling (not through __init__) stay the
+dataclass's own.
 """
 
 from __future__ import annotations
@@ -68,9 +79,9 @@ class QutritState:
             raise NormalizationError(
                 f"squared amplitudes sum to {n2!r}, expected 1 within {NORM_ATOL}"
             )
-        _set_c_plus(self, c_plus)
-        _set_c_zero(self, c_zero)
-        _set_c_minus(self, c_minus)
+        _set_plus(self, c_plus)
+        _set_zero(self, c_zero)
+        _set_minus(self, c_minus)
 
     @classmethod
     def from_vector(cls, vec) -> "QutritState":
@@ -85,9 +96,7 @@ class QutritState:
 
 
 # The slots' own setters, which a frozen instance's __setattr__ would refuse.
-_set_c_plus = QutritState.__dict__["c_plus"].__set__
-_set_c_zero = QutritState.__dict__["c_zero"].__set__
-_set_c_minus = QutritState.__dict__["c_minus"].__set__
+_set_plus, _set_zero, _set_minus = (QutritState.__dict__[f].__set__ for f in QutritState.__slots__)
 
 
 def inner_product(bra: QutritState, ket: QutritState) -> complex:

@@ -105,7 +105,23 @@ def test_config_rejections(tmp_path):
         parse_config(_write(tmp_path, "rule = bogus:1\n", "g.cfg"))
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, "hamiltonian.B_G = -5\n", "h.cfg"))
-    angles = ["measurement.theta1 = nan\n", "measurement.theta2 = inf\n"]
+    # a byte that is not UTF-8, in a value, in a comment (an encoded
+    # surrogate), or past a lone carriage return, is refused by its line,
+    # not as a traceback with exit 1, the code of a rejected Born null
+    not_utf8 = [
+        (b"batches = 5\xff\n", 1),
+        (b"\xef\xbb\xbfbatches = 5\n# caf\xc3\xa9 \xed\xa0\x80\n", 2),
+        (b"batches = 5\r# caf\xc3\xa9\rmaster_seed\xff = 3\n", 3),
+    ]
+    for i, (data, lineno) in enumerate(not_utf8):
+        path = tmp_path / f"latin{i}.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"^line {lineno}: the file is not UTF-8$"):
+            parse_config(str(path))
+        out = tmp_path / f"latin{i}"
+        assert main(["ideal", "--config", str(path), "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+    angles =["measurement.theta1 = nan\n", "measurement.theta2 = inf\n"]
     for i, text in enumerate(angles):
         path = _write(tmp_path, text, f"angle{i}.cfg")
         with pytest.raises(ConfigError, match="finite"):

@@ -8,7 +8,8 @@ protocol's target-independent states, schedules and the states those
 schedules prepare are shared constants, compared bit for bit with freshly
 built ones, and the lean constructors of QutritState, PulseSegment,
 TargetAmplitudes and MeasurementSpec are pinned to their checks and
-messages.  Every rule's probability has the bits of its definition,
+messages; all five value classes, PulseSchedule too, are slotted, frozen
+and pickle.  Every rule's probability has the bits of its definition,
 written out here.  A pulse's one partial CF4 step and rwa_fidelity's read
 of U|0> as a column are pinned bit for bit to the stacked step and the
 matrix-vector product they replace.
@@ -217,11 +218,29 @@ def test_unitary_refuses_one_non_finite_part(part, bad):
 
 
 def test_states_are_slotted_and_frozen():
-    state = QutritState(0.6, 0.8j, 0)
-    assert not hasattr(state, "__dict__")
-    with pytest.raises(FrozenInstanceError):
-        state.c_plus = 1.0
-    assert state == QutritState(0.6 + 0j, 0.8j, 0j)
+    # the five value classes' one construction idiom: each field stored
+    # once through its slot, so no instance has a __dict__
+    values = [
+        QutritState(0.6, 0.8j, 0),
+        TargetAmplitudes(0.6, -0.0, -0.8),
+        MeasurementSpec(-0.0, 1.5),
+        PulseSegment("MW2", -1.0),
+        PulseSchedule([PulseSegment("MW1", 1.0), PulseSegment("MW2", 2.0)]),
+        PulseSchedule(),
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), value
+        stored = [getattr(value, field.name) for field in dataclasses.fields(value)]
+        for field, x in zip(dataclasses.fields(value), stored):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field.name, x)
+        assert type(value)(*stored) == value  # the stored values are canonical
+        # pickling restores the slots without __init__: the copy is equal,
+        # of equal hash, and of equal repr, which shows -0.0's sign
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+            assert repr(copy) == repr(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -381,22 +400,37 @@ def _defined_probability(kind: str, eps: float, m: QutritState, psi: QutritState
     return abs(overlap) ** (2.0 + eps) if kind == "exponent" else abs(overlap) ** 2
 
 
+@st.composite
+def _target_with_a_signed_zero_at_most(draw):
+    """(a, b, c): one component, in a drawn place, from _component, so a
+    signed zero in at most one; the other two at least 1e-11 in magnitude,
+    so that no pair has a norm under the protocol's degeneracy floor of
+    1e-12.  _component in all three places would discard about two draws
+    in three, enough to fail hypothesis's filter_too_much health check at
+    about 2% of seeds."""
+    sturdy = st.one_of(
+        st.floats(min_value=1e-11, max_value=1.0), st.floats(min_value=-1.0, max_value=-1e-11)
+    )
+    abc = [draw(sturdy), draw(sturdy)]
+    abc.insert(draw(st.sampled_from([0, 1, 2])), draw(_component))
+    return tuple(abc)
+
+
 @given(
-    _component,
-    _component,
-    _component,
+    _target_with_a_signed_zero_at_most(),
     _angles,
     _angles,
     st.one_of(st.floats(min_value=-1.9, max_value=4.0), st.sampled_from([0.0, -0.0])),
 )
-@example(*PAPER_ABC, math.pi / 2, math.pi / 2, 0.05)
-@example(*PAPER_ABC, 3 * math.pi / 2, math.pi / 2, -0.05)
-@example(*PAPER_ABC, -0.0, -0.0, -0.0)
-@example(0.6, -0.0, -0.8, 0.0, -0.0, 0.0)
-@example(-0.6, 0.8, 0.0, math.pi, -math.pi, -1.5)  # triple: a negative probability
-def test_every_rule_probability_is_its_definition(a, b, c, theta1, theta2, eps):
+@example(PAPER_ABC, math.pi / 2, math.pi / 2, 0.05)
+@example(PAPER_ABC, 3 * math.pi / 2, math.pi / 2, -0.05)
+@example(PAPER_ABC, -0.0, -0.0, -0.0)
+@example((0.6, -0.0, -0.8), 0.0, -0.0, 0.0)
+@example((-0.6, 0.8, 0.0), math.pi, -math.pi, -1.5)  # triple: a negative probability
+def test_every_rule_probability_is_its_definition(abc, theta1, theta2, eps):
     # the protocol's states and measurement ket, whose bits the oracles
     # above pin, through each rule against its written-out definition
+    a, b, c = abc
     n = math.sqrt(a * a + b * b + c * c)
     assume(n > 1e-3)
     states = _outcome(prepare_states, TargetAmplitudes(a / n, b / n, c / n))
