@@ -62,8 +62,8 @@ partial step is bit for bit the n = 1 case of `_cf4_steps`.
 np.linalg.eigh itself calls (numpy.linalg._umath_linalg.eigh_lo, present
 from numpy 1.24 through 2.4), with no fallback: if a numpy release drops
 it, the import fails.  The same LAPACK zheevd call on the same stack gives
-the same bits, but the wrapper's per-call cost, mostly its errstate
-context, was about 3-6 us against a warm pulse's 50-80 us.  The contract
+the same bits, without the wrapper's per-call cost, mostly its errstate
+context, which was a visible share of a warm pulse's.  The contract
 is the wrapper's, made whole: a stack with a NaN or inf entry raises
 LinAlgError before it is factored, with no warning.  A finite stack whose
 factorisation did not converge would come back NaN, with numpy's

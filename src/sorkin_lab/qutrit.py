@@ -20,8 +20,9 @@ that still covers it:
     pulse) and the states they prepare are built, and so checked, once at
     import, then shared as immutable instances;
   * ``Unitary3(matrix)`` checks shape and max|U^dag U - I| within
-    UNITARY_ATOL (or the caller's ``atol``) with a 3x3 product, which a
-    non-finite entry fails, refused as such;
+    UNITARY_ATOL (or the caller's ``atol``) over the six distinct entries
+    of that Hermitian matrix, each in closed form, which a non-finite entry
+    fails, refused as such;
   * a plane rotation that ``dynamics`` applies in closed form to a
     state's amplitudes, with no matrix built (the scheduled preparations,
     the measurement ket and the ideal state of ``rwa_fidelity``), checks
@@ -117,13 +118,38 @@ class Unitary3:
         m = np.array(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        # a NaN or inf entry makes err NaN or inf, which fails this test, so
-        # finiteness is tested only to word the refusal; einsum, unlike
-        # matmul, reports no invalid-value warning for an inf entry's inf * 0
-        err = np.abs(np.einsum("ki,kj->ij", m.conj(), m) - _IDENTITY).max()
-        if not err <= atol:
+        # U^dag U - I is Hermitian: its three diagonal entries (real) and the
+        # three above them are all of it.  Entry (i, j) sums conj(U[k, i]) *
+        # U[k, j] over k in order, in Python complex arithmetic, so each sum
+        # has the bits of np.einsum("ki,kj->ij", U.conj(), U) and no numpy
+        # call warns on an inf entry's inf * 0.  An off-diagonal modulus is
+        # math.hypot's, which can differ from np.abs's in the last ulp or
+        # two, and is inf where abs() of a finite complex would raise
+        # OverflowError.  A NaN or inf entry makes a deviation NaN or inf,
+        # which fails this test, so finiteness is tested only to word the
+        # refusal; a NaN or negative atol refuses every matrix.
+        (a, b, c), (d, e, f), (g, h, k) = m.tolist()
+        ac, dc, gc = a.conjugate(), d.conjugate(), g.conjugate()
+        bc, ec, hc = b.conjugate(), e.conjugate(), h.conjugate()
+        u01 = ac * b + dc * e + gc * h
+        u02 = ac * c + dc * f + gc * k
+        u12 = bc * c + ec * f + hc * k
+        x00, x11, x22, x01, x02, x12 = dev = (
+            abs((ac * a + dc * d + gc * g).real - 1.0),
+            abs((bc * b + ec * e + hc * h).real - 1.0),
+            abs((c.conjugate() * c + f.conjugate() * f + k.conjugate() * k).real - 1.0),
+            math.hypot(u01.real, u01.imag),
+            math.hypot(u02.real, u02.imag),
+            math.hypot(u12.real, u12.imag),
+        )
+        if not (
+            x00 <= atol and x11 <= atol and x22 <= atol
+            and x01 <= atol and x02 <= atol and x12 <= atol
+        ):
             if not np.isfinite(m).all():
                 raise UnitarityError("matrix entries must be finite")
+            # np.max, unlike max, returns NaN if any deviation is NaN
+            err = np.max(dev)
             raise UnitarityError(
                 f"U^dag U deviates from identity by {err:.3e} (atol {atol:g})"
             )

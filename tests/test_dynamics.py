@@ -307,6 +307,24 @@ def test_rwa_fidelity_improves_with_drive_ratio():
     assert fids[0] >= fids[1] >= fids[2]
 
 
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("angle", [math.pi, math.pi / 2])
+def test_rotating_wave_error_scales_as_the_rabi_frequency_squared(channel, angle):
+    # at small omega1, 1 - F is (omega1 / omega_d)**2 times a coefficient of
+    # the pulse's angle and channel, plus a part that oscillates with where
+    # the pulse ends in its drive period.  At the default field both pi and
+    # pi/2 pulses end on a whole or half drive period at 200 kHz, 500 kHz and
+    # 1 MHz, so there (1 - F) / omega1**2 is one number; between those
+    # points it is not (an MW1 pi/2 pulse reads about 9x at 300 kHz).  The
+    # widest spread, about 0.44% for an MW2 pi/2 pulse, is the 200 kHz
+    # point's 1 - F of about 1.3e-11 read to about 1e-14
+    coefficients = [
+        (1.0 - rwa_fidelity(HamiltonianParams(omega1_hz=w), PulseSegment(channel, angle))) / w**2
+        for w in (2e5, 5e5, 1e6)
+    ]
+    assert max(coefficients) / min(coefficients) - 1.0 < 0.005, coefficients
+
+
 def test_period_power_equals_stepping_every_period():
     # U(T)**N by repeated squaring against the ordered product of all N*steps
     # CF4 steps on the same time grid: only the periodicity identity differs

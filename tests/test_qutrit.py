@@ -112,6 +112,82 @@ def test_apply_rejects_nonunitary():
         Unitary3((1.0 + 6e-10) * np.eye(3))
 
 
+def _einsum_deviations(m):
+    """|U^dag U - I| entry by entry as a 3x3 matrix product: the reference
+    formula, whose max the refusal reports."""
+    return np.abs(np.einsum("ki,kj->ij", m.conj(), m) - np.eye(3))
+
+
+@pytest.mark.parametrize("atol", [1e-9, 1e-8])
+def test_unitary_check_decides_as_the_matrix_product(atol):
+    # seeded random unitaries times (I + eps E_ij): for i == j, a real eps
+    # within +-atol scales column i and moves the (i, i) entry of
+    # U^dag U - I by about 2 eps; for i != j, a complex eps of modulus
+    # 0.5-1.5 atol moves the (i, j) entry by about |eps| and the diagonal
+    # only by about eps**2.  So each of the six distinct entries decides
+    # some refusals, and the closed form must decide as the product does
+    rng = np.random.default_rng(20161)
+    places = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    refused_by = dict.fromkeys(places, 0)
+    accepted = 0
+    for n in range(1200):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        i, j = places[n % 6]
+        if rng.random() < 0.5:
+            i, j = j, i
+        shear = np.eye(3, dtype=complex)
+        if i == j:
+            shear[i, i] += rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0) * atol
+        else:
+            shear[i, j] = rng.uniform(0.5, 1.5) * atol * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        m = q @ shear
+        dev = _einsum_deviations(m)
+        err = dev.max()
+        if abs(err - atol) <= 4 * math.ulp(atol):
+            continue
+        if err <= atol:
+            assert Unitary3(m, atol=atol).matrix.tobytes() == m.tobytes()
+            accepted += 1
+        else:
+            with pytest.raises(UnitarityError) as refused:
+                Unitary3(m, atol=atol)
+            assert str(refused.value) == (
+                f"U^dag U deviates from identity by {err:.3e} (atol {atol:g})"
+            )
+            i, j = sorted(np.unravel_index(dev.argmax(), dev.shape))
+            refused_by[i, j] += 1
+    assert accepted >= 300 and min(refused_by.values()) >= 50, (accepted, refused_by)
+
+
+@pytest.mark.parametrize(
+    "entries, err",
+    [
+        # |m[0, 0]|**2 + |m[1, 0]|**2 overflows, and so does the modulus of
+        # the finite (0, 1) entry: abs() of that complex would raise
+        # OverflowError
+        ({(0, 0): 1.2e154, (0, 1): 1.2e154 * (1 + 1j)}, "inf"),
+        # the (0, 1) entry is inf - inf
+        ({(0, 0): 1e200, (1, 0): 1e200, (0, 1): 1e200, (1, 1): -1e200}, "nan"),
+    ],
+)
+def test_unitary_refuses_a_finite_matrix_whose_product_overflows(entries, err):
+    m = np.eye(3, dtype=complex)
+    for place, value in entries.items():
+        m[place] = value
+    assert f"{_einsum_deviations(m).max():.3e}" == err
+    match = rf"^U\^dag U deviates from identity by {err} \(atol 1e-09\)$"
+    with pytest.raises(UnitarityError, match=match):
+        Unitary3(m)
+
+
+@pytest.mark.parametrize("atol, shown", [(-1.0, "-1"), (math.nan, "nan")])
+def test_a_negative_or_nan_atol_refuses_every_matrix(atol, shown):
+    match = rf"^U\^dag U deviates from identity by 0\.000e\+00 \(atol {shown}\)$"
+    with pytest.raises(UnitarityError, match=match):
+        Unitary3(np.eye(3), atol=atol)
+
+
 def test_compose_matches_closed_form_column():
     # R2(t') R1(t) |0> = (-cos(t/2) sin(t'/2), cos(t/2) cos(t'/2), -sin(t/2))
     t, tp = math.acos(1 / 3), math.pi / 2
