@@ -51,9 +51,4 @@ from .protocol import (
     solve_schedule,
     third_order_term,
 )
-from .qutrit import (
-    QutritState,
-    Unitary3,
-    inner_product,
-    spin1_matrices,
-)
+from .qutrit import QutritState, Unitary3, inner_product

@@ -19,9 +19,9 @@ the config, writes the artifacts and prints.
 Config files are UTF-8 ``key = value`` lines (``#`` comments); dotted keys
 address sections, e.g. ``detection.shots = 2000000``.  Missing keys take
 the documented defaults; unknown keys are rejected.  Exit codes: 0 ok,
-1 simulate-under-born rejected the null at 5 sigma, 2 config file missing,
-3 schema violation or domain error, 4 an artifact or stdout could not be
-written (none of the run's artifacts is left behind).
+1 simulate-under-born rejected the null at 5 sigma, 2 config file missing
+or unreadable, 3 schema violation or domain error, 4 an artifact or
+stdout could not be written (none of the run's artifacts is left behind).
 """
 
 from __future__ import annotations
@@ -495,6 +495,10 @@ def main(argv=None) -> int:
     except SorkinLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except OSError as exc:
+        # the commands are pure, so only the config's read does I/O here
+        print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
+        return EXIT_MISSING_FILE
     try:
         _write_output(args.out, result)
     except OSError as exc:

@@ -45,10 +45,11 @@ point the default rwa-check job propagates 10 pulses, 5 of them distinct,
 because its pi/2 and pi pulses recur across the preparations and the
 measurement.  So the pulse is memoised too, one level above the period,
 in at most _PULSE_MEMO_SIZE = 1024 entries of under 1 KB each.
-lab_frame_propagator's argument checks run on every call, before the
-memo, so a refused call stores nothing.  A repeated pulse is a lookup
-that returns the same Unitary3 its first call built and checked; the
-object is read-only, so every caller, in any thread, may share it.
+_pulse_propagator checks its arguments on the miss that builds an entry,
+and lru_cache stores no call that raises, so a refused call stores
+nothing.  A repeated pulse is a lookup that runs no check and returns
+the same Unitary3 its first call built and checked; the object is
+read-only, so every caller, in any thread, may share it.
 
 The period's n steps and a pulse's one partial step form their node
 phases apart.  `_cf4_steps` takes all 2n phases in one stacked cos and
@@ -84,13 +85,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .errors import StepResolutionError
-from .qutrit import (
-    QutritState,
-    Unitary3,
-    _check_plane_rotation,
-    inner_product,
-    spin1_matrices,
-)
+from .qutrit import _SY, QutritState, Unitary3, _check_plane_rotation, inner_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -362,11 +357,13 @@ def _period_propagator(
     0 < i < 2**k, and powers[2**k] = squares[k].  A pure function of its
     four hashable arguments, memoised per process; every array is read-only.
     """
-    _, sy = spin1_matrices()
-    h0 = np.array([TWO_PI * params.omega_mw2_hz, 0.0, TWO_PI * params.omega_mw1_hz])
+    # the detuning shifts the stepped Hamiltonian only; the frame is the
+    # interaction picture of the nominal (undetuned) static Hamiltonian
+    h0_nominal = np.array([TWO_PI * params.omega_mw2_hz, 0.0, TWO_PI * params.omega_mw1_hz])
+    h0 = h0_nominal.copy()
     h0[_DRIVEN_LEVEL[channel]] += TWO_PI * detuning_hz
     h0_half = 0.5 * np.diag(h0).astype(complex)
-    drive = _DRIVE_SIGN[channel] * math.sqrt(2.0) * (TWO_PI * params.omega1_hz) * sy
+    drive = _DRIVE_SIGN[channel] * math.sqrt(2.0) * (TWO_PI * params.omega1_hz) * _SY
     omega_d = TWO_PI * params.drive_frequency_hz(channel)
     n = steps_per_drive_period
     dt = TWO_PI / omega_d / n
@@ -385,9 +382,6 @@ def _period_propagator(
     for k in range(_POWER_TABLE_BITS):
         powers[2**k] = squares[k]
         np.matmul(powers[1 : 2**k], squares[k], out=powers[2**k + 1 : 2 ** (k + 1)])
-    # interaction picture of the nominal (undetuned) static Hamiltonian
-    h0_nominal = h0.copy()
-    h0_nominal[_DRIVEN_LEVEL[channel]] -= TWO_PI * detuning_hz
     period = _Period(prefix, squares, powers, h0_half, drive, dt, 1j * h0_nominal)
     for array in period:
         if isinstance(array, np.ndarray):
@@ -425,35 +419,39 @@ def lab_frame_propagator(
     """Full lab-frame propagator for one pulse, in the interaction picture.
 
     Solves i dU/dt = (H0 + Hdrive(t)) U with Hdrive(t) proportional to
-    cos(omega_drive * t) * Sy.  H is periodic in T = 2*pi/omega_drive, so
-    for a duration N*T + tau the propagator is U(tau) @ U(T)**N (Shirley,
-    Phys. Rev. 138, B979, 1965).  One period is integrated with the CF4
-    scheme on n = steps_per_drive_period steps of dt = T/n, once per
-    (params, channel, steps, detuning) per process, keeping the squares
-    U(T)**(2**k) of U(T) (its polar factor), its powers U(T)**j for j
-    below 2**_POWER_TABLE_BITS, the prefix products P[m] of its first m
-    steps and the channel's constants.  A pulse writes tau = m*dt + r,
-    0 <= r < dt (m at most n - 1), and returns
-    CF4(r, from m*dt) @ P[m] @ U(T)**N: one partial step, two lookups and
-    one product per set bit of N from 2**_POWER_TABLE_BITS up, whatever
-    its length.
-    The result is left-multiplied by exp(+i H0 duration) so it is directly
-    comparable with the rotating-frame rotation of _rotate, and takes the
-    full Unitary3 check.  The pulse lasts seg.angle / omega_1 and starts
-    at drive phase zero: t is counted from the pulse's own start, so no
-    drive phase carries over from an earlier pulse of a schedule.  detuning_hz
-    shifts the driven level's diagonal entry, modelling a quasi-static
-    dephasing draw; a static shift keeps H periodic.  steps_per_drive_period
-    must lie in [MIN_STEPS_PER_PERIOD, MAX_STEPS_PER_PERIOD], and the pulse
-    may span at most MAX_DRIVE_PERIODS whole periods, else
-    StepResolutionError is raised before any integration.  An accepted
-    pulse is memoised per process by (params, seg, steps, detuning), so a
-    repeated one returns the read-only Unitary3 of its first call.  The
-    step count is taken through operator.index first, so a float or a
-    string raises TypeError whatever the memo holds, and numpy's integers
-    key the same entry as the equal int.
+    cos(omega_drive * t) * Sy, on steps_per_drive_period CF4 steps a drive
+    period; the module docstring says how the period is integrated,
+    memoised and raised to a power.  The pulse lasts seg.angle / omega_1
+    and starts at drive phase zero: t is counted from the pulse's own
+    start, so no drive phase carries over from an earlier pulse of a
+    schedule.  detuning_hz shifts the driven level's diagonal entry,
+    modelling a quasi-static dephasing draw; a static shift keeps H
+    periodic.  The result is left-multiplied by exp(+i H0 duration), H0
+    undetuned, so it is directly comparable with the rotating-frame
+    rotation of _rotate, and takes the full Unitary3 check.  A zero-angle
+    pulse is the identity.
+
+    steps_per_drive_period must lie in [MIN_STEPS_PER_PERIOD,
+    MAX_STEPS_PER_PERIOD] and the pulse may span at most MAX_DRIVE_PERIODS
+    whole periods, else StepResolutionError is raised; a non-finite
+    detuning_hz raises ValueError.  Either is raised before any
+    integration and stores nothing.  An accepted pulse is memoised per
+    process by (params, seg, steps, detuning), so a repeat returns the
+    read-only Unitary3 of its first call and runs no check.  The step
+    count is taken through operator.index before the memo, so a float or
+    a string raises TypeError whatever the memo holds, and numpy's
+    integers key the same entry as the equal int.
     """
-    steps_per_drive_period = operator.index(steps_per_drive_period)
+    return _pulse_propagator(params, seg, operator.index(steps_per_drive_period), detuning_hz)
+
+
+@functools.lru_cache(maxsize=_PULSE_MEMO_SIZE)
+def _pulse_propagator(
+    params: HamiltonianParams, seg: PulseSegment, steps_per_drive_period: int, detuning_hz: float
+) -> Unitary3:
+    """lab_frame_propagator past its operator.index, memoised per process:
+    a pure function of its four hashable arguments, which checks them on
+    the miss that builds an entry and returns a read-only Unitary3."""
     if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
         raise StepResolutionError(
             f"steps_per_drive_period={steps_per_drive_period} is below the "
@@ -466,34 +464,17 @@ def lab_frame_propagator(
         )
     if not math.isfinite(detuning_hz):
         raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
-    duration, _, n_periods, _ = _split(params, seg)
+    duration = seg.duration_s(params.omega1_hz)
     if duration == 0.0:
         return Unitary3.identity()
+    omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
+    n_periods, tau = divmod(duration, TWO_PI / omega_d)
     if n_periods > MAX_DRIVE_PERIODS:
         raise StepResolutionError(
             f"the {seg.channel} pulse of angle {seg.angle!r} spans {n_periods:.0f} "
             f"drive periods, more than the maximum {MAX_DRIVE_PERIODS}; the "
             "propagator's roundoff grows with the period count and is not trusted past it"
         )
-    return _pulse_propagator(params, seg, steps_per_drive_period, detuning_hz)
-
-
-def _split(params: HamiltonianParams, seg: PulseSegment) -> tuple[float, float, float, float]:
-    """(duration, omega_d, N, tau): the pulse's length in s, its angular
-    drive frequency, and its whole drive periods and remainder."""
-    duration = seg.duration_s(params.omega1_hz)
-    omega_d = TWO_PI * params.drive_frequency_hz(seg.channel)
-    return (duration, omega_d, *divmod(duration, TWO_PI / omega_d))
-
-
-@functools.lru_cache(maxsize=_PULSE_MEMO_SIZE)
-def _pulse_propagator(
-    params: HamiltonianParams, seg: PulseSegment, steps_per_drive_period: int, detuning_hz: float
-) -> Unitary3:
-    """lab_frame_propagator of a pulse its checks have accepted, memoised
-    per process: a pure function of its four hashable arguments, whose
-    Unitary3 is read-only and checked once, when it is built."""
-    duration, omega_d, n_periods, tau = _split(params, seg)
     period = _period_propagator(params, seg.channel, steps_per_drive_period, detuning_hz)
     dt = period.dt
     # tau < T and floor division is exact, so the bound only states m < n

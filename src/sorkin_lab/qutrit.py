@@ -191,14 +191,9 @@ def _locked(array) -> np.ndarray:
 
 _IDENTITY = _locked(np.eye(3))
 
-# Spin-1 operators in the (|+1>, |0>, |-1>) basis, hbar = 1.
-_SZ = _locked(np.diag([1.0, 0.0, -1.0]))
+# Spin-1 Sy in the (|+1>, |0>, |-1>) basis, hbar = 1, the standard ladder
+# form; the drive operator of dynamics.
 _SY = _locked(
     (1.0 / math.sqrt(2.0))
     * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
 )
-
-
-def spin1_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """(Sz, Sy) for spin 1: Sz = diag(1, 0, -1), Sy the standard ladder form."""
-    return _SZ, _SY

@@ -444,6 +444,26 @@ def test_missing_config_exit_code(tmp_path):
     assert rc == EXIT_MISSING_FILE
 
 
+def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a config that exists but cannot be read (a chmod 000 file, or
+    # /proc/self/mem's EIO) exits 2, not with a traceback's exit 1, the
+    # code of a rejected Born null
+    path = _write(tmp_path, "")
+
+    def refused(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    monkeypatch.setattr("sorkin_lab.cli.open", refused, raising=False)
+    out = tmp_path / "out"
+    assert main(["ideal", "--config", path, "--out", str(out)]) == EXIT_MISSING_FILE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read config file {path}: [Errno 13] Permission denied: {path!r}\n"
+    )
+
+
 def test_bad_config_exit_code(tmp_path):
     path = _write(tmp_path, "nonsense.key = 1\n")
     rc = main(["ideal", "--config", path, "--out", str(tmp_path / "o")])

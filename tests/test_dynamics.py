@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -34,7 +35,6 @@ from sorkin_lab.dynamics import (
     _pulse_propagator,
     _rotate,
 )
-from sorkin_lab.qutrit import spin1_matrices
 from conftest import PAPER_ABC, clear_propagator_memos
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -45,13 +45,16 @@ _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 _CF4_NODES = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
 _CF4_BIG, _CF4_SMALL = (3 + 2 * math.sqrt(3)) / 12, (3 - 2 * math.sqrt(3)) / 12
 
+# spin-1 Sy in the (|+1>, |0>, |-1>) basis, written out apart from the package
+_SY = (1.0 / math.sqrt(2.0)) * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
+
 
 def _lab_hamiltonian(p, channel):
     """(diagonal of H0, drive operator, omega_d) of a channel, built by hand."""
     split = p.gamma_e_hz_per_G * p.B_G
     h0 = TWO_PI * np.array([p.D_hz + split, 0.0, p.D_hz - split])
     sign = -1.0 if channel == "MW1" else 1.0
-    drive = sign * math.sqrt(2) * TWO_PI * p.omega1_hz * spin1_matrices()[1]
+    drive = sign * math.sqrt(2) * TWO_PI * p.omega1_hz * _SY
     return h0, drive, TWO_PI * p.drive_frequency_hz(channel)
 
 
@@ -647,41 +650,66 @@ def test_pulse_past_the_period_bound_refused_before_integrating(channel, eigh_co
 _PAPER_PI = (HamiltonianParams(), PulseSegment("MW1", math.pi))
 
 
+_PERIODS_PAST_BOUND = _spanning("MW1", math.pi, MAX_DRIVE_PERIODS + 1)
+
+
 @pytest.mark.parametrize(
-    "pulse, steps, detuning_hz, error",
+    "pulse, steps, detuning_hz, error, message",
     [
-        pytest.param(_PAPER_PI, 20, 0.0, StepResolutionError, id="20-0.0-StepResolutionError"),
+        pytest.param(
+            _PAPER_PI,
+            20,
+            0.0,
+            StepResolutionError,
+            "steps_per_drive_period=20 is below the minimum 50; integration would be untrusted",
+            id="20-0.0-StepResolutionError",
+        ),
         pytest.param(
             _PAPER_PI,
             MAX_STEPS_PER_PERIOD + 1,
             0.0,
             StepResolutionError,
+            f"steps_per_drive_period={MAX_STEPS_PER_PERIOD + 1} is above the maximum "
+            f"{MAX_STEPS_PER_PERIOD}; the period's memory would pass its bound",
             id=f"{MAX_STEPS_PER_PERIOD + 1}-0.0-StepResolutionError",
         ),
-        pytest.param(_PAPER_PI, 200, math.nan, ValueError, id="200-nan-ValueError"),
         pytest.param(
-            _spanning("MW1", math.pi, MAX_DRIVE_PERIODS + 1),
+            _PAPER_PI,
+            200,
+            math.nan,
+            ValueError,
+            "detuning_hz must be finite, got nan",
+            id="200-nan-ValueError",
+        ),
+        pytest.param(
+            _PERIODS_PAST_BOUND,
             200,
             0.0,
             StepResolutionError,
+            f"the MW1 pulse of angle {_PERIODS_PAST_BOUND[1].angle!r} spans "
+            f"{MAX_DRIVE_PERIODS + 1} drive periods, more than the maximum {MAX_DRIVE_PERIODS}; "
+            "the propagator's roundoff grows with the period count and is not trusted past it",
             id=f"{MAX_DRIVE_PERIODS + 1}-periods-StepResolutionError",
         ),
     ],
 )
-def test_rejected_propagator_call_adds_no_memo_entry(pulse, steps, detuning_hz, error):
+def test_rejected_propagator_call_adds_no_memo_entry(pulse, steps, detuning_hz, error, message):
+    # lru_cache stores no call that raises: a refusal, repeated, is refused
+    # again with the same message and leaves no pulse and no period entry
     clear_propagator_memos()
-    with pytest.raises(error):
-        lab_frame_propagator(*pulse, steps, detuning_hz=detuning_hz)
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            lab_frame_propagator(*pulse, steps, detuning_hz=detuning_hz)
     info = _period_propagator.cache_info()
     assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
     info = _pulse_propagator.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
+    assert (info.currsize, info.hits) == (0, 0)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
 def test_step_count_must_be_an_integer_whatever_the_memo_holds(warm):
-    # an equal float key would hit a warm memo, so the count is refused at
-    # the check; numpy's integers key the int's entry
+    # an equal float key would hit a warm memo, so the count goes through
+    # operator.index before the lookup; numpy's integers key the int's entry
     clear_propagator_memos()
     p, seg = _PAPER_PI
     memoised = lab_frame_propagator(p, seg, 200) if warm else None
@@ -691,13 +719,46 @@ def test_step_count_must_be_an_integer_whatever_the_memo_holds(warm):
     with pytest.raises(StepResolutionError, match=r"^steps_per_drive_period=1 is below"):
         lab_frame_propagator(p, seg, True)
     info = _pulse_propagator.cache_info()
+    assert (info.currsize, info.hits) == ((1, 0) if warm else (0, 0))
+    info = _period_propagator.cache_info()
     assert (info.currsize, info.misses, info.hits) == ((1, 1, 0) if warm else (0, 0, 0))
     got = lab_frame_propagator(p, seg, np.int64(200))
     assert lab_frame_propagator(p, seg, 200) is got
     if warm:
         assert got is memoised
-    info = _pulse_propagator.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
+    assert _pulse_propagator.cache_info().currsize == 1
+    assert _period_propagator.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("angle", [0.0, math.pi])
+def test_warm_repeat_runs_no_check(monkeypatch, angle):
+    # the miss that builds the entry reads the pulse's duration once; a
+    # repeat is the lookup alone
+    calls = [0]
+    duration_s = PulseSegment.duration_s
+
+    def counted(self, omega1_hz):
+        calls[0] += 1
+        return duration_s(self, omega1_hz)
+
+    monkeypatch.setattr(PulseSegment, "duration_s", counted)
+    clear_propagator_memos()
+    p = HamiltonianParams()
+    first = lab_frame_propagator(p, PulseSegment("MW1", angle))
+    assert calls == [1]
+    assert lab_frame_propagator(p, PulseSegment("MW1", angle)) is first
+    assert calls == [1]
+
+
+def test_detuned_frame_is_the_nominal_diagonal_exactly():
+    # the detuning shifts the driven level of the stepped Hamiltonian only;
+    # at this field and detuning, adding the shift to the nominal entry and
+    # taking it off again leaves the |-1> rate 4.8e-7 rad/s off
+    p = HamiltonianParams(B_G=900.0)
+    nominal = np.array([TWO_PI * p.omega_mw2_hz, 0.0, TWO_PI * p.omega_mw1_hz])
+    period = _period_propagator(p, "MW1", 200, 77.7e6)
+    assert period.frame_rate.tobytes() == (1j * nominal).tobytes()
+    assert period.h0_half[2, 2] == 0.5 * (nominal[2] + TWO_PI * 77.7e6)
 
 
 @pytest.mark.parametrize(

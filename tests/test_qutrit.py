@@ -11,8 +11,8 @@ from sorkin_lab import (
     UnitarityError,
     Unitary3,
     inner_product,
-    spin1_matrices,
 )
+from sorkin_lab.qutrit import _SY
 
 from conftest import r1_rows, r2_rows
 
@@ -203,11 +203,14 @@ def test_compose_matches_closed_form_column():
 
 
 def test_spin1_matrices():
-    sz, sy = spin1_matrices()
-    assert np.allclose(np.sort(np.linalg.eigvalsh(sz)), [-1, 0, 1])
-    assert np.allclose(sy, sy.conj().T)
+    # the package's Sy against spin-1 Sz and Sx written out here:
+    # Hermitian, eigenvalues -1, 0, 1, and [Sz, Sy] = -i Sx
+    sz = np.diag([1.0, 0.0, -1.0])
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
-    assert np.allclose(sz @ sy - sy @ sz, -1j * sx, atol=1e-15)
+    assert np.array_equal(_SY, _SY.conj().T)
+    assert np.allclose(np.linalg.eigvalsh(_SY), [-1, 0, 1], atol=1e-15)
+    assert np.allclose(sz @ _SY - _SY @ sz, -1j * sx, atol=1e-15)
+    assert not _SY.flags.writeable
 
 
 def test_random_rotation_compositions_stay_unitary():
