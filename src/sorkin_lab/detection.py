@@ -171,8 +171,10 @@ MAX_BATCHES = 2**20
 def check_batches(n_batches: int, *, exact: bool) -> None:
     """The batch bounds of a run: at least 1 for an exact run, and from 2,
     since one noisy batch has no spread to summarize, to MAX_BATCHES for a
-    simulated run.  Too few is an InsufficientBatchesError, too many a
-    ValueError."""
+    simulated run.  The count must be an integer (operator.index), as
+    DetectionParams' shots must.  Too few is an InsufficientBatchesError,
+    too many a ValueError."""
+    n_batches = operator.index(n_batches)
     least = 1 if exact else 2
     if n_batches < least:
         run, noun = ("an exact", "batch") if exact else ("a simulated", "batches")
@@ -474,30 +476,32 @@ class SensitivityScan:
 _BLOCK_BATCHES = 2**16
 
 
-def _grid_summaries(t, runs, n_batches, master_seed):
+def _grid_summaries(t, runs, n_batches, master_seed, *, exact) -> list[KappaEstimate]:
     """estimate_kappa of each grid row, row j a (p_true, det) pair, with
-    det None in every row (an exact grid, drawing nothing) or in none.
+    det None in every row of an exact grid, which draws nothing, and in
+    none of a simulated one.  The batch count is checked first, against
+    the caller's mode, so a grid of no rows takes the bounds of any other.
 
     A simulated row j samples its batches under [*master_seed, j] into its
     slice of a block of consecutive rows, freed before the next block is
     drawn; all of a block's rows are drawn before any is summarized, so a
     later row's refusal to sample fires before an earlier row's kappa floor.
     """
-    runs = list(runs)
-    exact = all(det is None for _, det in runs)
     check_batches(n_batches, exact=exact)
     if exact:
-        yield from (estimate_kappa(sorkin_report(t, p_true)) for p_true, _ in runs)
-        return
+        return [estimate_kappa(sorkin_report(t, p_true)) for p_true, _ in runs]
+    runs = list(runs)
     prefix = _entropy(master_seed)
     per_block = max(1, _BLOCK_BATCHES // n_batches)
+    summaries = []
     for start in range(0, len(runs), per_block):
         chunk = runs[start : start + per_block]
         block = np.empty((len(chunk), n_batches, 7))
         for i, (p_true, det) in enumerate(chunk):
             signals, ref = _read_out(p_true, det, n_batches, [*prefix, start + i])
             np.divide(signals, ref[:, None], out=block[i])
-        yield from _pooled_estimates(t, block)
+        summaries += _pooled_estimates(t, block)
+    return summaries
 
 
 def sensitivity_scan(
@@ -532,10 +536,11 @@ def sensitivity_scan(
     rules = [born if eps == 0 else ProbabilityRule(rule_family, eps) for eps in eps_grid]
     *p_grid, born_p = _rule_probabilities(t, spec, [*rules, born])
     runs = ((p_true, det) for p_true in p_grid)
+    summaries = _grid_summaries(t, runs, n_batches, master_seed, exact=det is None)
     sigmas = 3.0
     rows = [
         SensitivityRow(eps, est.mean, est.std, est.excludes_zero(sigmas))
-        for eps, est in zip(eps_grid, _grid_summaries(t, runs, n_batches, master_seed))
+        for eps, est in zip(eps_grid, summaries)
     ]
     smallest = min((r.epsilon for r in rows if r.detected), key=abs, default=None)
     nonzero = [(abs(eps), p_true) for eps, p_true in zip(eps_grid, p_grid) if eps != 0]
@@ -569,7 +574,7 @@ def scaling_check(
         raise ValueError("shots_list must be ascending")
     p_true = exact_probabilities(t, spec, ProbabilityRule.born())
     runs = ((p_true, None if det is None else replace(det, shots=n)) for n in shots_list)
-    summaries = _grid_summaries(t, runs, n_batches, master_seed)
+    summaries = _grid_summaries(t, runs, n_batches, master_seed, exact=det is None)
     return [(n, est.std) for n, est in zip(shots_list, summaries)]
 
 

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -91,13 +90,7 @@ TWO_PI = 2.0 * math.pi
 
 CHANNELS = ("MW1", "MW2")
 
-DEFAULT_STEPS_PER_PERIOD = 200
-MIN_STEPS_PER_PERIOD = 50
-# The period is integrated in one stack of about 1.6 KB a step and its
-# memo entry keeps (n + 275) * 144 + 48 bytes, so this cap bounds one
-# integration at about 26 MB and one entry at about 2.4 MB (about 150 MB
-# for a full memo).  The package uses the default 200; its tests pass at most 1,600.
-MAX_STEPS_PER_PERIOD = 16_384
+STEPS_PER_PERIOD = 200
 # Longest pulse, in whole drive periods, whose propagator is trusted: the
 # roundoff of U(T)**N grows about linearly in N.  At 2**15 every measured
 # pulse stayed within 1.1e-9 of its 1,600-step propagator, against 3.5e-9
@@ -133,7 +126,7 @@ _CF4_W_LATE = np.array([_CF4_W_SMALL, _CF4_W_BIG])
 _POWER_TABLE_BITS = 8
 
 # An entry holds the n + 1 prefix products, the 16 squares of U(T), the
-# 256 tabled powers, the half H0 and the drive operator (144 bytes each)
+# 256 tabled powers, the half H0 and the drive matrix (144 bytes each)
 # and the 48-byte frame diagonal, (n + 275) * 144 + 48 bytes: about 68 KB
 # at 200 steps, so about 4.4 MB for 64 entries, which cover both channels
 # at 32 (params, steps, detuning) tuples.
@@ -334,7 +327,7 @@ class _Period(NamedTuple):
     squares: np.ndarray  # U(T)**(2**k) for k < 16, U(T) the polar factor of P[n]
     powers: np.ndarray  # U(T)**j for j < 2**_POWER_TABLE_BITS, by _period_power's fold
     h0_half: np.ndarray  # 0.5 * diag(H0), detuning included, complex 3x3
-    drive: np.ndarray  # drive operator, the coefficient of cos(omega_d t)
+    drive: np.ndarray  # drive matrix, the coefficient of cos(omega_d t)
     dt: float  # T / n
     frame_rate: np.ndarray  # 1j * the nominal (undetuned) diagonal of H0
 
@@ -410,16 +403,12 @@ def _period_power(period: _Period, n: int) -> np.ndarray:
 
 
 def lab_frame_propagator(
-    params: HamiltonianParams,
-    seg: PulseSegment,
-    steps_per_drive_period: int = DEFAULT_STEPS_PER_PERIOD,
-    *,
-    detuning_hz: float = 0.0,
+    params: HamiltonianParams, seg: PulseSegment, *, detuning_hz: float = 0.0
 ) -> Unitary3:
     """Full lab-frame propagator for one pulse, in the interaction picture.
 
     Solves i dU/dt = (H0 + Hdrive(t)) U with Hdrive(t) proportional to
-    cos(omega_drive * t) * Sy, on steps_per_drive_period CF4 steps a drive
+    cos(omega_drive * t) * Sy, on STEPS_PER_PERIOD CF4 steps a drive
     period; the module docstring says how the period is integrated,
     memoised and raised to a power.  The pulse lasts seg.angle / omega_1
     and starts at drive phase zero: t is counted from the pulse's own
@@ -431,37 +420,22 @@ def lab_frame_propagator(
     rotation of _rotate, and takes the full Unitary3 check.  A zero-angle
     pulse is the identity.
 
-    steps_per_drive_period must lie in [MIN_STEPS_PER_PERIOD,
-    MAX_STEPS_PER_PERIOD] and the pulse may span at most MAX_DRIVE_PERIODS
-    whole periods, else StepResolutionError is raised; a non-finite
-    detuning_hz raises ValueError.  Either is raised before any
-    integration and stores nothing.  An accepted pulse is memoised per
-    process by (params, seg, steps, detuning), so a repeat returns the
-    read-only Unitary3 of its first call and runs no check.  The step
-    count is taken through operator.index before the memo, so a float or
-    a string raises TypeError whatever the memo holds, and numpy's
-    integers key the same entry as the equal int.
+    A pulse spanning more than MAX_DRIVE_PERIODS whole periods raises
+    StepResolutionError, and a non-finite detuning_hz ValueError, either
+    before any integration and storing nothing.  An accepted pulse is
+    memoised per process by (params, seg, detuning), so a repeat returns
+    the read-only Unitary3 of its first call and runs no check.
     """
-    return _pulse_propagator(params, seg, operator.index(steps_per_drive_period), detuning_hz)
+    return _pulse_propagator(params, seg, STEPS_PER_PERIOD, detuning_hz)
 
 
 @functools.lru_cache(maxsize=_PULSE_MEMO_SIZE)
 def _pulse_propagator(
     params: HamiltonianParams, seg: PulseSegment, steps_per_drive_period: int, detuning_hz: float
 ) -> Unitary3:
-    """lab_frame_propagator past its operator.index, memoised per process:
-    a pure function of its four hashable arguments, which checks them on
-    the miss that builds an entry and returns a read-only Unitary3."""
-    if steps_per_drive_period < MIN_STEPS_PER_PERIOD:
-        raise StepResolutionError(
-            f"steps_per_drive_period={steps_per_drive_period} is below the "
-            f"minimum {MIN_STEPS_PER_PERIOD}; integration would be untrusted"
-        )
-    if steps_per_drive_period > MAX_STEPS_PER_PERIOD:
-        raise StepResolutionError(
-            f"steps_per_drive_period={steps_per_drive_period} is above the "
-            f"maximum {MAX_STEPS_PER_PERIOD}; the period's memory would pass its bound"
-        )
+    """lab_frame_propagator at any step count, memoised per process: a
+    pure function of its four hashable arguments, which checks them on the
+    miss that builds an entry and returns a read-only Unitary3."""
     if not math.isfinite(detuning_hz):
         raise ValueError(f"detuning_hz must be finite, got {detuning_hz!r}")
     duration = seg.duration_s(params.omega1_hz)
@@ -489,7 +463,7 @@ def _pulse_propagator(
 
 def rwa_fidelity(params: HamiltonianParams, seg: PulseSegment) -> float:
     """|<psi_RWA|psi_full>|^2 for the pulse applied to |0>, the
-    propagator at DEFAULT_STEPS_PER_PERIOD steps a drive period."""
+    propagator at STEPS_PER_PERIOD steps a drive period."""
     full = lab_frame_propagator(params, seg)
     ideal = QutritState(*_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
     # U|0> is U's |0> column

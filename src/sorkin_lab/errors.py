@@ -38,8 +38,7 @@ class InsufficientBatchesError(SorkinLabError):
 
 
 class StepResolutionError(SorkinLabError):
-    """A step count per drive period outside its bounds, or a pulse spanning
-    more drive periods than the propagator is trusted for."""
+    """A pulse spanning more drive periods than the propagator is trusted for."""
 
 
 class ConfigError(SorkinLabError):

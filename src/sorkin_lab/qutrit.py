@@ -37,8 +37,12 @@ dynamics.PulseSegment and dynamics.PulseSchedule, are built one way: a
 ``dataclass(frozen=True, slots=True, init=False)`` whose hand-written
 __init__ runs the checks and stores each field once through its slot's
 own __set__, bound at module level after the class.  No instance has a
-__dict__, and a store through the frozen __setattr__ raises
-FrozenInstanceError.  ==, hash, repr, ``dataclasses.replace`` (through
+__dict__.  A store or a delete of a field through the frozen __setattr__
+or __delattr__ raises FrozenInstanceError; of any other name it raises
+TypeError ("super(type, obj): obj must be an instance or subtype of
+type", CPython 3.10 through 3.13), because the generated method calls
+super() on the class as it was before slots=True rebuilt it.  Either way
+nothing is stored.  ==, hash, repr, ``dataclasses.replace`` (through
 __init__, so checked) and pickling (not through __init__) stay the
 dataclass's own.
 """

@@ -390,7 +390,7 @@ def test_scan_rows_equal_each_row_run_alone(monkeypatch, grid, det, m, block_row
         assert _bits([row.epsilon, row.kappa_mean, row.kappa_std]) == _bits(
             [want.epsilon, want.kappa_mean, want.kappa_std]
         )
-    got = list(detection._grid_summaries(_target(), _scan_runs(grid, det), m, (7, 2)))
+    got = detection._grid_summaries(_target(), _scan_runs(grid, det), m, (7, 2), exact=det is None)
     assert got == alone
     assert _bits([_estimate_floats(e) for e in got]) == _bits([_estimate_floats(e) for e in alone])
 
@@ -432,7 +432,7 @@ def test_a_grid_is_refused_as_its_lowest_floor_row_alone(monkeypatch, seed, floo
             alone[j] = str(exc)
     assert sorted(alone) == floor_rows
     with pytest.raises(QuantumRegimeError) as refused:
-        list(detection._grid_summaries(_target(), runs, m, seed))
+        detection._grid_summaries(_target(), runs, m, seed, exact=False)
     message = str(refused.value)
     assert message == alone[floor_rows[0]]
     assert re.match(r"^second-order interference [0-9.e-]+ is at or below the floor", message)
@@ -454,7 +454,7 @@ def test_a_later_rows_unphysical_p_fires_before_an_earlier_rows_floor(
         estimate_kappa(detection.sample_batches(_target(), *_FLAT_ROW, m, (3, 0)))
     runs = [_FLAT_ROW, ([1.5] + [0.5] * 6, DetectionParams())]
     with pytest.raises(error):
-        list(detection._grid_summaries(_target(), runs, m, 3))
+        detection._grid_summaries(_target(), runs, m, 3, exact=False)
 
 
 def test_a_grid_of_no_batches_is_refused():
@@ -466,6 +466,23 @@ def test_a_grid_of_no_batches_is_refused():
             sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [0.0, 0.1], det, 0, 3)
         with pytest.raises(InsufficientBatchesError, match=match):
             scaling_check(_target(), MEASUREMENT_M1, det, [20_000, 200_000], 0, 3)
+
+
+def test_a_grid_of_no_rows_takes_its_modes_batch_bounds():
+    # a grid with no rows is checked against det's mode as a grid of many
+    # rows is, although it draws and summarizes nothing
+    for n_batches, error, match in [
+        (1, InsufficientBatchesError, "at least 2 batches, got 1$"),
+        (2**21, ValueError, f"at most MAX_BATCHES = {2**20} batches, got {2**21}$"),
+    ]:
+        with pytest.raises(error, match=match):
+            sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [], _SIM, n_batches, 5)
+        with pytest.raises(error, match=match):
+            scaling_check(_target(), MEASUREMENT_M1, _SIM, [], n_batches, 5)
+    assert sensitivity_scan(_target(), MEASUREMENT_M1, "triple", [], _SIM, 2, 5).rows == ()
+    assert scaling_check(_target(), MEASUREMENT_M1, _SIM, [], 2, 5) == []
+    # an exact grid draws nothing, so it has no upper bound
+    assert scaling_check(_target(), MEASUREMENT_M1, None, [], 2**21, 5) == []
 
 
 def test_a_grid_peaks_at_one_block(monkeypatch):
@@ -693,7 +710,7 @@ def test_an_exact_run_row_and_rung_are_one_report(monkeypatch, m):
     run = estimate_kappa(run_batches(t, MEASUREMENT_M1, rule, None, m, 3))
     assert _bits(_estimate_floats(run)) == want
     grid = [(p_true, None)] * 3  # the rows of a scan, or the rungs of a ladder
-    for est in detection._grid_summaries(t, grid, m, 3):
+    for est in detection._grid_summaries(t, grid, m, 3, exact=True):
         assert _bits(_estimate_floats(est)) == want
     row = sensitivity_scan(t, MEASUREMENT_M1, "exponent", [0.07], None, m, 3).rows[0]
     assert _bits([row.kappa_mean, row.kappa_std]) == want[:2]
@@ -1145,6 +1162,15 @@ def test_too_many_simulated_batches_refused_before_any_stream(monkeypatch):
     # an exact run draws nothing, so it has no upper bound
     exact = detection.sample_batches(t, p_true, None, 10**15, 3)
     assert exact == detection.sorkin_report(t, p_true)
+    # a count that is not an integer is refused whatever its size, exact or
+    # simulated, as DetectionParams' shots are
+    integer = "^'float' object cannot be interpreted as an integer$"
+    with pytest.raises(TypeError, match=integer):
+        detection.sample_batches(t, p_true, DetectionParams(), 50.0, 3)
+    with pytest.raises(TypeError, match=integer):
+        detection.sample_batches(t, p_true, None, 2.5, 3)
+    with pytest.raises(TypeError, match=integer):
+        sensitivity_scan(t, MEASUREMENT_M1, "triple", [0.0, 0.1], DetectionParams(), 50.0, 3)
 
 
 def test_one_exact_batch_per_rung_has_no_spread():

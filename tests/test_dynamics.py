@@ -24,7 +24,6 @@ from sorkin_lab import dynamics
 from sorkin_lab.dynamics import (
     CHANNELS,
     MAX_DRIVE_PERIODS,
-    MAX_STEPS_PER_PERIOD,
     TWO_PI,
     _POWER_TABLE_BITS,
     _batch_expm,
@@ -255,26 +254,11 @@ def test_propagator_zero_amplitude_limit_is_identity():
     assert np.max(np.abs(u.matrix - np.eye(3))) < 1e-6
 
 
-def test_propagator_refuses_coarse_stepping():
-    p = HamiltonianParams()
-    with pytest.raises(StepResolutionError):
-        lab_frame_propagator(p, PulseSegment("MW1", math.pi), 20)
-
-
-def test_step_cap_refuses_even_a_zero_length_pulse():
-    # a zero angle returns the identity without integrating; the cap, like
-    # the minimum, is checked first
-    with pytest.raises(StepResolutionError, match=f"maximum {MAX_STEPS_PER_PERIOD}"):
-        lab_frame_propagator(
-            HamiltonianParams(), PulseSegment("MW2", 0.0), MAX_STEPS_PER_PERIOD + 1
-        )
-
-
 def test_propagator_converged_at_default_resolution():
     p = HamiltonianParams()
     seg = PulseSegment("MW1", math.pi)
-    u1 = lab_frame_propagator(p, seg, 200).matrix
-    u2 = lab_frame_propagator(p, seg, 400).matrix
+    u1 = lab_frame_propagator(p, seg).matrix
+    u2 = _pulse_propagator(p, seg, 400, 0.0).matrix
     assert np.max(np.abs(u1 - u2)) < 1e-6
 
 
@@ -286,7 +270,7 @@ def test_pi_pulse_matches_rwa_rotation():
     # double-resolution oracle: the overlap of the ideal state with the
     # |0> column of the 400-step propagator agrees on the fidelity value
     ideal = np.array(_rotate(seg.channel, seg.angle, (0.0, 1.0, 0.0)))
-    fid2 = abs(np.vdot(ideal, lab_frame_propagator(p, seg, 400).matrix[:, 1])) ** 2
+    fid2 = abs(np.vdot(ideal, _pulse_propagator(p, seg, 400, 0.0).matrix[:, 1])) ** 2
     assert fid == pytest.approx(fid2, abs=1e-8)
 
 
@@ -351,8 +335,8 @@ def test_period_power_error_stays_small_at_large_period_count():
     p = HamiltonianParams(omega1_hz=1e5)
     seg = PulseSegment("MW2", math.pi)
     assert seg.duration_s(p.omega1_hz) * p.omega_mw2_hz > 21_000
-    u1 = lab_frame_propagator(p, seg, 200).matrix
-    u2 = lab_frame_propagator(p, seg, 400).matrix
+    u1 = lab_frame_propagator(p, seg).matrix
+    u2 = _pulse_propagator(p, seg, 400, 0.0).matrix
     assert np.max(np.abs(u1 - u2)) < 1e-6
     assert rwa_fidelity(p, seg) >= 1 - 1e-6
 
@@ -368,7 +352,7 @@ def test_shared_period_is_bit_equal_cold_and_warm(omega1_hz, channel, detuning_h
     first, second = PulseSegment(channel, math.pi), PulseSegment(channel, 2.0)
 
     def propagate(seg):
-        return lab_frame_propagator(p, seg, steps, detuning_hz=detuning_hz).matrix.tobytes()
+        return _pulse_propagator(p, seg, steps, detuning_hz).matrix.tobytes()
 
     clear_propagator_memos()
     cold_first, warm_second = propagate(first), propagate(second)
@@ -402,11 +386,11 @@ def test_repeated_pulse_is_the_memoised_unitary(channel, omega1_hz, steps, detun
     # returns the first call's object; a call after clearing both memos
     # builds a new one with the same bytes
     def propagate():
-        return lab_frame_propagator(
+        return _pulse_propagator(
             HamiltonianParams(omega1_hz=omega1_hz),
             PulseSegment(channel, math.pi / 2),
             steps,
-            detuning_hz=detuning_hz,
+            detuning_hz,
         )
 
     clear_propagator_memos()
@@ -612,7 +596,7 @@ def test_default_resolution_within_2e9_of_1600_steps(channel, angle, omega1_hz):
     p = HamiltonianParams(omega1_hz=omega1_hz)
     seg = PulseSegment(channel, angle)
     u = lab_frame_propagator(p, seg).matrix
-    reference = lab_frame_propagator(p, seg, 1600).matrix
+    reference = _pulse_propagator(p, seg, 1600, 0.0).matrix
     assert np.max(np.abs(u - reference)) < 2e-9
 
 
@@ -632,7 +616,7 @@ def _spanning(channel, angle, n_periods):
 def test_pulse_at_the_period_bound_within_2e9_of_1600_steps(channel, angle):
     p, seg = _spanning(channel, angle, MAX_DRIVE_PERIODS)
     u = lab_frame_propagator(p, seg).matrix
-    reference = lab_frame_propagator(p, seg, 1600).matrix
+    reference = _pulse_propagator(p, seg, 1600, 0.0).matrix
     assert np.max(np.abs(u - reference)) < 2e-9
 
 
@@ -654,28 +638,10 @@ _PERIODS_PAST_BOUND = _spanning("MW1", math.pi, MAX_DRIVE_PERIODS + 1)
 
 
 @pytest.mark.parametrize(
-    "pulse, steps, detuning_hz, error, message",
+    "pulse, detuning_hz, error, message",
     [
         pytest.param(
             _PAPER_PI,
-            20,
-            0.0,
-            StepResolutionError,
-            "steps_per_drive_period=20 is below the minimum 50; integration would be untrusted",
-            id="20-0.0-StepResolutionError",
-        ),
-        pytest.param(
-            _PAPER_PI,
-            MAX_STEPS_PER_PERIOD + 1,
-            0.0,
-            StepResolutionError,
-            f"steps_per_drive_period={MAX_STEPS_PER_PERIOD + 1} is above the maximum "
-            f"{MAX_STEPS_PER_PERIOD}; the period's memory would pass its bound",
-            id=f"{MAX_STEPS_PER_PERIOD + 1}-0.0-StepResolutionError",
-        ),
-        pytest.param(
-            _PAPER_PI,
-            200,
             math.nan,
             ValueError,
             "detuning_hz must be finite, got nan",
@@ -683,7 +649,6 @@ _PERIODS_PAST_BOUND = _spanning("MW1", math.pi, MAX_DRIVE_PERIODS + 1)
         ),
         pytest.param(
             _PERIODS_PAST_BOUND,
-            200,
             0.0,
             StepResolutionError,
             f"the MW1 pulse of angle {_PERIODS_PAST_BOUND[1].angle!r} spans "
@@ -693,41 +658,27 @@ _PERIODS_PAST_BOUND = _spanning("MW1", math.pi, MAX_DRIVE_PERIODS + 1)
         ),
     ],
 )
-def test_rejected_propagator_call_adds_no_memo_entry(pulse, steps, detuning_hz, error, message):
+def test_rejected_propagator_call_adds_no_memo_entry(pulse, detuning_hz, error, message):
     # lru_cache stores no call that raises: a refusal, repeated, is refused
     # again with the same message and leaves no pulse and no period entry
     clear_propagator_memos()
     for _ in range(2):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            lab_frame_propagator(*pulse, steps, detuning_hz=detuning_hz)
+            lab_frame_propagator(*pulse, detuning_hz=detuning_hz)
     info = _period_propagator.cache_info()
     assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
     info = _pulse_propagator.cache_info()
     assert (info.currsize, info.hits) == (0, 0)
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
-def test_step_count_must_be_an_integer_whatever_the_memo_holds(warm):
-    # an equal float key would hit a warm memo, so the count goes through
-    # operator.index before the lookup; numpy's integers key the int's entry
+def test_propagator_has_one_resolution():
+    # the public propagator is the memoised one at STEPS_PER_PERIOD steps a
+    # period, and takes no step count of its own
     clear_propagator_memos()
-    p, seg = _PAPER_PI
-    memoised = lab_frame_propagator(p, seg, 200) if warm else None
-    for bad in (200.0, 200.5, "200"):
-        with pytest.raises(TypeError):
-            lab_frame_propagator(p, seg, bad)
-    with pytest.raises(StepResolutionError, match=r"^steps_per_drive_period=1 is below"):
-        lab_frame_propagator(p, seg, True)
-    info = _pulse_propagator.cache_info()
-    assert (info.currsize, info.hits) == ((1, 0) if warm else (0, 0))
-    info = _period_propagator.cache_info()
-    assert (info.currsize, info.misses, info.hits) == ((1, 1, 0) if warm else (0, 0, 0))
-    got = lab_frame_propagator(p, seg, np.int64(200))
-    assert lab_frame_propagator(p, seg, 200) is got
-    if warm:
-        assert got is memoised
-    assert _pulse_propagator.cache_info().currsize == 1
-    assert _period_propagator.cache_info().currsize == 1
+    u = lab_frame_propagator(*_PAPER_PI)
+    assert _pulse_propagator(*_PAPER_PI, dynamics.STEPS_PER_PERIOD, 0.0) is u
+    with pytest.raises(TypeError):
+        lab_frame_propagator(*_PAPER_PI, 200)
 
 
 @pytest.mark.parametrize("angle", [0.0, math.pi])
